@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-json race fuzz-smoke bench-smoke bench-accum bench-sched chaos-smoke delta-replay all
+.PHONY: build test lint lint-json race fuzz-smoke bench-smoke bench-accum bench-sched chaos-smoke delta-replay perfbench-check all
 
 all: build lint test
 
@@ -68,3 +68,10 @@ delta-replay:
 chaos-smoke:
 	$(GO) test -race -run 'TestCluster|TestPeerClient|TestBreaker' -count=2 ./internal/serve/cluster
 	$(GO) run ./cmd/asaload -self-serve -self-replicas 3 -fault-drop 0.05 -fault-fail 0.05 -rate 100 -duration 5s -out BENCH_serve_ci.json -trace-out cluster_trace_ci.json
+
+# perfbench-check vets and tests the wall-clock benchmark module. It has its
+# own go.mod, so `go test ./...` at the root never compiles it; this target
+# catches an API change that breaks the benchmark. GOPROXY=off keeps it
+# offline: the module's only dependency is this repository, by replace.
+perfbench-check:
+	cd perfbench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...

@@ -132,7 +132,7 @@ func BenchmarkTable3NativeVsBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := benchRun(b, g, infomap.Baseline, 1)
 		_, total := modeledCounters(b, res, infomap.Baseline)
-		native := res.Breakdown.Total().Seconds()
+		native := res.Elapsed.Seconds()
 		if native > 0 {
 			ratio = total.Seconds(perf.Baseline()) / native
 		}

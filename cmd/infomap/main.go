@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"github.com/asamap/asamap/internal/asa"
 	"github.com/asamap/asamap/internal/dist"
@@ -33,6 +34,7 @@ import (
 	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/pagerank"
 	"github.com/asamap/asamap/internal/perf"
+	"github.com/asamap/asamap/internal/trace"
 )
 
 func main() {
@@ -183,11 +185,12 @@ func main() {
 		opt.FrontierHops = *frontierHops
 	}
 
-	// Span tracing: a nil tracer (flag unset) makes the root span nil and
-	// every span operation inside the run a no-op.
+	// Span tracing: a nil tracer (neither -trace-out nor -stats) makes the
+	// root span nil and every span operation inside the run a no-op. -stats
+	// reads its kernel times from the tracer's span totals.
 	var tracer *obs.Tracer
 	var rootSpan *obs.Span
-	if *traceOut != "" {
+	if *traceOut != "" || *stats {
 		tracer = obs.New(obs.Config{Seed: *seed})
 		rootSpan = tracer.Begin("infomap")
 		opt.Trace = rootSpan
@@ -198,6 +201,8 @@ func main() {
 		fatal(err)
 	}
 	rootSpan.End()
+	// Taken before -hierarchical reruns the flat pass under the same root.
+	kernelTotals := tracer.Totals()
 
 	fmt.Printf("graph: %d vertices, %d arcs (%s)\n", g.N(), g.M(), direction(g))
 	fmt.Printf("result: %s\n", res)
@@ -259,7 +264,16 @@ func main() {
 	}
 
 	if *stats {
-		fmt.Printf("\nkernel breakdown:\n%s", res.Breakdown)
+		var kernelWall time.Duration
+		for _, k := range trace.Kernels() {
+			kernelWall += kernelTotals[k].Duration
+		}
+		fmt.Printf("\nkernel breakdown:\n")
+		for _, k := range trace.Kernels() {
+			d := kernelTotals[k].Duration
+			fmt.Printf("%-20s %12v  %5.1f%%\n", k, d.Round(time.Microsecond), 100*float64(d)/float64(kernelWall))
+		}
+		fmt.Printf("accumulator: %+v\n", res.TotalStats())
 		fmt.Printf("scheduler: policy=%s steals=%d mean-imbalance=%.3f\n",
 			opt.Sched, res.Steals, res.MeanImbalance())
 		machine := perf.Baseline()

@@ -161,11 +161,7 @@ func runKind(cfg Config, g *graph.Graph, kind infomap.AccumKind, workers int) (*
 	if ok {
 		return cached, nil
 	}
-	opt := infomap.DefaultOptions()
-	opt.Kind = kind
-	opt.Workers = workers
-	opt.Seed = cfg.Seed
-	res, err := infomap.Run(g, opt)
+	res, err := infomap.Run(g, kindOptions(cfg, kind, workers))
 	if err != nil {
 		return nil, err
 	}
@@ -173,6 +169,16 @@ func runKind(cfg Config, g *graph.Graph, kind infomap.AccumKind, workers int) (*
 	runCache[key] = res
 	runCacheMu.Unlock()
 	return res, nil
+}
+
+// kindOptions returns the options of a seeded run on the given backend and
+// worker count.
+func kindOptions(cfg Config, kind infomap.AccumKind, workers int) infomap.Options {
+	opt := infomap.DefaultOptions()
+	opt.Kind = kind
+	opt.Workers = workers
+	opt.Seed = cfg.Seed
+	return opt
 }
 
 // modeled bundles the perf-model view of one run on the Baseline machine.

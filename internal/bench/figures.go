@@ -3,9 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"github.com/asamap/asamap/internal/dataset"
 	"github.com/asamap/asamap/internal/infomap"
+	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/perf"
 	"github.com/asamap/asamap/internal/trace"
 )
@@ -15,22 +17,32 @@ import (
 // on hash operations, both for single-core Baseline runs on the two largest
 // networks.
 func runFig2(cfg Config, w io.Writer) error {
+	kernels := []string{trace.KernelPageRank, trace.KernelFindBestCommunity,
+		trace.KernelConvert2SuperNode, trace.KernelUpdateMembers}
 	for _, name := range []string{"soc-Pokec", "Orkut"} {
 		g, _, err := replica(cfg, name)
 		if err != nil {
 			return err
 		}
-		res, err := runKind(cfg, g, infomap.Baseline, 1)
+		// The kernel times come from the run's span totals, so this run is
+		// traced rather than shared through runKind's cache.
+		opt := kindOptions(cfg, infomap.Baseline, 1)
+		tracer := obs.New(obs.Config{Seed: cfg.Seed, RingSize: 1})
+		opt.Trace = tracer.Begin("fig2")
+		res, err := infomap.Run(g, opt)
+		opt.Trace.End()
 		if err != nil {
 			return err
 		}
-		bd := res.Breakdown
-		total := bd.Total()
+		totals := tracer.Totals()
+		var total time.Duration
+		for _, k := range kernels {
+			total += totals[k].Duration
+		}
 		fmt.Fprintf(w, "%s (wall-clock kernel breakdown):\n", name)
-		for _, k := range []string{trace.KernelPageRank, trace.KernelFindBestCommunity,
-			trace.KernelConvert2SuperNode, trace.KernelUpdateMembers} {
-			fmt.Fprintf(w, "  %-20s %10v  %5.1f%%\n", k, bd.Get(k).Round(1e3),
-				100*float64(bd.Get(k))/float64(total))
+		for _, k := range kernels {
+			d := totals[k].Duration
+			fmt.Fprintf(w, "  %-20s %10v  %5.1f%%\n", k, d.Round(1e3), 100*float64(d)/float64(total))
 		}
 		m, err := modelRun(res, infomap.Baseline, perf.Baseline())
 		if err != nil {

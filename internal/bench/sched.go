@@ -6,12 +6,12 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"time"
 
 	"github.com/asamap/asamap/internal/gen"
 	"github.com/asamap/asamap/internal/infomap"
 	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/rng"
-	"github.com/asamap/asamap/internal/trace"
 )
 
 // schedRow is one (workers, policy) cell of the scheduling experiment.
@@ -110,11 +110,16 @@ func runSched(cfg Config, w io.Writer) error {
 				ref = res
 			}
 			identical := sameMembership(ref.Membership, res.Membership)
+			var sweepWall, commitWall time.Duration
+			for _, sw := range res.SweepLog {
+				sweepWall += sw.Wall
+				commitWall += sw.WallCommit
+			}
 			row := schedRow{
 				Workers:      workers,
 				Policy:       policy.String(),
-				SweepWallMS:  float64(res.Breakdown.Get(trace.KernelFindBestCommunity).Microseconds()) / 1e3,
-				CommitWallMS: float64(res.Breakdown.Get(trace.KernelUpdateMembers).Microseconds()) / 1e3,
+				SweepWallMS:  float64(sweepWall.Microseconds()) / 1e3,
+				CommitWallMS: float64(commitWall.Microseconds()) / 1e3,
 				TotalWallMS:  float64(res.Elapsed.Microseconds()) / 1e3,
 				Imbalance:    res.MeanImbalance(),
 				Steals:       res.Steals,

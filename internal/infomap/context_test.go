@@ -14,7 +14,6 @@ import (
 	"github.com/asamap/asamap/internal/mapeq"
 	"github.com/asamap/asamap/internal/rng"
 	"github.com/asamap/asamap/internal/sched"
-	"github.com/asamap/asamap/internal/trace"
 )
 
 func TestRunContextCanceledBeforeStart(t *testing.T) {
@@ -131,7 +130,7 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 		}
 		pool := sched.NewPool(nWorkers)
 		_, _, err := optimizeLevel(context.Background(), st, flow, workers, pool,
-			DefaultOptions(), newRand(1), trace.NewBreakdown(), 0, &Result{}, nil, nil)
+			DefaultOptions(), newRand(1), 0, &Result{}, nil, nil)
 		pool.Close()
 		if err == nil {
 			t.Fatalf("workers=%d: injected panic not surfaced", nWorkers)

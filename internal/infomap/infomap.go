@@ -51,7 +51,6 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	}
 	clk := opt.clk()
 	start := clk.Now()
-	bd := trace.NewBreakdown()
 
 	// Span tree root of this run. opt.Trace nil makes every span below nil,
 	// and nil spans absorb all calls, so the untraced path stays branch-free.
@@ -70,7 +69,6 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	// --- Kernel 1: PageRank / flow construction. ---
 	var baseFlow *mapeq.Flow
 	prSpan := run.Child(trace.KernelPageRank)
-	prStart := clk.Now()
 	if g.Directed() {
 		cfg := pagerank.DefaultConfig()
 		cfg.Damping = opt.Damping
@@ -94,7 +92,6 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 			return nil, err
 		}
 	}
-	bd.Add(trace.KernelPageRank, clk.Since(prStart))
 	prSpan.End()
 
 	// Size each worker's accumulators for the largest neighborhood they can
@@ -116,10 +113,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	pool := sched.NewPool(opt.Workers)
 	defer pool.Close()
 
-	res := &Result{
-		Breakdown:  bd,
-		Membership: make([]uint32, g.N()),
-	}
+	res := &Result{Membership: make([]uint32, g.N())}
 	for i := range res.Membership {
 		res.Membership[i] = uint32(i)
 	}
@@ -230,7 +224,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 			if level == 0 {
 				fz = frozen
 			}
-			sweeps, moves, err := optimizeLevel(ctx, st, flow, workers, pool, opt, r, bd, level, res, lv, fz)
+			sweeps, moves, err := optimizeLevel(ctx, st, flow, workers, pool, opt, r, level, res, lv, fz)
 			res.Sweeps += sweeps
 			res.Moves += moves
 			lv.SetUint("sweeps", uint64(sweeps))
@@ -242,7 +236,6 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 
 			// --- Kernel 3/4: contract modules to super nodes. ---
 			cs := lv.Child(trace.KernelConvert2SuperNode)
-			csStart := clk.Now()
 			k := mapeq.CompactMembership(membership)
 			if level == 0 {
 				copy(res.Membership, membership)
@@ -254,7 +247,6 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 			if (level > 0 && k == n) || k == 1 {
 				// No merging at a super level, or everything merged:
 				// the hierarchy has converged.
-				bd.Add(trace.KernelConvert2SuperNode, clk.Since(csStart))
 				cs.SetUint("modules", uint64(k))
 				cs.End()
 				lv.End()
@@ -264,7 +256,6 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 			if err != nil {
 				return nil, err
 			}
-			bd.Add(trace.KernelConvert2SuperNode, clk.Since(csStart))
 			cs.SetUint("modules", uint64(k))
 			cs.End()
 			lv.End()
@@ -315,42 +306,12 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	}
 	res.PerWorker = collectWorkerStats(workers)
 	res.Elapsed = clk.Since(start)
-
-	// Fold the run-total accumulator telemetry into the breakdown's event
-	// counters, where /metrics and run artifacts pick it up.
-	addAccumEvents(bd, "", res.TotalStats())
 	run.SetUint("modules", uint64(res.NumModules))
 	run.SetFloat("codelength", res.Codelength)
 	run.SetUint("levels", uint64(res.Levels))
 	run.SetUint("sweeps", uint64(res.Sweeps))
 	run.SetUint("moves", res.Moves)
 	return res, nil
-}
-
-// addAccumEvents records every accum.Stats counter as a named Breakdown
-// event under the given prefix ("" for run totals, "Level0/" for per-level
-// folds). All these totals are sums over per-vertex accumulator sessions and
-// are therefore identical across worker counts and steal schedules — except
-// ChainHops and Rehashes, which depend on each worker's private table-growth
-// history; they are exported for capacity tuning but must never enter a
-// determinism comparison.
-func addAccumEvents(bd *trace.Breakdown, prefix string, s accum.Stats) {
-	bd.AddEvents(prefix+"AccumAccumulates", s.Accumulates)
-	bd.AddEvents(prefix+"AccumLookups", s.Lookups)
-	bd.AddEvents(prefix+"AccumHits", s.Hits)
-	bd.AddEvents(prefix+"AccumMisses", s.Misses)
-	bd.AddEvents(prefix+"AccumChainHops", s.ChainHops)
-	bd.AddEvents(prefix+"AccumInserts", s.Inserts)
-	bd.AddEvents(prefix+"AccumRehashes", s.Rehashes)
-	bd.AddEvents(prefix+"AccumEvictions", s.Evictions)
-	bd.AddEvents(prefix+"AccumOverflowKV", s.OverflowKV)
-	bd.AddEvents(prefix+"AccumMergedKV", s.MergedKV)
-	bd.AddEvents(prefix+"AccumBinnedKV", s.BinnedKV)
-	bd.AddEvents(prefix+"AccumScatteredKV", s.ScatteredKV)
-	bd.AddEvents(prefix+"AccumBinMergedKV", s.BinMergedKV)
-	bd.AddEvents(prefix+"AccumGathers", s.Gathers)
-	bd.AddEvents(prefix+"AccumGatheredKV", s.GatheredKV)
-	bd.AddEvents(prefix+"AccumResets", s.Resets)
 }
 
 func collectWorkerStats(workers []*worker) []WorkerStats {
@@ -403,7 +364,7 @@ func sweepBounds(flow *mapeq.Flow, order []uint32, workers int, policy SchedPoli
 // error after all workers of the sweep have finished (so no goroutine
 // outlives the call).
 func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, workers []*worker,
-	pool *sched.Pool, opt Options, r *rng.RNG, bd *trace.Breakdown, level int, res *Result,
+	pool *sched.Pool, opt Options, r *rng.RNG, level int, res *Result,
 	lvSpan *obs.Span, frozen []bool) (sweeps int, totalMoves uint64, err error) {
 
 	n := flow.G.N()
@@ -438,10 +399,6 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 	// which block, which is what makes results bit-identical across worker
 	// counts and steal schedules.
 	var props [][]proposal
-
-	// Per-level accumulator event totals, folded into the breakdown's named
-	// event counters when the level finishes.
-	var levelStats accum.Stats
 
 	prevL := st.Codelength()
 	for sweep := 0; sweep < opt.MaxSweeps; sweep++ {
@@ -484,9 +441,6 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 			return sweeps, totalMoves, err
 		}
 		fbcWall := clk.Since(fbcStart)
-		bd.Add(trace.KernelFindBestCommunity, fbcWall)
-		bd.Observe(trace.GaugeSweepImbalance, ds.Imbalance)
-		bd.Observe(trace.GaugeSweepSteals, float64(ds.Steals))
 		res.Steals += ds.Steals
 
 		// --- Kernel 4: UpdateMembers (serial commit with re-check). ---
@@ -541,13 +495,11 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 		// aggregates once per sweep.
 		st.Refresh()
 		commitWall := clk.Since(umStart)
-		bd.Add(trace.KernelUpdateMembers, commitWall)
 		um.SetUint("moves", moves)
 		um.End()
 
 		postStats, postWork := liveTotals(workers)
 		sweepStats := postStats.Sub(preStats)
-		levelStats.Add(sweepStats)
 		res.SweepLog = append(res.SweepLog, SweepStat{
 			Level:      level,
 			Sweep:      sweep,
@@ -586,15 +538,6 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 		}
 		prevL = l
 	}
-	addAccumEvents(bd, fmt.Sprintf("Level%d/", level), accum.Stats{
-		Hits:        levelStats.Hits,
-		Misses:      levelStats.Misses,
-		Evictions:   levelStats.Evictions,
-		OverflowKV:  levelStats.OverflowKV,
-		BinnedKV:    levelStats.BinnedKV,
-		ScatteredKV: levelStats.ScatteredKV,
-		BinMergedKV: levelStats.BinMergedKV,
-	})
 	return sweeps, totalMoves, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"github.com/asamap/asamap/internal/asa"
 	"github.com/asamap/asamap/internal/gen"
 	"github.com/asamap/asamap/internal/graph"
+	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/trace"
 )
 
@@ -198,16 +199,26 @@ func TestDirectedGraph(t *testing.T) {
 	_ = b.AddEdge(0, 4, 0.1)
 	_ = b.AddEdge(4, 0, 0.1)
 	g := b.Build()
-	res, err := Run(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, totals := runKernelTotals(t, g, DefaultOptions())
 	if res.NumModules != 2 {
 		t.Fatalf("directed: %d modules, want 2 (%v)", res.NumModules, res.Membership)
 	}
-	if res.Breakdown.Get(trace.KernelPageRank) == 0 {
-		t.Fatal("PageRank kernel not timed for directed graph")
+	if pr := totals[trace.KernelPageRank]; pr.Count != 1 || pr.Duration == 0 {
+		t.Fatalf("PageRank kernel not timed for directed graph: %+v", pr)
 	}
+}
+
+// runKernelTotals runs detection under a fresh tracer and returns the
+// result with the tracer's per-name span totals.
+func runKernelTotals(t *testing.T, g *graph.Graph, opt Options) (*Result, map[string]obs.SpanTotal) {
+	t.Helper()
+	tr := obs.New(obs.Config{})
+	opt.Trace = tr.Begin("detect")
+	res, err := Run(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, tr.Totals()
 }
 
 func TestTinyCAMStillCorrect(t *testing.T) {
@@ -295,10 +306,7 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	g := twoTriangles(t)
-	res, err := Run(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, totals := runKernelTotals(t, g, DefaultOptions())
 	st := res.TotalStats()
 	if st.Accumulates == 0 {
 		t.Fatal("no accumulate events recorded")
@@ -310,8 +318,8 @@ func TestStatsPopulated(t *testing.T) {
 	if res.Moves == 0 {
 		t.Fatal("no moves recorded on a graph with obvious structure")
 	}
-	if res.Breakdown.Get(trace.KernelFindBestCommunity) == 0 {
-		t.Fatal("FindBestCommunity not timed")
+	if fbc := totals[trace.KernelFindBestCommunity]; fbc.Count != uint64(res.Sweeps) || fbc.Duration == 0 {
+		t.Fatalf("FindBestCommunity not timed once per sweep (%d sweeps): %+v", res.Sweeps, fbc)
 	}
 	if res.Elapsed == 0 {
 		t.Fatal("Elapsed not recorded")

@@ -206,45 +206,3 @@ func TestTraceNesting(t *testing.T) {
 		t.Errorf("trace has %d sweep spans, result reports %d", sweeps, res.Sweeps)
 	}
 }
-
-// TestAccumEventFold: the breakdown's named event counters equal the summed
-// per-worker accumulator stats — the plumbing /metrics relies on.
-func TestAccumEventFold(t *testing.T) {
-	g := traceGraph(t)
-	opt := DefaultOptions()
-	opt.Kind = ASA
-	opt.Workers = 2
-	res, err := Run(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := res.TotalStats()
-	bd := res.Breakdown
-	if total.Accumulates == 0 || total.Hits == 0 {
-		t.Fatalf("test graph produced no accumulator traffic: %+v", total)
-	}
-	for name, want := range map[string]uint64{
-		"AccumAccumulates": total.Accumulates,
-		"AccumHits":        total.Hits,
-		"AccumMisses":      total.Misses,
-		"AccumEvictions":   total.Evictions,
-		"AccumOverflowKV":  total.OverflowKV,
-		"AccumGatheredKV":  total.GatheredKV,
-	} {
-		if got := bd.Events(name); got != want {
-			t.Errorf("event %s = %d, want %d", name, got, want)
-		}
-	}
-	// Per-level CAM folds sum to the run totals for the fields they track.
-	var levelHits uint64
-	for _, name := range bd.EventNames() {
-		if len(name) > 6 && name[:5] == "Level" {
-			if idx := len("LevelN/"); name[idx:] == "AccumHits" {
-				levelHits += bd.Events(name)
-			}
-		}
-	}
-	if levelHits != total.Hits {
-		t.Errorf("per-level AccumHits sum to %d, run total is %d", levelHits, total.Hits)
-	}
-}

@@ -18,7 +18,6 @@ import (
 	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/perf"
 	"github.com/asamap/asamap/internal/sched"
-	"github.com/asamap/asamap/internal/trace"
 )
 
 // Teleportation selects how directed-graph teleportation enters the code.
@@ -293,8 +292,6 @@ type Result struct {
 	Sweeps int
 	// Moves is the total number of applied module changes.
 	Moves uint64
-	// Breakdown holds wall-clock time per kernel.
-	Breakdown *trace.Breakdown
 	// PerWorker holds event counts per worker, index = worker id.
 	PerWorker []WorkerStats
 	// SweepLog records every optimization sweep in execution order.

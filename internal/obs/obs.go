@@ -65,6 +65,17 @@ type Tracer struct {
 	start         int        // index of the oldest retained span in done (ring mode)
 	droppedSpans  uint64     // spans ring-evicted before anyone read them
 	droppedTraces uint64     // evicted spans that rooted a trace segment (local or remote)
+	// totals folds every ended span by name before the ring can evict it.
+	// Span names are compile-time constants (plus one per asabench sched
+	// row), so the key set stays small and fixed.
+	totals map[string]SpanTotal
+}
+
+// SpanTotal is the summed wall time and count of every ended span of one
+// name.
+type SpanTotal struct {
+	Duration time.Duration
+	Count    uint64
 }
 
 // New constructs a Tracer from cfg. A nil *Tracer is a valid no-op tracer:
@@ -76,10 +87,11 @@ func New(cfg Config) *Tracer {
 		clk = clock.Real{}
 	}
 	return &Tracer{
-		clk:   clk,
-		epoch: clk.Now(),
-		seed:  cfg.Seed,
-		ring:  cfg.RingSize,
+		clk:    clk,
+		epoch:  clk.Now(),
+		seed:   cfg.Seed,
+		ring:   cfg.RingSize,
+		totals: make(map[string]SpanTotal),
 	}
 }
 
@@ -350,6 +362,10 @@ func (d SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
 
 func (t *Tracer) commit(data SpanData) {
 	t.mu.Lock()
+	tot := t.totals[data.Name]
+	tot.Duration += data.Duration()
+	tot.Count++
+	t.totals[data.Name] = tot
 	t.done = append(t.done, data)
 	if t.ring > 0 && len(t.done)-t.start > t.ring {
 		next := len(t.done) - t.ring
@@ -383,6 +399,21 @@ func (t *Tracer) Dropped() (spans, traces uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.droppedSpans, t.droppedTraces
+}
+
+// Totals returns a copy of the per-name span totals. They count every span
+// ever ended, so they stay exact at any RingSize.
+func (t *Tracer) Totals() map[string]SpanTotal {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make(map[string]SpanTotal, len(t.totals))
+	for name, tot := range t.totals {
+		out[name] = tot
+	}
+	return out
 }
 
 // Epoch returns the tracer's construction time; Chrome-export timestamps are

@@ -149,6 +149,48 @@ func TestConcurrentSpans(t *testing.T) {
 	if got := tr.Len(); got != 64 {
 		t.Errorf("ring should cap retained spans at 64, got %d", got)
 	}
+	totals := tr.Totals()
+	if totals["aux"].Count != 16*50 || totals["worker"].Count != 16*50 || totals["root"].Count != 1 {
+		t.Errorf("totals lost concurrently ended spans: %+v", totals)
+	}
+}
+
+// TestTracerTotals: per-name totals sum every ended span's duration and
+// count, exactly, however few spans the ring retains.
+func TestTracerTotals(t *testing.T) {
+	clk := fakeClock()
+	tr := New(Config{Clock: clk, Seed: 1, RingSize: 1})
+	for _, d := range []time.Duration{100 * time.Millisecond, 50 * time.Millisecond} {
+		s := tr.Begin("PageRank")
+		clk.Advance(d)
+		s.End()
+		s.End() // a second End must not count twice
+	}
+	s := tr.Begin("FindBestCommunity")
+	clk.Advance(300 * time.Millisecond)
+	s.End()
+	tr.Begin("open") // never ended: never counted
+
+	want := map[string]SpanTotal{
+		"PageRank":          {Duration: 150 * time.Millisecond, Count: 2},
+		"FindBestCommunity": {Duration: 300 * time.Millisecond, Count: 1},
+	}
+	got := tr.Totals()
+	if len(got) != len(want) {
+		t.Fatalf("Totals = %+v, want %+v", got, want)
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("Totals[%s] = %+v, want %+v", name, got[name], w)
+		}
+	}
+	if spans, _ := tr.Dropped(); spans != 2 {
+		t.Errorf("ring of 1 should have evicted 2 spans, evicted %d", spans)
+	}
+	var nilTracer *Tracer
+	if nilTracer.Totals() != nil {
+		t.Error("nil tracer has totals")
+	}
 }
 
 // TestRingEviction: only the most recent RingSize spans survive, in End

@@ -242,7 +242,7 @@ func (n *Node) markPath(w http.ResponseWriter, r *http.Request, path string) {
 }
 
 func (n *Node) handleDetect(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxDetectBodyBytes))
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -379,10 +379,8 @@ func (n *Node) handleUpload(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, fmt.Sprintf("bad directed value %q", v))
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, 64<<20)
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+	raw, ok := n.local.ReadUpload(w, r, "upload")
+	if !ok {
 		return
 	}
 	// Register locally first: the node can always degrade to computing on
@@ -439,9 +437,8 @@ func (n *Node) replicateGraph(ctx context.Context, raw []byte, directed bool, ha
 // the same parent derives the same version id.
 func (n *Node) handleDeltaUpload(w http.ResponseWriter, r *http.Request) {
 	parent := r.PathValue("hash")
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+	raw, ok := n.local.ReadUpload(w, r, "delta")
+	if !ok {
 		return
 	}
 	if _, ok := n.local.Registry().Resolve(parent); !ok && len(n.peers) > 0 {

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/asamap/asamap/internal/accum"
 	"github.com/asamap/asamap/internal/asa"
 	"github.com/asamap/asamap/internal/clock"
 	"github.com/asamap/asamap/internal/graph"
@@ -92,7 +93,7 @@ type Server struct {
 	registry *Registry
 	queue    *Queue
 	cache    *ResultCache
-	agg      *trace.Breakdown // kernel breakdowns merged across all runs
+	agg      *trace.Breakdown // accumulator events and sweep gauges of all successful runs
 	mux      *http.ServeMux
 	started  time.Time
 	logger   *slog.Logger
@@ -411,6 +412,25 @@ func (s *Server) CacheSeed(key string, body []byte) {
 	s.cache.put(key, body)
 }
 
+// ReadUpload reads a graph or delta upload body of at most the configured
+// MaxUploadBytes. On failure it answers the request itself — 413 "<what>
+// exceeds N bytes" past the limit, 400 otherwise — and returns false.
+// Cluster nodes read uploads through it so their limit and error shape match
+// a single node's.
+func (s *Server) ReadUpload(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	if err == nil {
+		return data, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%s exceeds %d bytes", what, tooLarge.Limit))
+	} else {
+		httpError(w, http.StatusBadRequest, err.Error())
+	}
+	return nil, false
+}
+
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	directed := false
 	switch v := r.URL.Query().Get("directed"); v {
@@ -421,16 +441,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad directed value %q", v))
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	data, err := io.ReadAll(body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("upload exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, err.Error())
+	data, ok := s.ReadUpload(w, r, "upload")
+	if !ok {
 		return
 	}
 	info, err := s.registry.Add(data, directed)
@@ -477,16 +489,8 @@ func (s *Server) handleGraphData(w http.ResponseWriter, r *http.Request) {
 // Re-uploading an identical delta onto the same parent answers 200 with the
 // existing version; a new version answers 201.
 func (s *Server) handleDeltaUpload(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	data, err := io.ReadAll(body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("delta exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, err.Error())
+	data, ok := s.ReadUpload(w, r, "delta")
+	if !ok {
 		return
 	}
 	info, err := s.registry.AddVersion(r.PathValue("hash"), data)
@@ -544,9 +548,13 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
+// MaxDetectBodyBytes bounds one detect request body, on a single node and
+// on a cluster node alike.
+const MaxDetectBodyBytes = 1 << 20
+
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var req DetectRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxDetectBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
@@ -598,7 +606,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 }
 
 // computeDetect runs one detection job through the bounded queue, honoring
-// the configured job timeout, and folds its kernel breakdown into the
+// the configured job timeout, and folds its events and gauges into the
 // server-wide aggregate.
 func (s *Server) computeDetect(ctx context.Context, g *graph.Graph, opt infomap.Options) (*infomap.Result, error) {
 	jobCtx := ctx
@@ -620,8 +628,63 @@ func (s *Server) computeDetect(ctx context.Context, g *graph.Graph, opt infomap.
 	if err := handle.Wait(jobCtx); err != nil {
 		return nil, err
 	}
-	s.agg.Merge(res.Breakdown)
+	s.agg.Merge(runEvents(res))
 	return res, nil
+}
+
+// runEvents folds one successful run into the /metrics event counters and
+// gauges: one imbalance and one steal sample per sweep, the run-total
+// accumulator events, and per-level folds of the CAM and HashGraph counters.
+func runEvents(res *infomap.Result) *trace.Breakdown {
+	bd := trace.NewBreakdown()
+	var levels []accum.Stats
+	for _, sw := range res.SweepLog {
+		bd.Observe(trace.GaugeSweepImbalance, sw.Sched.Imbalance)
+		bd.Observe(trace.GaugeSweepSteals, float64(sw.Sched.Steals))
+		for len(levels) <= sw.Level {
+			levels = append(levels, accum.Stats{})
+		}
+		levels[sw.Level].Add(sw.Stats)
+	}
+	addAccumEvents(bd, "", res.TotalStats())
+	for level, s := range levels {
+		addAccumEvents(bd, fmt.Sprintf("Level%d/", level), accum.Stats{
+			Hits:        s.Hits,
+			Misses:      s.Misses,
+			Evictions:   s.Evictions,
+			OverflowKV:  s.OverflowKV,
+			BinnedKV:    s.BinnedKV,
+			ScatteredKV: s.ScatteredKV,
+			BinMergedKV: s.BinMergedKV,
+		})
+	}
+	return bd
+}
+
+// addAccumEvents records every accum.Stats counter as a named event under
+// the given prefix ("" for run totals, "Level0/" for per-level folds). All
+// these totals are sums over per-vertex accumulator sessions and are
+// therefore identical across worker counts and steal schedules — except
+// ChainHops and Rehashes, which depend on each worker's private table-growth
+// history; they are exported for capacity tuning but must never enter a
+// determinism comparison.
+func addAccumEvents(bd *trace.Breakdown, prefix string, s accum.Stats) {
+	bd.AddEvents(prefix+"AccumAccumulates", s.Accumulates)
+	bd.AddEvents(prefix+"AccumLookups", s.Lookups)
+	bd.AddEvents(prefix+"AccumHits", s.Hits)
+	bd.AddEvents(prefix+"AccumMisses", s.Misses)
+	bd.AddEvents(prefix+"AccumChainHops", s.ChainHops)
+	bd.AddEvents(prefix+"AccumInserts", s.Inserts)
+	bd.AddEvents(prefix+"AccumRehashes", s.Rehashes)
+	bd.AddEvents(prefix+"AccumEvictions", s.Evictions)
+	bd.AddEvents(prefix+"AccumOverflowKV", s.OverflowKV)
+	bd.AddEvents(prefix+"AccumMergedKV", s.MergedKV)
+	bd.AddEvents(prefix+"AccumBinnedKV", s.BinnedKV)
+	bd.AddEvents(prefix+"AccumScatteredKV", s.ScatteredKV)
+	bd.AddEvents(prefix+"AccumBinMergedKV", s.BinMergedKV)
+	bd.AddEvents(prefix+"AccumGathers", s.Gathers)
+	bd.AddEvents(prefix+"AccumGatheredKV", s.GatheredKV)
+	bd.AddEvents(prefix+"AccumResets", s.Resets)
 }
 
 // marshalDetect renders the deterministic response body for one run. fp is
@@ -808,7 +871,33 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"End-to-end HTTP request latency.")
 	s.waitHist.Snapshot().WritePrometheus(w, "asamap_queue_wait_seconds",
 		"Detection-job wait between queue admission and worker pickup.")
+	writeKernelMetrics(w, s.tracer.Totals())
 	s.agg.Snapshot().WritePrometheus(w, "asamap")
+}
+
+// writeKernelMetrics renders the per-kernel wall-time counters from the
+// tracer's span totals, which count every ended kernel span — canceled and
+// failed runs included — however small the trace ring.
+func writeKernelMetrics(w io.Writer, totals map[string]obs.SpanTotal) {
+	var kernels []string
+	for _, k := range trace.Kernels() {
+		if totals[k].Count > 0 {
+			kernels = append(kernels, k)
+		}
+	}
+	if len(kernels) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "# HELP asamap_kernel_seconds_total Cumulative wall-clock seconds per kernel.\n")
+	fmt.Fprintf(w, "# TYPE asamap_kernel_seconds_total counter\n")
+	for _, k := range kernels {
+		fmt.Fprintf(w, "asamap_kernel_seconds_total{kernel=%q} %g\n", k, totals[k].Duration.Seconds())
+	}
+	fmt.Fprintf(w, "# HELP asamap_kernel_invocations_total Recorded spans per kernel.\n")
+	fmt.Fprintf(w, "# TYPE asamap_kernel_invocations_total counter\n")
+	for _, k := range kernels {
+		fmt.Fprintf(w, "asamap_kernel_invocations_total{kernel=%q} %d\n", k, totals[k].Count)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

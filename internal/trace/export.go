@@ -4,32 +4,15 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"github.com/asamap/asamap/internal/graph"
 )
 
-// SpanSnapshot is one kernel's accumulated duration and invocation count.
-type SpanSnapshot struct {
-	Name  string
-	Total time.Duration
-	Count uint64
-}
-
-// GaugeSnapshot is one gauge's running sum and sample count; Mean is 0 when
-// no samples were observed.
+// GaugeSnapshot is one gauge's running sum and sample count.
 type GaugeSnapshot struct {
 	Name  string
 	Sum   float64
 	Count uint64
-}
-
-// Mean returns the mean of the gauge's samples (0 when none).
-func (g GaugeSnapshot) Mean() float64 {
-	if g.Count == 0 {
-		return 0
-	}
-	return g.Sum / float64(g.Count)
 }
 
 // EventSnapshot is one event counter's accumulated count (e.g. the ASA CAM's
@@ -43,23 +26,16 @@ type EventSnapshot struct {
 // lock acquisition, with deterministic (name-sorted) ordering. It is what the
 // serving layer's /metrics endpoint exports.
 type Snapshot struct {
-	Spans  []SpanSnapshot
 	Gauges []GaugeSnapshot
 	Events []EventSnapshot
 }
 
-// Snapshot copies the breakdown's current state. Unlike the per-name getters,
-// all values come from one critical section, so sums are mutually consistent
-// even while other goroutines keep recording.
+// Snapshot copies the breakdown's current state. All values come from one
+// critical section, so sums are mutually consistent even while other
+// goroutines keep recording.
 func (b *Breakdown) Snapshot() Snapshot {
 	b.mu.Lock()
-	s := Snapshot{
-		Spans:  make([]SpanSnapshot, 0, len(b.spans)),
-		Gauges: make([]GaugeSnapshot, 0, len(b.gauges)),
-	}
-	for _, name := range graph.SortedKeys(b.spans) {
-		s.Spans = append(s.Spans, SpanSnapshot{Name: name, Total: b.spans[name], Count: b.counts[name]})
-	}
+	s := Snapshot{Gauges: make([]GaugeSnapshot, 0, len(b.gauges))}
 	for _, name := range graph.SortedKeys(b.gauges) {
 		g := b.gauges[name]
 		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Sum: g.sum, Count: g.count})
@@ -72,22 +48,10 @@ func (b *Breakdown) Snapshot() Snapshot {
 }
 
 // WritePrometheus renders the snapshot in Prometheus text exposition format
-// under the given metric namespace (e.g. "asamap"): per-kernel cumulative
-// seconds and invocation counters, and per-gauge sample sums/counts (from
-// which a scraper derives means). Label values are the kernel/gauge names.
+// under the given metric namespace (e.g. "asamap"): per-gauge sample
+// sums/counts (from which a scraper derives means) and event counters.
+// Label values are the gauge/event names.
 func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
-	if len(s.Spans) > 0 {
-		fmt.Fprintf(w, "# HELP %s_kernel_seconds_total Cumulative wall-clock seconds per kernel.\n", namespace)
-		fmt.Fprintf(w, "# TYPE %s_kernel_seconds_total counter\n", namespace)
-		for _, sp := range s.Spans {
-			fmt.Fprintf(w, "%s_kernel_seconds_total{kernel=%q} %g\n", namespace, promLabel(sp.Name), sp.Total.Seconds())
-		}
-		fmt.Fprintf(w, "# HELP %s_kernel_invocations_total Recorded spans per kernel.\n", namespace)
-		fmt.Fprintf(w, "# TYPE %s_kernel_invocations_total counter\n", namespace)
-		for _, sp := range s.Spans {
-			fmt.Fprintf(w, "%s_kernel_invocations_total{kernel=%q} %d\n", namespace, promLabel(sp.Name), sp.Count)
-		}
-	}
 	if len(s.Gauges) > 0 {
 		fmt.Fprintf(w, "# HELP %s_gauge_sum Running sum of dimensionless gauge samples.\n", namespace)
 		fmt.Fprintf(w, "# TYPE %s_gauge_sum counter\n", namespace)
@@ -111,8 +75,8 @@ func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 }
 
 // promLabel strips characters that would need escaping inside a Prometheus
-// label value beyond what %q already provides (newlines never occur in
-// kernel names, but the cheap guard keeps the format valid for any input).
+// label value beyond what %q already provides (newlines never occur in gauge
+// or event names, but the cheap guard keeps the format valid for any input).
 func promLabel(s string) string {
 	return strings.NewReplacer("\n", " ", "\\", "/").Replace(s)
 }

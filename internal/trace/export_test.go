@@ -9,26 +9,22 @@ import (
 
 func TestSnapshotDeterministicAndConsistent(t *testing.T) {
 	b := NewBreakdown()
-	b.Add(KernelPageRank, 2*time.Second)
-	b.Add(KernelFindBestCommunity, time.Second)
-	b.Add(KernelFindBestCommunity, time.Second)
+	b.AddEvents("AccumMisses", 2)
+	b.AddEvents("AccumHits", 1)
+	b.Observe(GaugeSweepSteals, 7)
 	b.Observe(GaugeSweepImbalance, 1.5)
 	b.Observe(GaugeSweepImbalance, 2.5)
-	b.Observe(GaugeSweepSteals, 7)
 
 	s := b.Snapshot()
-	if len(s.Spans) != 2 || len(s.Gauges) != 2 {
-		t.Fatalf("snapshot shape: %d spans, %d gauges", len(s.Spans), len(s.Gauges))
+	if len(s.Events) != 2 || len(s.Gauges) != 2 {
+		t.Fatalf("snapshot shape: %d events, %d gauges", len(s.Events), len(s.Gauges))
 	}
-	// Name-sorted: FindBestCommunity < PageRank.
-	if s.Spans[0].Name != KernelFindBestCommunity || s.Spans[1].Name != KernelPageRank {
-		t.Fatalf("spans not sorted: %v", s.Spans)
+	// Name-sorted: AccumHits < AccumMisses, SweepImbalance < SweepSteals.
+	if s.Events[0].Name != "AccumHits" || s.Events[1].Name != "AccumMisses" {
+		t.Fatalf("events not sorted: %v", s.Events)
 	}
-	if s.Spans[0].Total != 2*time.Second || s.Spans[0].Count != 2 {
-		t.Fatalf("FindBestCommunity span: %+v", s.Spans[0])
-	}
-	if got := s.Gauges[0].Mean(); got != 2.0 {
-		t.Fatalf("imbalance mean %g, want 2.0", got)
+	if g := s.Gauges[0]; g.Name != GaugeSweepImbalance || g.Sum != 4 || g.Count != 2 {
+		t.Fatalf("imbalance gauge: %+v", g)
 	}
 }
 
@@ -44,7 +40,7 @@ func TestSnapshotUnderConcurrentRecording(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				b.Add("k", time.Microsecond)
+				b.AddEvents("k", 1)
 				b.Observe("g", 1)
 			}
 		}
@@ -53,9 +49,9 @@ func TestSnapshotUnderConcurrentRecording(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			s := b.Snapshot()
-			for _, sp := range s.Spans {
-				if sp.Count == 0 && sp.Total != 0 {
-					t.Error("span with duration but zero count")
+			for _, g := range s.Gauges {
+				if g.Count == 0 && g.Sum != 0 {
+					t.Error("gauge with a sum but zero samples")
 					return
 				}
 			}
@@ -68,7 +64,7 @@ func TestSnapshotUnderConcurrentRecording(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	b := NewBreakdown()
-	b.Add(KernelPageRank, 1500*time.Millisecond)
+	b.AddEvents("AccumHits", 15)
 	b.Observe(GaugeSweepSteals, 3)
 	var sb strings.Builder
 	if err := b.Snapshot().WritePrometheus(&sb, "asamap"); err != nil {
@@ -76,11 +72,10 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		`asamap_kernel_seconds_total{kernel="PageRank"} 1.5`,
-		`asamap_kernel_invocations_total{kernel="PageRank"} 1`,
+		`asamap_events_total{event="AccumHits"} 15`,
 		`asamap_gauge_sum{gauge="SweepSteals"} 3`,
 		`asamap_gauge_samples_total{gauge="SweepSteals"} 1`,
-		"# TYPE asamap_kernel_seconds_total counter",
+		"# TYPE asamap_gauge_sum counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

@@ -42,8 +42,7 @@ func DefaultLatencyBounds() []time.Duration {
 type Histogram struct {
 	bounds []time.Duration
 
-	// The mutable state shares Breakdown's mutex discipline: one short
-	// critical section per Observe.
+	// One short critical section per Observe guards the mutable state.
 	mu     sync.Mutex
 	counts []uint64
 	sum    time.Duration

@@ -1,22 +1,10 @@
-// Package trace collects per-kernel wall-clock timings, reproducing the
-// kernel breakdown instrumentation behind the paper's Figure 2 and Figure 7.
+// Package trace holds the paper's kernel names, the per-run counters and
+// gauges the serving layer exports on /metrics, and fixed-bucket latency
+// histograms. Per-kernel wall time is not recorded here: it lives in the
+// obs span tree and the tracer's per-name span totals.
 package trace
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-	"time"
-
-	"github.com/asamap/asamap/internal/clock"
-	"github.com/asamap/asamap/internal/graph"
-)
-
-// walltime is the clock behind Time. All wall-clock reads in this
-// repository flow through internal/clock (the entropy analyzer enforces
-// it); a package variable keeps Breakdown's zero-setup ergonomics while
-// leaving the read injectable.
-var walltime clock.Clock = clock.Real{}
+import "sync"
 
 // Kernel names matching the paper's decomposition of HyPC-Map.
 const (
@@ -25,6 +13,12 @@ const (
 	KernelConvert2SuperNode = "Convert2SuperNode"
 	KernelUpdateMembers     = "UpdateMembers"
 )
+
+// Kernels returns the four kernel names in name order, the order /metrics
+// and infomap -stats list them in.
+func Kernels() []string {
+	return []string{KernelConvert2SuperNode, KernelFindBestCommunity, KernelPageRank, KernelUpdateMembers}
+}
 
 // Gauge names recorded by the sweep scheduler (dimensionless samples,
 // aggregated as means rather than sums).
@@ -36,12 +30,10 @@ const (
 	GaugeSweepSteals = "SweepSteals"
 )
 
-// Breakdown accumulates named durations, dimensionless gauge samples, and
-// monotone event counters. It is safe for concurrent Add/Observe/AddEvents.
+// Breakdown accumulates dimensionless gauge samples and monotone event
+// counters. It is safe for concurrent Observe/AddEvents.
 type Breakdown struct {
 	mu     sync.Mutex
-	spans  map[string]time.Duration
-	counts map[string]uint64
 	gauges map[string]gauge
 	events map[string]uint64
 }
@@ -55,31 +47,14 @@ type gauge struct {
 // NewBreakdown returns an empty Breakdown.
 func NewBreakdown() *Breakdown {
 	return &Breakdown{
-		spans:  make(map[string]time.Duration),
-		counts: make(map[string]uint64),
 		gauges: make(map[string]gauge),
 		events: make(map[string]uint64),
 	}
 }
 
-// Add records d under name.
-func (b *Breakdown) Add(name string, d time.Duration) {
-	b.mu.Lock()
-	b.spans[name] += d
-	b.counts[name]++
-	b.mu.Unlock()
-}
-
-// Time runs fn and records its duration under name.
-func (b *Breakdown) Time(name string, fn func()) {
-	start := walltime.Now()
-	fn()
-	b.Add(name, walltime.Since(start))
-}
-
 // Observe records one sample of the named gauge. Gauges are dimensionless
 // per-event ratios (e.g. a sweep's worker imbalance); they aggregate as
-// means, not sums, and do not contribute to Total.
+// means, not sums.
 func (b *Breakdown) Observe(name string, v float64) {
 	b.mu.Lock()
 	g := b.gauges[name]
@@ -89,35 +64,10 @@ func (b *Breakdown) Observe(name string, v float64) {
 	b.mu.Unlock()
 }
 
-// Mean returns the mean of the samples observed under name (0 when none).
-func (b *Breakdown) Mean(name string) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	g := b.gauges[name]
-	if g.count == 0 {
-		return 0
-	}
-	return g.sum / float64(g.count)
-}
-
-// Samples returns how many samples were observed under name.
-func (b *Breakdown) Samples(name string) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.gauges[name].count
-}
-
-// GaugeNames returns all observed gauge names, sorted.
-func (b *Breakdown) GaugeNames() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return graph.SortedKeys(b.gauges)
-}
-
 // AddEvents adds n occurrences of the named event counter. Event counters
 // carry the accumulator telemetry of the paper's evaluation — CAM hits,
-// misses, evictions, overflow pairs — from the kernel layer to /metrics and
-// run artifacts; they are monotone sums, never means.
+// misses, evictions, overflow pairs — to /metrics; they are monotone sums,
+// never means.
 func (b *Breakdown) AddEvents(name string, n uint64) {
 	if n == 0 {
 		return
@@ -127,75 +77,11 @@ func (b *Breakdown) AddEvents(name string, n uint64) {
 	b.mu.Unlock()
 }
 
-// Events returns the accumulated count of the named event (0 when never
-// recorded).
-func (b *Breakdown) Events(name string) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.events[name]
-}
-
-// EventNames returns all recorded event names, sorted.
-func (b *Breakdown) EventNames() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return graph.SortedKeys(b.events)
-}
-
-// Get returns the accumulated duration for name.
-func (b *Breakdown) Get(name string) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spans[name]
-}
-
-// Count returns how many spans were recorded under name.
-func (b *Breakdown) Count(name string) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.counts[name]
-}
-
-// Total returns the sum over all names.
-func (b *Breakdown) Total() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var t time.Duration
-	for _, d := range b.spans {
-		t += d
-	}
-	return t
-}
-
-// Share returns name's fraction of Total (0 when empty).
-func (b *Breakdown) Share(name string) float64 {
-	total := b.Total()
-	if total == 0 {
-		return 0
-	}
-	return float64(b.Get(name)) / float64(total)
-}
-
-// Names returns all recorded kernel names, sorted.
-func (b *Breakdown) Names() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return graph.SortedKeys(b.spans)
-}
-
-// Merge adds all of other's spans into b.
+// Merge adds all of other's gauges and events into b.
 func (b *Breakdown) Merge(other *Breakdown) {
 	other.mu.Lock()
-	spans := make(map[string]time.Duration, len(other.spans))
-	counts := make(map[string]uint64, len(other.counts))
 	gauges := make(map[string]gauge, len(other.gauges))
 	events := make(map[string]uint64, len(other.events))
-	for k, v := range other.spans {
-		spans[k] = v
-	}
-	for k, v := range other.counts {
-		counts[k] = v
-	}
 	for k, v := range other.gauges {
 		gauges[k] = v
 	}
@@ -205,10 +91,6 @@ func (b *Breakdown) Merge(other *Breakdown) {
 	other.mu.Unlock()
 
 	b.mu.Lock()
-	for k, v := range spans {
-		b.spans[k] += v
-		b.counts[k] += counts[k]
-	}
 	// Per-key merge: each key's sum/count pair is read-modify-written
 	// independently, so iteration order cannot change any final value.
 	for k, v := range gauges { //asalint:ordered independent keyed merges commute
@@ -221,25 +103,4 @@ func (b *Breakdown) Merge(other *Breakdown) {
 		b.events[k] += v
 	}
 	b.mu.Unlock()
-}
-
-// String renders the breakdown as one line per kernel with shares.
-func (b *Breakdown) String() string {
-	var sb strings.Builder
-	total := b.Total()
-	for _, n := range b.Names() {
-		d := b.Get(n)
-		share := 0.0
-		if total > 0 {
-			share = 100 * float64(d) / float64(total)
-		}
-		fmt.Fprintf(&sb, "%-20s %12v  %5.1f%%\n", n, d.Round(time.Microsecond), share)
-	}
-	for _, n := range b.GaugeNames() {
-		fmt.Fprintf(&sb, "%-20s %12.3f  (mean of %d samples)\n", n, b.Mean(n), b.Samples(n))
-	}
-	for _, n := range b.EventNames() {
-		fmt.Fprintf(&sb, "%-20s %12d  events\n", n, b.Events(n))
-	}
-	return sb.String()
 }

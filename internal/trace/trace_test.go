@@ -4,40 +4,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
-func TestAddAndGet(t *testing.T) {
-	b := NewBreakdown()
-	b.Add(KernelPageRank, 100*time.Millisecond)
-	b.Add(KernelPageRank, 50*time.Millisecond)
-	b.Add(KernelFindBestCommunity, 300*time.Millisecond)
-	if b.Get(KernelPageRank) != 150*time.Millisecond {
-		t.Fatalf("Get = %v", b.Get(KernelPageRank))
-	}
-	if b.Count(KernelPageRank) != 2 {
-		t.Fatalf("Count = %d", b.Count(KernelPageRank))
-	}
-	if b.Total() != 450*time.Millisecond {
-		t.Fatalf("Total = %v", b.Total())
-	}
-	if s := b.Share(KernelFindBestCommunity); s < 0.66 || s > 0.67 {
-		t.Fatalf("Share = %g", s)
-	}
-}
-
-func TestTimeHelper(t *testing.T) {
-	b := NewBreakdown()
-	b.Time("work", func() { time.Sleep(2 * time.Millisecond) })
-	if b.Get("work") < 2*time.Millisecond {
-		t.Fatalf("timed span too short: %v", b.Get("work"))
-	}
-}
-
 func TestEmptyBreakdown(t *testing.T) {
-	b := NewBreakdown()
-	if b.Total() != 0 || b.Share("x") != 0 || len(b.Names()) != 0 {
-		t.Fatal("empty breakdown misbehaves")
+	s := NewBreakdown().Snapshot()
+	if len(s.Gauges) != 0 || len(s.Events) != 0 {
+		t.Fatalf("empty breakdown misbehaves: %+v", s)
 	}
 }
 
@@ -49,40 +21,31 @@ func TestConcurrentAdd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				b.Add("k", time.Microsecond)
+				b.AddEvents("k", 1)
 			}
 		}()
 	}
 	wg.Wait()
-	if b.Get("k") != 8000*time.Microsecond {
-		t.Fatalf("concurrent adds lost: %v", b.Get("k"))
+	if s := b.Snapshot(); len(s.Events) != 1 || s.Events[0].Count != 8000 {
+		t.Fatalf("concurrent adds lost: %+v", s.Events)
 	}
 }
 
 func TestObserveAndMean(t *testing.T) {
 	b := NewBreakdown()
-	if b.Mean(GaugeSweepImbalance) != 0 || b.Samples(GaugeSweepImbalance) != 0 {
-		t.Fatal("empty gauge misbehaves")
-	}
 	b.Observe(GaugeSweepImbalance, 1.0)
 	b.Observe(GaugeSweepImbalance, 2.0)
 	b.Observe(GaugeSweepSteals, 7)
-	if m := b.Mean(GaugeSweepImbalance); m != 1.5 {
-		t.Fatalf("Mean = %g, want 1.5", m)
+	s := b.Snapshot()
+	if len(s.Gauges) != 2 || s.Gauges[0].Name != GaugeSweepImbalance {
+		t.Fatalf("gauges = %+v", s.Gauges)
 	}
-	if b.Samples(GaugeSweepImbalance) != 2 {
-		t.Fatalf("Samples = %d", b.Samples(GaugeSweepImbalance))
+	if g := s.Gauges[0]; g.Count != 2 || g.Sum/float64(g.Count) != 1.5 {
+		t.Fatalf("imbalance gauge = %+v, want mean 1.5 of 2 samples", g)
 	}
-	// Gauges never pollute the duration totals.
-	if b.Total() != 0 {
-		t.Fatalf("gauges leaked into Total: %v", b.Total())
-	}
-	names := b.GaugeNames()
-	if len(names) != 2 || names[0] != GaugeSweepImbalance {
-		t.Fatalf("GaugeNames = %v", names)
-	}
-	if s := b.String(); !strings.Contains(s, GaugeSweepImbalance) {
-		t.Fatalf("String misses gauges: %q", s)
+	// Gauges never pollute the event counters.
+	if len(s.Events) != 0 {
+		t.Fatalf("gauges leaked into events: %+v", s.Events)
 	}
 }
 
@@ -92,11 +55,8 @@ func TestMergeGauges(t *testing.T) {
 	b := NewBreakdown()
 	b.Observe("g", 3)
 	a.Merge(b)
-	if m := a.Mean("g"); m != 2 {
-		t.Fatalf("merged mean = %g, want 2", m)
-	}
-	if a.Samples("g") != 2 {
-		t.Fatalf("merged samples = %d", a.Samples("g"))
+	if g := a.Snapshot().Gauges[0]; g.Count != 2 || g.Sum != 4 {
+		t.Fatalf("merged gauge = %+v, want 2 samples summing to 4", g)
 	}
 }
 
@@ -113,27 +73,30 @@ func TestConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if b.Samples("g") != 8000 || b.Mean("g") != 1 {
-		t.Fatalf("concurrent observes lost: %d samples, mean %g", b.Samples("g"), b.Mean("g"))
+	if g := b.Snapshot().Gauges[0]; g.Count != 8000 || g.Sum != 8000 {
+		t.Fatalf("concurrent observes lost: %+v", g)
 	}
 }
 
 func TestMergeAndString(t *testing.T) {
 	a := NewBreakdown()
-	a.Add("x", time.Second)
+	a.AddEvents("x", 1)
 	b := NewBreakdown()
-	b.Add("x", time.Second)
-	b.Add("y", 2*time.Second)
+	b.AddEvents("x", 1)
+	b.AddEvents("y", 2)
+	b.Observe("g", 1)
 	a.Merge(b)
-	if a.Get("x") != 2*time.Second || a.Get("y") != 2*time.Second {
-		t.Fatal("merge wrong")
+	s := a.Snapshot()
+	if len(s.Events) != 2 || s.Events[0] != (EventSnapshot{"x", 2}) || s.Events[1] != (EventSnapshot{"y", 2}) {
+		t.Fatalf("merged events = %+v", s.Events)
 	}
-	s := a.String()
-	if !strings.Contains(s, "x") || !strings.Contains(s, "y") || !strings.Contains(s, "%") {
-		t.Fatalf("String output: %q", s)
+	var sb strings.Builder
+	if err := s.WritePrometheus(&sb, "ns"); err != nil {
+		t.Fatal(err)
 	}
-	names := a.Names()
-	if len(names) != 2 || names[0] != "x" {
-		t.Fatalf("Names = %v", names)
+	for _, want := range []string{`ns_events_total{event="x"} 2`, `ns_events_total{event="y"} 2`, `ns_gauge_sum{gauge="g"} 1`} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("rendered merge missing %q:\n%s", want, sb.String())
+		}
 	}
 }
