@@ -31,7 +31,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadEdgeList -fuzztime=15s ./internal/graph
 
 bench-smoke:
-	$(GO) test -run=NONE -bench='Sched|AsalintRepo' -benchtime=1x ./...
+	$(GO) test -run=NONE -bench='Sched|AsalintRepo|Ingest' -benchtime=1x ./...
 
 # bench-accum regenerates the accumulator backend sweep at quick scale and
 # verifies the committed BENCH_accum.json still matches the schema and the

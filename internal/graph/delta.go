@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -114,9 +115,9 @@ func (d *Delta) Validate() error {
 	return nil
 }
 
-// arcKey canonicalizes an edge for the delta weight map: undirected edges
-// are keyed with the smaller endpoint first so (u,v) and (v,u) name the same
-// edge, matching the mirrored CSR storage.
+// arcKey canonicalizes an edge: undirected edges are keyed with the smaller
+// endpoint first so (u,v) and (v,u) name the same edge, matching the
+// mirrored CSR storage.
 func arcKey(directed bool, u, v uint32) [2]uint32 {
 	if !directed && v < u {
 		return [2]uint32{v, u}
@@ -124,83 +125,107 @@ func arcKey(directed bool, u, v uint32) [2]uint32 {
 	return [2]uint32{u, v}
 }
 
-// Apply replays the batch against g and builds the child graph from scratch
-// through Builder, so the result is canonical CSR exactly as if the full
-// edge list had been read cold — this is the property the FuzzDeltaReplay
-// oracle pins. Vertex IDs at or beyond g.N() grow the vertex set; removed
-// edges may leave isolated vertices behind (the vertex set never shrinks, so
-// parent and child memberships stay index-compatible).
+// edgeEdit is the net effect of a batch on one edge: its final weight,
+// where 0 means the edge is absent.
+type edgeEdit struct {
+	key [2]uint32
+	w   float64
+}
+
+// Apply replays the batch against g and returns the child graph, canonical
+// CSR exactly as if its full edge list had been read cold — the property the
+// FuzzDeltaReplay oracle pins. Vertex IDs at or beyond g.N() grow the vertex
+// set; removed edges may leave isolated vertices behind (the vertex set
+// never shrinks, so parent and child memberships stay index-compatible).
+// An op may name a vertex below g.N() + 2·len(d.Ops), the most new vertices
+// a batch can introduce, so a few bytes of delta cannot size a huge graph.
+//
+// The cost is linear in the parent plus O(k log k) for k ops: the ops are
+// stably sorted by edge and each edge's ops fold in op order onto the
+// parent's weight, then every parent row (the v >= u half when undirected)
+// streams into a Builder merged with the folded edits, in ascending edge
+// order.
 func (d *Delta) Apply(g *Graph) (*Graph, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	directed := g.Directed()
-
-	// Start from the parent's logical edge set (one entry per undirected
-	// edge, not per mirrored arc).
-	weight := make(map[[2]uint32]float64, g.M())
-	for u := 0; u < g.N(); u++ {
-		nb, ws := g.OutNeighbors(u), g.OutWeights(u)
-		for i, v := range nb {
-			if !directed && int(v) < u {
-				continue
-			}
-			weight[arcKey(directed, uint32(u), v)] = ws[i]
+	directed, parentN := g.Directed(), g.N()
+	limit := uint64(parentN) + 2*uint64(len(d.Ops))
+	n := parentN
+	for i, op := range d.Ops {
+		hi := max(op.From, op.To)
+		if uint64(hi) >= limit {
+			return nil, fmt.Errorf("graph: delta op %d: vertex %d out of range: a %d-op batch on a %d-vertex parent can name vertices below %d",
+				i, hi, len(d.Ops), parentN, limit)
 		}
+		n = max(n, int(hi)+1)
 	}
 
-	n := g.N()
-	for _, op := range d.Ops {
-		if int(op.From) >= n {
-			n = int(op.From) + 1
+	// Fold each edge's ops in op order, starting from the parent's weight.
+	ops := slices.Clone(d.Ops)
+	slices.SortStableFunc(ops, func(a, b DeltaEdge) int {
+		ka, kb := arcKey(directed, a.From, a.To), arcKey(directed, b.From, b.To)
+		return slices.Compare(ka[:], kb[:])
+	})
+	var edits []edgeEdit
+	for _, op := range ops {
+		k := arcKey(directed, op.From, op.To)
+		if len(edits) == 0 || edits[len(edits)-1].key != k {
+			e := edgeEdit{key: k}
+			if int(k[0]) < parentN {
+				e.w, _ = g.ArcWeight(int(k[0]), int(k[1]))
+			}
+			edits = append(edits, e)
 		}
-		if int(op.To) >= n {
-			n = int(op.To) + 1
-		}
-		key := arcKey(directed, op.From, op.To)
+		e := &edits[len(edits)-1]
 		switch op.Op {
 		case DeltaAdd:
-			weight[key] += op.Weight
+			e.w += op.Weight
 		case DeltaRemove:
-			delete(weight, key)
+			e.w = 0
 		case DeltaSet:
-			if op.Weight == 0 {
-				delete(weight, key)
-			} else {
-				weight[key] = op.Weight
-			}
+			e.w = op.Weight
 		}
 	}
 
 	b := NewBuilder(n, directed)
-	b.Reserve(len(weight))
-	for _, key := range SortedKeysFunc(weight, func(a, b [2]uint32) int {
-		if a[0] != b[0] {
-			if a[0] < b[0] {
-				return -1
+	b.Reserve(g.M() + 2*len(edits))
+	next := 0 // first edit not yet merged
+	for u := 0; u < n; u++ {
+		var nb []uint32
+		var ws []float64
+		if u < parentN {
+			nb, ws = g.OutNeighbors(u), g.OutWeights(u)
+		}
+		i := 0
+		if !directed {
+			for i < len(nb) && int(nb[i]) < u {
+				i++
 			}
-			return 1
 		}
-		if a[1] != b[1] {
-			if a[1] < b[1] {
-				return -1
+		editHere := func() bool { return next < len(edits) && int(edits[next].key[0]) == u }
+		for i < len(nb) || editHere() {
+			var v uint32
+			var w float64
+			if editHere() && (i == len(nb) || edits[next].key[1] <= nb[i]) {
+				if i < len(nb) && edits[next].key[1] == nb[i] {
+					i++ // the edit replaces the parent's arc
+				}
+				v, w = edits[next].key[1], edits[next].w
+				next++
+			} else {
+				v, w = nb[i], ws[i]
+				i++
 			}
-			return 1
-		}
-		return 0
-	}) {
-		w := weight[key]
-		// Accumulated float weights can only be positive here (adds are
-		// positive, sets of zero delete), but guard against exotic
-		// cancellation producing a denormal zero.
-		if !(w > 0) {
-			continue
-		}
-		if math.IsInf(w, 0) {
-			return nil, fmt.Errorf("graph: delta: accumulated weight on edge (%d,%d) overflowed to %g", key[0], key[1], w)
-		}
-		if err := b.AddEdge(key[0], key[1], w); err != nil {
-			return nil, err
+			// Removed edges carry weight 0; every other weight is a positive
+			// sum, which can still overflow.
+			if !(w > 0) {
+				continue
+			}
+			if math.IsInf(w, 0) {
+				return nil, fmt.Errorf("graph: delta: accumulated weight on edge (%d,%d) overflowed to %g", u, v, w)
+			}
+			b.add(uint32(u), v, w)
 		}
 	}
 	return b.Build(), nil

@@ -272,3 +272,45 @@ func TestDeltaListParseErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaApplyBoundsGrowth pins the vertex bound: a batch of k ops can
+// introduce at most 2k new vertices, so an endpoint at or beyond
+// parent.N() + 2k is rejected before anything is sized from it.
+func TestDeltaApplyBoundsGrowth(t *testing.T) {
+	g := mustGraph(t, "0 1\n1 2\n", false) // 3 vertices
+	for _, tc := range []struct {
+		ops []DeltaEdge
+		ok  bool
+	}{
+		{[]DeltaEdge{{Op: DeltaAdd, From: 3, To: 4, Weight: 1}}, true},
+		{[]DeltaEdge{{Op: DeltaAdd, From: 0, To: 4, Weight: 1}}, true},
+		{[]DeltaEdge{{Op: DeltaAdd, From: 0, To: 5, Weight: 1}}, false},
+		{[]DeltaEdge{{Op: DeltaRemove, From: 5, To: 0}}, false},
+		{[]DeltaEdge{{Op: DeltaAdd, From: 4294967295, To: 0, Weight: 1}}, false},
+		{[]DeltaEdge{
+			{Op: DeltaAdd, From: 0, To: 1, Weight: 1},
+			{Op: DeltaSet, From: 6, To: 6, Weight: 2},
+		}, true},
+	} {
+		d := &Delta{Ops: tc.ops}
+		child, err := d.Apply(g)
+		if tc.ok != (err == nil) {
+			t.Fatalf("ops %+v: Apply error %v, want ok=%v", tc.ops, err, tc.ok)
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("ops %+v: error %q does not name the range", tc.ops, err)
+			}
+			continue
+		}
+		if err := child.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An empty parent: "+ 222222210 10" once sized a 222M-vertex graph.
+	empty := NewBuilder(0, false).Build()
+	d := &Delta{Ops: []DeltaEdge{{Op: DeltaAdd, From: 222222210, To: 10, Weight: 1}}}
+	if _, err := d.Apply(empty); err == nil {
+		t.Fatal("Apply accepted a 1-op batch naming vertex 222222210 on an empty parent")
+	}
+}

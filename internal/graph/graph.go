@@ -243,36 +243,16 @@ func (g *Graph) Validate() error {
 				if int(v) == u {
 					continue
 				}
-				w, ok := g.ArcWeight(int(v), u)
-				// Duplicate arcs merge by summation in unspecified order, so
-				// mirrored weights may differ by a few ulps; compare with a
-				// relative tolerance rather than exactly.
-				if !ok || !nearlyEqual(w, ws[i]) {
+				// Build sums each run of duplicate arcs in insertion order,
+				// and the two copies of an undirected edge are recorded
+				// together, so mirrored weights agree bit for bit.
+				if w, ok := g.ArcWeight(int(v), u); !ok || w != ws[i] {
 					return fmt.Errorf("graph: undirected edge %d-%d not symmetric", u, v)
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// nearlyEqual reports whether a and b agree to within a small relative
-// tolerance (or a tiny absolute tolerance near zero).
-func nearlyEqual(a, b float64) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := a
-	if scale < 0 {
-		scale = -scale
-	}
-	if b > scale {
-		scale = b
-	} else if -b > scale {
-		scale = -b
-	}
-	return diff <= 1e-12*scale+1e-300
 }
 
 // ArcWeight returns the weight of arc u->v and whether it exists, via binary
@@ -292,9 +272,10 @@ func (g *Graph) HasArc(u, v int) bool {
 	return ok
 }
 
-// Builder accumulates edges and produces a CSR Graph. Duplicate arcs are
-// merged by summing weights, mirroring how HyPC-Map's Convert2SuperNode
-// collapses parallel super-edges.
+// Builder accumulates arcs and freezes them into a canonical CSR Graph:
+// every row sorted by target, and duplicate arcs merged into one by summing
+// their weights in insertion order, mirroring how HyPC-Map's
+// Convert2SuperNode collapses parallel super-edges.
 type Builder struct {
 	n        int
 	directed bool
@@ -316,11 +297,23 @@ func (b *Builder) AddEdge(u, v uint32, w float64) error {
 	if !(w > 0) {
 		return fmt.Errorf("graph: edge (%d,%d) has non-positive weight %g", u, v, w)
 	}
+	b.add(u, v, w)
+	return nil
+}
+
+// add is AddEdge for callers in this package that have already checked the
+// endpoints and the weight.
+func (b *Builder) add(u, v uint32, w float64) {
+	mirror := !b.directed && u != v
+	if free := cap(b.edges) - len(b.edges); free == 0 || mirror && free == 1 {
+		// Double: append grows large slices by 1.25x, which allocates about
+		// five times the final slice over a long edge list.
+		b.Reserve(len(b.edges) + 64)
+	}
 	b.edges = append(b.edges, Edge{u, v, w})
-	if !b.directed && u != v {
+	if mirror {
 		b.edges = append(b.edges, Edge{v, u, w})
 	}
-	return nil
 }
 
 // NumPendingEdges returns the number of arcs recorded so far (after
@@ -340,77 +333,184 @@ func (b *Builder) Reserve(n int) {
 	b.edges = edges
 }
 
-// Build sorts, merges, and freezes the accumulated edges into a Graph.
-// The Builder may be reused after Build.
+// Build freezes the recorded arcs into a Graph in O(n + m) time plus the
+// sorting of each row, with no comparison sort over all arcs. A counting
+// pass over the sources sets the row offsets, and a scatter writes each
+// arc's target and weight into its row in insertion order. Each row is then
+// stable-sorted by target, and runs of duplicate arcs are summed in
+// insertion order — so the mirrored copies of an undirected edge sum to
+// bit-identical weights. Scratch space beyond the output arrays is one row,
+// and only for rows too long for insertion sort. When duplicates merged, the
+// arcs are copied into exactly-sized arrays, so a graph never retains its
+// pre-merge capacity. Build leaves the recorded arcs untouched; the Builder
+// may keep adding arcs and build again.
 func (b *Builder) Build() *Graph {
-	edges := b.edges
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	// Merge duplicates in place.
-	merged := edges[:0]
-	for _, e := range edges {
-		if len(merged) > 0 {
-			last := &merged[len(merged)-1]
-			if last.From == e.From && last.To == e.To {
-				last.Weight += e.Weight
-				continue
+	n, arcs := b.n, b.edges
+	offsets := make([]int64, n+1)
+	for _, e := range arcs {
+		offsets[e.From+1]++
+	}
+	for u := 0; u < n; u++ {
+		offsets[u+1] += offsets[u]
+	}
+	targets := make([]uint32, len(arcs))
+	weights := make([]float64, len(arcs))
+	// offsets[u] serves as row u's write cursor, ending at the start of row
+	// u+1; the copy shifts the row starts back into place.
+	for _, e := range arcs {
+		i := offsets[e.From]
+		targets[i], weights[i] = e.To, e.Weight
+		offsets[e.From] = i + 1
+	}
+	copy(offsets[1:], offsets[:n])
+	offsets[0] = 0
+
+	g := &Graph{n: n, directed: b.directed, offsets: offsets}
+	var scratch rowScratch
+	m, lo := int64(0), int64(0)
+	for u := 0; u < n; u++ {
+		hi := offsets[u+1]
+		row, ws := targets[lo:hi], weights[lo:hi]
+		sortRow(row, ws, &scratch)
+		// Merge duplicates in place: the write index m never passes the
+		// read index, so compaction into the same arrays is safe.
+		offsets[u] = m
+		for i := 0; i < len(row); {
+			v, w := row[i], ws[i]
+			for i++; i < len(row) && row[i] == v; i++ {
+				w += ws[i]
+			}
+			targets[m], weights[m] = v, w
+			m++
+			g.totalWeight += w
+			if int(v) == u {
+				g.selfWeight += w
 			}
 		}
-		merged = append(merged, e)
+		lo = hi
 	}
-
-	g := &Graph{
-		n:        b.n,
-		directed: b.directed,
-		offsets:  make([]int64, b.n+1),
-		targets:  make([]uint32, len(merged)),
-		weights:  make([]float64, len(merged)),
+	offsets[n] = m
+	if m < int64(len(arcs)) {
+		targets = append(make([]uint32, 0, m), targets[:m]...)
+		weights = append(make([]float64, 0, m), weights[:m]...)
 	}
-	for i, e := range merged {
-		g.offsets[e.From+1]++
-		g.targets[i] = e.To
-		g.weights[i] = e.Weight
-		g.totalWeight += e.Weight
-		if e.From == e.To {
-			g.selfWeight += e.Weight
-		}
-	}
-	for u := 0; u < b.n; u++ {
-		g.offsets[u+1] += g.offsets[u]
-	}
+	g.targets, g.weights = targets, weights
 
 	if b.directed {
-		g.buildInCSR(merged)
+		g.buildInCSR()
 	} else {
 		g.inOffsets, g.inTargets, g.inWeights = g.offsets, g.targets, g.weights
 	}
 	return g
 }
 
-// buildInCSR constructs the transposed adjacency from the merged arc list.
-func (g *Graph) buildInCSR(arcs []Edge) {
-	g.inOffsets = make([]int64, g.n+1)
-	g.inTargets = make([]uint32, len(arcs))
-	g.inWeights = make([]float64, len(arcs))
-	for _, e := range arcs {
-		g.inOffsets[e.To+1]++
+// buildInCSR constructs the transposed adjacency by scattering the finished
+// out-CSR. Sources are visited in ascending order, so each in-row comes out
+// sorted by source.
+func (g *Graph) buildInCSR() {
+	in := make([]int64, g.n+1)
+	for _, v := range g.targets {
+		in[v+1]++
 	}
+	for v := 0; v < g.n; v++ {
+		in[v+1] += in[v]
+	}
+	g.inTargets = make([]uint32, len(g.targets))
+	g.inWeights = make([]float64, len(g.targets))
 	for u := 0; u < g.n; u++ {
-		g.inOffsets[u+1] += g.inOffsets[u]
+		for i := g.offsets[u]; i < g.offsets[u+1]; i++ {
+			v := g.targets[i]
+			j := in[v]
+			g.inTargets[j], g.inWeights[j] = uint32(u), g.weights[i]
+			in[v] = j + 1
+		}
 	}
-	cursor := make([]int64, g.n)
-	copy(cursor, g.inOffsets[:g.n])
-	// arcs are sorted by (From, To), so each in-row ends up sorted by source.
-	for _, e := range arcs {
-		i := cursor[e.To]
-		g.inTargets[i] = e.From
-		g.inWeights[i] = e.Weight
-		cursor[e.To]++
+	copy(in[1:], in[:g.n])
+	in[0] = 0
+	g.inOffsets = in
+}
+
+// insertionSortMax is the longest row sorted by insertion alone; longer
+// rows are merge-sorted from insertion-sorted runs of this length.
+const insertionSortMax = 32
+
+// rowScratch is the merge buffer for long rows, grown to the longest row
+// that needed it and reused across rows.
+type rowScratch struct {
+	targets []uint32
+	weights []float64
+}
+
+// sortRow stable-sorts one row's parallel target and weight slices by
+// target, keeping arcs with equal targets in insertion order.
+func sortRow(t []uint32, w []float64, s *rowScratch) {
+	if len(t) <= insertionSortMax {
+		insertionSortRow(t, w)
+		return
 	}
+	sorted := true
+	for i := 1; i < len(t); i++ {
+		if t[i] < t[i-1] {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
+		return
+	}
+	n := len(t)
+	for lo := 0; lo < n; lo += insertionSortMax {
+		hi := min(lo+insertionSortMax, n)
+		insertionSortRow(t[lo:hi], w[lo:hi])
+	}
+	if cap(s.targets) < n {
+		s.targets, s.weights = make([]uint32, n), make([]float64, n)
+	}
+	srcT, srcW := t, w
+	dstT, dstW := s.targets[:n], s.weights[:n]
+	for width := insertionSortMax; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			mergeRuns(dstT[lo:hi], dstW[lo:hi], srcT[lo:mid], srcW[lo:mid], srcT[mid:hi], srcW[mid:hi])
+		}
+		srcT, srcW, dstT, dstW = dstT, dstW, srcT, srcW
+	}
+	if &srcT[0] != &t[0] {
+		copy(t, srcT)
+		copy(w, srcW)
+	}
+}
+
+// insertionSortRow is the stable insertion sort behind sortRow.
+func insertionSortRow(t []uint32, w []float64) {
+	for i := 1; i < len(t); i++ {
+		v, x := t[i], w[i]
+		j := i
+		for ; j > 0 && t[j-1] > v; j-- {
+			t[j], w[j] = t[j-1], w[j-1]
+		}
+		t[j], w[j] = v, x
+	}
+}
+
+// mergeRuns merges the sorted runs a and b into dst, taking from a on ties
+// so that the merge is stable.
+func mergeRuns(dstT []uint32, dstW []float64, aT []uint32, aW []float64, bT []uint32, bW []float64) {
+	i, j, k := 0, 0, 0
+	for i < len(aT) && j < len(bT) {
+		if bT[j] < aT[i] {
+			dstT[k], dstW[k] = bT[j], bW[j]
+			j++
+		} else {
+			dstT[k], dstW[k] = aT[i], aW[i]
+			i++
+		}
+		k++
+	}
+	copy(dstW[k:], aW[i:])
+	k += copy(dstT[k:], aT[i:])
+	copy(dstT[k:], bT[j:])
+	copy(dstW[k:], bW[j:])
 }
 
 // Contract builds the quotient graph induced by a module assignment:

@@ -19,6 +19,12 @@ import (
 // Vertex IDs may be arbitrary non-negative integers; they are remapped to a
 // dense [0, N) range in first-appearance order. Missing weights default to 1.
 // The returned mapping gives, for each dense ID, the original label.
+//
+// Lines of exactly two ASCII decimal fields, the bulk of any large edge
+// list, are parsed straight from the scanner's bytes with no allocation.
+// Every other line — comments, weights, non-ASCII whitespace, very long
+// IDs, malformed input — takes the strings.Fields path, which alone decides
+// what is accepted and how errors read.
 func ReadEdgeList(r io.Reader, directed bool) (*Graph, []uint64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -35,14 +41,17 @@ func ReadEdgeList(r io.Reader, directed bool) (*Graph, []uint64, error) {
 		return id
 	}
 
-	type rawEdge struct {
-		u, v uint32
-		w    float64
-	}
-	var edges []rawEdge
+	// Arcs go straight into the builder; its vertex count is known only
+	// once every label has been seen, and dense IDs are in range by
+	// construction.
+	b := NewBuilder(0, directed)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
+		if a, c, ok := scanIDPair(sc.Bytes()); ok {
+			b.add(dense(a), dense(c), 1)
+			continue
+		}
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
 			continue
@@ -71,7 +80,7 @@ func ReadEdgeList(r io.Reader, directed bool) (*Graph, []uint64, error) {
 				return nil, nil, fmt.Errorf("graph: line %d: non-positive or non-finite weight %g", lineNo, w)
 			}
 		}
-		edges = append(edges, rawEdge{dense(a), dense(bb), w})
+		b.add(dense(a), dense(bb), w)
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
@@ -81,14 +90,56 @@ func ReadEdgeList(r io.Reader, directed bool) (*Graph, []uint64, error) {
 		}
 		return nil, nil, fmt.Errorf("graph: scanning edge list: %w", err)
 	}
-
-	b := NewBuilder(len(labels), directed)
-	for _, e := range edges {
-		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
-			return nil, nil, err
-		}
-	}
+	b.n = len(labels)
 	return b.Build(), labels, nil
+}
+
+// scanIDPair parses a line made of exactly two decimal fields of at most 19
+// digits (so no overflow is possible), separated and surrounded only by
+// ASCII whitespace. It reports false for anything else, leaving that line to
+// the general parser; on the lines it accepts the two agree, because
+// strings.Fields splits ASCII text on exactly these six bytes.
+func scanIDPair(line []byte) (a, b uint64, ok bool) {
+	i := skipASCIISpace(line, 0)
+	if a, i, ok = scanDecimal(line, i); !ok {
+		return 0, 0, false
+	}
+	if b, i, ok = scanDecimal(line, skipASCIISpace(line, i)); !ok {
+		return 0, 0, false
+	}
+	return a, b, skipASCIISpace(line, i) == len(line)
+}
+
+// scanDecimal parses the run of ASCII digits at line[i:], which must be 1 to
+// 19 digits long and end at ASCII whitespace or the end of the line.
+func scanDecimal(line []byte, i int) (v uint64, next int, ok bool) {
+	start := i
+	for ; i < len(line); i++ {
+		d := line[i] - '0'
+		if d > 9 {
+			break
+		}
+		if i-start == 19 {
+			return 0, 0, false
+		}
+		v = v*10 + uint64(d)
+	}
+	if i == start || i < len(line) && !isASCIISpace(line[i]) {
+		return 0, 0, false
+	}
+	return v, i, true
+}
+
+func skipASCIISpace(line []byte, i int) int {
+	for i < len(line) && isASCIISpace(line[i]) {
+		i++
+	}
+	return i
+}
+
+// isASCIISpace reports the ASCII bytes unicode.IsSpace accepts.
+func isASCIISpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 // ReadEdgeListFile opens path and parses it with ReadEdgeList.

@@ -45,3 +45,18 @@ func TestReadEdgeListTooLongLineReportsLineNumber(t *testing.T) {
 		t.Fatalf("error does not name the offending line: %v", err)
 	}
 }
+
+// TestReadEdgeListTwoFieldLinesDoNotAllocate pins the byte-level path: a
+// plain "<from> <to>" line costs no allocation, so the count stays flat as
+// the input grows (the strings.Fields path spends two per line).
+func TestReadEdgeListTwoFieldLinesDoNotAllocate(t *testing.T) {
+	input := "# header\n" + strings.Repeat("12 34\n34\t56\r\n 56 12 \n", 20000)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := ReadEdgeList(strings.NewReader(input), false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("ReadEdgeList of 60000 two-field lines made %.0f allocations, want at most 100", allocs)
+	}
+}

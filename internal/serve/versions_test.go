@@ -124,6 +124,33 @@ func TestDeltaUploadErrors(t *testing.T) {
 	}
 }
 
+// TestDeltaUploadRejectsOutOfRangeVertex: a one-line delta naming vertex
+// 2^32-1 would size the child's offsets at 32 GiB, a fatal out-of-memory no
+// recover catches. Apply bounds endpoints by parent.N() + 2·ops, so the
+// upload is a 400 and registers nothing.
+func TestDeltaUploadRejectsOutOfRangeVertex(t *testing.T) {
+	s, _, c := newTestServer(t, DefaultConfig())
+	ctx := context.Background()
+	base, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *APIError
+	for _, delta := range []string{"+ 4294967295 0\n", "+ 0 1 1\n- 0 10\n"} {
+		_, err := c.UploadDelta(ctx, base.Hash, strings.NewReader(delta))
+		if !errors.As(err, &apiErr) || apiErr.Status != 400 || !strings.Contains(apiErr.Error(), "out of range") {
+			t.Fatalf("delta %q: got %v, want a 400 naming the range", delta, err)
+		}
+	}
+	if st := s.registry.Stats(); st.Versions != 0 || st.DeltaApplies != 0 {
+		t.Fatalf("rejected deltas registered state: %+v", st)
+	}
+	// The bound admits the most vertices a batch can add: 6 + 2·2.
+	if _, err := c.UploadDelta(ctx, base.Hash, strings.NewReader("+ 0 1 1\n- 0 9\n")); err != nil {
+		t.Fatalf("delta at the bound rejected: %v", err)
+	}
+}
+
 // TestColdDetectOnVersion verifies a version id is detectable exactly like a
 // base graph: the cold path resolves it, caches under the version's own key,
 // and the body carries no warm block.
