@@ -1,6 +1,8 @@
 // Command asaload drives open-loop detection traffic against an asamapd
-// endpoint (single server or router tier) and writes a BENCH_serve.json
-// throughput/latency profile built from the internal/trace histograms.
+// endpoint (single server or router tier) and writes a throughput/latency
+// profile with exact quantiles of the raw per-request latencies. It exits
+// non-zero, after writing the profile, when any request errored: a
+// transport failure or a status other than 200 and 429.
 //
 // Open loop means arrivals are scheduled by the configured rate, not by
 // completions: when the service slows down, requests pile up (bounded by
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -49,7 +52,6 @@ import (
 	"github.com/asamap/asamap/internal/rng"
 	"github.com/asamap/asamap/internal/serve"
 	"github.com/asamap/asamap/internal/serve/cluster"
-	"github.com/asamap/asamap/internal/trace"
 )
 
 func main() {
@@ -152,12 +154,16 @@ func main() {
 	} else if err := os.WriteFile(*out, raw, 0o644); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "asaload: %d sent, %d ok, %d throttled, %d errors, %d shed; %.1f req/s, p50=%s p99=%s → %s\n",
+	fmt.Fprintf(os.Stderr, "asaload: %d sent, %d ok, %d throttled, %d errors, %d shed; %.1f req/s, p50=%.2fms p99=%.2fms → %s\n",
 		res.Totals.Sent, res.Totals.OK, res.Totals.Throttled, res.Totals.Errors, res.Totals.Shed,
-		res.ThroughputRPS, res.Latency.P50, res.Latency.P99, *out)
+		res.ThroughputRPS, res.Latency.P50MS, res.Latency.P99MS, *out)
+	if res.Totals.Errors > 0 {
+		fmt.Fprintf(os.Stderr, "asaload: %d requests errored\n", res.Totals.Errors)
+		os.Exit(1)
+	}
 }
 
-// profile is the BENCH_serve.json document.
+// profile is the -out document.
 type profile struct {
 	GeneratedAt   string            `json:"generated_at"`
 	Config        map[string]any    `json:"config"`
@@ -181,26 +187,41 @@ type totals struct {
 }
 
 type latencySummary struct {
-	Count  uint64  `json:"count"`
+	Count  int     `json:"count"`
 	MeanMS float64 `json:"mean_ms"`
-	P50    string  `json:"p50"`
-	P90    string  `json:"p90"`
-	P99    string  `json:"p99"`
+	P50MS  float64 `json:"p50_ms"`
+	P90MS  float64 `json:"p90_ms"`
+	P99MS  float64 `json:"p99_ms"`
 }
 
-func summarize(h *trace.Histogram) latencySummary {
-	s := h.Snapshot()
-	var mean float64
-	if s.Count > 0 {
-		mean = float64(s.Sum.Milliseconds()) / float64(s.Count)
+// summarize reports exact statistics of the raw latency samples, in
+// milliseconds.
+func summarize(samples []time.Duration) latencySummary {
+	ms := make([]float64, len(samples))
+	var sum float64
+	for i, d := range samples {
+		ms[i] = float64(d) / float64(time.Millisecond)
+		sum += ms[i]
 	}
-	return latencySummary{
-		Count:  s.Count,
-		MeanMS: mean,
-		P50:    s.P50().String(),
-		P90:    s.P90().String(),
-		P99:    s.P99().String(),
+	sort.Float64s(ms)
+	out := latencySummary{Count: len(ms)}
+	if len(ms) > 0 {
+		out.MeanMS = sum / float64(len(ms))
 	}
+	out.P50MS, out.P90MS, out.P99MS = quantile(ms, 0.5), quantile(ms, 0.9), quantile(ms, 0.99)
+	return out
+}
+
+// quantile is the linearly interpolated q-quantile of sorted samples (the
+// "type 7" estimator), 0 for no samples.
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return sorted[lo] + (sorted[hi]-sorted[lo])*(pos-float64(lo))
 }
 
 // startCPUProfile kicks off a concurrent CPU-profile capture covering (most
@@ -256,11 +277,10 @@ func drive(base string, hashes []string, seeds int, rate float64, duration time.
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
-	histAll := trace.NewLatencyHistogram()
-	histOK := trace.NewLatencyHistogram()
 	var (
 		sent, completed, ok2xx, throttled, errs, shed atomic.Uint64
 		mu                                            sync.Mutex
+		latAll, latOK                                 []time.Duration
 		cache                                         = map[string]uint64{}
 		paths                                         = map[string]uint64{}
 		statuses                                      = map[string]uint64{}
@@ -299,17 +319,19 @@ func drive(base string, hashes []string, seeds int, rate float64, duration time.
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			completed.Add(1)
-			histAll.Observe(elapsed)
 			switch {
 			case resp.StatusCode == http.StatusOK:
 				ok2xx.Add(1)
-				histOK.Observe(elapsed)
 			case resp.StatusCode == http.StatusTooManyRequests:
 				throttled.Add(1)
 			default:
 				errs.Add(1)
 			}
 			mu.Lock()
+			latAll = append(latAll, elapsed)
+			if resp.StatusCode == http.StatusOK {
+				latOK = append(latOK, elapsed)
+			}
 			statuses[fmt.Sprintf("%d", resp.StatusCode)]++
 			if v := resp.Header.Get("X-Asamap-Cache"); v != "" {
 				cache[v]++
@@ -340,8 +362,8 @@ func drive(base string, hashes []string, seeds int, rate float64, duration time.
 			Errors:    errs.Load(),
 			Shed:      shed.Load(),
 		},
-		Latency:      summarize(histAll),
-		LatencyOK:    summarize(histOK),
+		Latency:      summarize(latAll),
+		LatencyOK:    summarize(latOK),
 		Cache:        cache,
 		StatusCounts: statuses,
 	}

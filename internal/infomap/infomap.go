@@ -40,7 +40,7 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 // promptly without leaking worker goroutines. Worker panics are recovered
 // and surfaced as errors instead of crashing the process.
 func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	if opt.Workers == 0 {

@@ -192,7 +192,10 @@ func (o Options) clk() clock.Clock {
 	return o.Clock
 }
 
-func (o Options) validate() error {
+// Validate reports the first out-of-range or unknown option value, the same
+// check Run applies before doing any work. Callers that accept options from
+// outside the program use it to reject them up front.
+func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("infomap: Workers %d < 0 (0 means all CPUs)", o.Workers)
 	}

@@ -56,7 +56,7 @@ func (g *downGate) RoundTrip(req *http.Request) (*http.Response, error) {
 // router, every inter-replica path wired through a shared seeded fault
 // injector and a per-replica crash gate.
 type testCluster struct {
-	t       *testing.T
+	t       testing.TB
 	router  *Node
 	nodes   []*Node
 	srvs    []*httptest.Server
@@ -66,7 +66,7 @@ type testCluster struct {
 	baseURL string
 }
 
-func newTestCluster(t *testing.T, replicas int, faultCfg fault.Config) *testCluster {
+func newTestCluster(t testing.TB, replicas int, faultCfg fault.Config) *testCluster {
 	t.Helper()
 	inj, err := fault.New(faultCfg)
 	if err != nil {
@@ -134,7 +134,7 @@ func (tc *testCluster) close() {
 }
 
 // upload pushes an edge list through base and returns the canonical hash.
-func upload(t *testing.T, base, edges string) string {
+func upload(t testing.TB, base, edges string) string {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/graphs", "text/plain", strings.NewReader(edges))
 	if err != nil {

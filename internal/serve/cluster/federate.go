@@ -169,7 +169,7 @@ type traceNodePayload struct {
 // fan-out, never a storm.
 func (n *Node) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	if len(n.peers) == 0 || r.Header.Get(HeaderForwarded) != "" {
-		n.serveLocal(w, r, nil)
+		n.local.Mux().ServeHTTP(w, r)
 		return
 	}
 	id, err := propagate.ParseID(r.PathValue("id"))

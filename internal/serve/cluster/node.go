@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -115,10 +112,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Node is one member of the replicated detection service: a local
-// serve.Server plus the routing, replication, retry, breaker, and
-// degradation machinery around it. A Node with no peers behaves exactly
-// like the local server.
+// Node is one member of the replicated detection service: the placement a
+// local serve.Server consults for routing, replication and on-demand fetches,
+// plus the retry, breaker and degradation machinery behind it and the
+// cluster-only routes. The server still reads, validates and answers every
+// detect, upload and delta. A Node with no peers serves everything locally.
 type Node struct {
 	cfg         Config
 	local       *serve.Server
@@ -134,12 +132,12 @@ type Node struct {
 	degraded       atomic.Uint64 // requests served by local compute because every owner was unreachable
 	peerCacheHits  atomic.Uint64 // results adopted from a sibling owner's cache
 	peerCacheMiss  atomic.Uint64 // sibling cache probes that found nothing
-	replFailures   atomic.Uint64 // graph replications that could not reach an owner
+	replFailures   atomic.Uint64 // graph and delta replications that could not reach an owner
 	graphFetches   atomic.Uint64 // graphs pulled from a peer on demand
 	versionFetches atomic.Uint64 // delta versions replayed from a peer on demand
 }
 
-// NewNode wraps local in the cluster layer described by cfg.
+// NewNode installs the cluster layer described by cfg as local's placement.
 func NewNode(local *serve.Server, cfg Config) *Node {
 	// Peer clients apply withDefaults themselves; hand them the caller's
 	// config so the zero-vs-sentinel distinction (PeerRetries, BreakerCooldown)
@@ -168,10 +166,8 @@ func NewNode(local *serve.Server, cfg Config) *Node {
 			n.peers[i] = NewPeerClient(i, url, rt, raw)
 		}
 	}
+	local.SetPlacement(n)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/detect", n.handleDetect)
-	mux.HandleFunc("POST /v1/graphs", n.handleUpload)
-	mux.HandleFunc("POST /v1/graphs/{hash}/delta", n.handleDeltaUpload)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
 	mux.HandleFunc("GET /cluster/metrics", n.handleClusterMetrics)
 	mux.HandleFunc("GET /cluster/status", n.handleStatus)
@@ -221,15 +217,11 @@ func (n *Node) isOwner(owners []int) bool {
 	return false
 }
 
-// serveLocal restores the consumed body and delegates to the local server's
-// route mux, which produces the authoritative response (including strict
-// request validation errors, so error bytes match a single-replica server).
-func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
-	if body != nil {
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.ContentLength = int64(len(body))
-	}
-	n.local.Mux().ServeHTTP(w, r)
+// servesHere reports whether this node serves a detect for a graph with
+// these owners itself: it owns the graph, the cluster is a single node, or a
+// peer already routed the request here.
+func (n *Node) servesHere(r *http.Request, owners []int) bool {
+	return len(owners) == 0 || n.isOwner(owners) || r.Header.Get(HeaderForwarded) != ""
 }
 
 // markPath records the routing decision where operators can see it: the
@@ -241,59 +233,83 @@ func (n *Node) markPath(w http.ResponseWriter, r *http.Request, path string) {
 	serve.RequestSpan(r.Context()).SetVolatileAttr("cluster.path", path)
 }
 
-func (n *Node) handleDetect(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxDetectBodyBytes))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
+// Forward is the router path: a node that does not own the graph proxies the
+// detect to the key's owners in preference order. When the whole owner set
+// is unreachable it marks the request degraded and leaves it to the local
+// server — the client sees a result, never a routing 503.
+func (n *Node) Forward(w http.ResponseWriter, r *http.Request, graph, key string, body []byte) bool {
+	owners := n.owners(graph)
+	if n.servesHere(r, owners) {
+		return false
 	}
-	var req serve.DetectRequest
-	if err := json.Unmarshal(raw, &req); err != nil || req.Graph == "" {
-		// Malformed request: the local server owns the strict validation
-		// error so its bytes match a single-replica deployment.
-		n.serveLocal(w, r, raw)
-		return
+	for i, owner := range owners {
+		pc := n.peers[owner]
+		if pc == nil {
+			continue
+		}
+		hdr := http.Header{}
+		hdr.Set("Content-Type", "application/json")
+		hdr.Set(HeaderForwarded, "1")
+		resp, err := pc.Do(r.Context(), http.MethodPost, "/v1/detect", hdr, body, key)
+		switch {
+		case err != nil || resp.Status >= 500 || resp.Status == http.StatusTooManyRequests:
+			// Transient or down: try the next owner.
+		case resp.Status == http.StatusNotFound:
+			// The owner never received the graph (its replication was the
+			// casualty of an earlier fault). Another owner — or the local
+			// degradation path, which can fetch the graph — may still have
+			// it, so a peer 404 is not authoritative.
+		default:
+			n.forwarded.Add(1)
+			n.markPath(w, r, "forwarded")
+			n.proxyResponse(w, resp, owner)
+			return true
+		}
+		if i+1 < len(owners) {
+			n.failovers.Add(1)
+		}
+		n.logger.Warn("cluster: owner unavailable, failing over",
+			"owner", owner, "key", key, "error", errString(err, resp))
 	}
-	key, err := serve.DetectKey(req.Graph, req.Options)
-	if err != nil {
-		n.serveLocal(w, r, raw)
-		return
-	}
-	owners := n.owners(req.Graph)
-	if len(owners) == 0 || n.isOwner(owners) || r.Header.Get(HeaderForwarded) != "" {
-		n.serveOwnedDetect(w, r, raw, req.Graph, key, owners)
-		return
-	}
-	n.forwardDetect(w, r, raw, req.Graph, key, owners)
+	n.degraded.Add(1)
+	n.markPath(w, r, "degraded")
+	return false
 }
 
-// serveOwnedDetect is the owner path: compute locally, but first try to
-// adopt the byte-exact result from a sibling owner's cache — replication
-// means a sibling may have already paid for this exact key.
-func (n *Node) serveOwnedDetect(w http.ResponseWriter, r *http.Request, raw []byte, graphHash, key string, owners []int) {
-	if _, ok := n.local.CachePeek(key); !ok && len(owners) > 1 {
+// proxyResponse relays an owner's answer verbatim. The body is untouched —
+// byte-replay determinism is the contract that makes verbatim proxying
+// indistinguishable from local compute.
+func (n *Node) proxyResponse(w http.ResponseWriter, resp *PeerResponse, owner int) {
+	for _, h := range []string{"Content-Type", "X-Asamap-Cache", "X-Asamap-Elapsed", "Retry-After"} {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
+	}
+	w.Header().Set(HeaderClusterOwner, strconv.Itoa(owner))
+	w.WriteHeader(resp.Status)
+	w.Write(resp.Body)
+}
+
+// Adopt is the owner path's first step: before computing, try to adopt the
+// byte-exact result from a sibling owner's cache — replication means a
+// sibling may have already paid for this exact key. A degraded request is
+// served as it is, without probing.
+func (n *Node) Adopt(w http.ResponseWriter, r *http.Request, graph, key string, cached bool) ([]byte, bool) {
+	owners := n.owners(graph)
+	if !n.servesHere(r, owners) {
+		return nil, false
+	}
+	if !cached && len(owners) > 1 {
 		if body, from, ok := n.peerCacheFetch(r.Context(), key, owners); ok {
-			// Byte-replay determinism makes the peer's bytes
-			// indistinguishable from a local compute; seed the local cache
-			// and let the local handler serve the hit.
-			n.local.CacheSeed(key, body)
 			n.peerCacheHits.Add(1)
 			n.markPath(w, r, "peer-cache")
 			w.Header().Set(HeaderClusterSource, strconv.Itoa(from))
-		} else {
-			n.peerCacheMiss.Add(1)
+			return body, true
 		}
+		n.peerCacheMiss.Add(1)
 	}
-	if w.Header().Get(HeaderCluster) == "" {
-		n.markPath(w, r, "local")
-	}
-	// A forwarded detect can land here before the graph's (or version
-	// lineage's) replication did — or ever could, its uploader may have
-	// died; pull it on demand.
-	if _, ok := n.local.Registry().Resolve(graphHash); !ok && len(n.peers) > 0 {
-		n.fetchVersion(r.Context(), graphHash)
-	}
-	n.serveLocal(w, r, raw)
+	n.markPath(w, r, "local")
+	return nil, false
 }
 
 // peerCacheFetch probes the sibling owners' result caches for key and
@@ -312,166 +328,16 @@ func (n *Node) peerCacheFetch(ctx context.Context, key string, owners []int) ([]
 	return nil, -1, false
 }
 
-// forwardDetect is the router path: proxy the request to the key's owners in
-// preference order, falling back to local compute when the whole owner set
-// is unreachable — the client sees a result, never a routing 503.
-func (n *Node) forwardDetect(w http.ResponseWriter, r *http.Request, raw []byte, graphHash, key string, owners []int) {
-	for i, owner := range owners {
-		pc := n.peers[owner]
-		if pc == nil {
-			continue
-		}
-		hdr := http.Header{}
-		hdr.Set("Content-Type", "application/json")
-		hdr.Set(HeaderForwarded, "1")
-		resp, err := pc.Do(r.Context(), http.MethodPost, "/v1/detect", hdr, raw, key)
-		switch {
-		case err != nil || resp.Status >= 500 || resp.Status == http.StatusTooManyRequests:
-			// Transient or down: try the next owner.
-		case resp.Status == http.StatusNotFound:
-			// The owner never received the graph (its replication was the
-			// casualty of an earlier fault). Another owner — or the local
-			// degradation path, which can fetch the graph — may still have
-			// it, so a peer 404 is not authoritative.
-		default:
-			n.forwarded.Add(1)
-			n.markPath(w, r, "forwarded")
-			n.proxyResponse(w, resp, owner)
-			return
-		}
-		if i+1 < len(owners) {
-			n.failovers.Add(1)
-		}
-		n.logger.Warn("cluster: owner unavailable, failing over",
-			"owner", owner, "key", key, "error", errString(err, resp))
-	}
-	// Graceful degradation: every owner refused us; compute locally rather
-	// than surface the cluster's bad day to the client.
-	n.degraded.Add(1)
-	n.markPath(w, r, "degraded")
-	if _, ok := n.local.Registry().Resolve(graphHash); !ok && len(n.peers) > 0 {
-		n.fetchVersion(r.Context(), graphHash)
-	}
-	n.serveLocal(w, r, raw)
-}
-
-// proxyResponse relays an owner's answer verbatim. The body is untouched —
-// byte-replay determinism is the contract that makes verbatim proxying
-// indistinguishable from local compute.
-func (n *Node) proxyResponse(w http.ResponseWriter, resp *PeerResponse, owner int) {
-	for _, h := range []string{"Content-Type", "X-Asamap-Cache", "X-Asamap-Elapsed", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.Header().Set(HeaderClusterOwner, strconv.Itoa(owner))
-	w.WriteHeader(resp.Status)
-	w.Write(resp.Body)
-}
-
-func (n *Node) handleUpload(w http.ResponseWriter, r *http.Request) {
-	directed := false
-	switch v := r.URL.Query().Get("directed"); v {
-	case "", "false", "0":
-	case "true", "1":
-		directed = true
-	default:
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("bad directed value %q", v))
-		return
-	}
-	raw, ok := n.local.ReadUpload(w, r, "upload")
-	if !ok {
-		return
-	}
-	// Register locally first: the node can always degrade to computing on
-	// this graph even if every replication below fails.
-	info, err := n.local.Registry().Add(raw, directed)
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+// Replicate pushes a graph or delta upload to the ring owners of id so detect
+// forwards land on replicas that already hold it. Only first-hand uploads
+// fan out: a copy arriving from a peer carries the forwarded marker, or two
+// owners would bounce it between each other indefinitely. Failures degrade,
+// not fail: an owner fetches what it misses on demand when a detect arrives.
+func (n *Node) Replicate(w http.ResponseWriter, r *http.Request, what, path, id string, body []byte) {
 	n.markPath(w, r, "local")
-	// Replicate only first-hand uploads: a replicated copy arriving from a
-	// peer carries the forwarded marker and must not fan out again, or two
-	// owners would bounce the same graph between each other indefinitely.
-	if len(n.peers) > 0 && r.Header.Get(HeaderForwarded) == "" {
-		n.replicateGraph(r.Context(), raw, directed, info.Hash)
-	}
-	status := http.StatusCreated
-	if info.Reused {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, info)
-}
-
-// replicateGraph pushes an uploaded graph to its ring owners so detect
-// forwards land on replicas that already hold it. Failures degrade, not
-// fail: the owner can fetch the graph on demand when a detect arrives.
-func (n *Node) replicateGraph(ctx context.Context, raw []byte, directed bool, hash string) {
-	path := "/v1/graphs"
-	if directed {
-		path += "?directed=true"
-	}
-	for _, p := range n.owners(hash) {
-		if p == n.cfg.Self || n.peers[p] == nil {
-			continue
-		}
-		hdr := http.Header{}
-		hdr.Set("Content-Type", "text/plain")
-		hdr.Set(HeaderForwarded, "1")
-		resp, err := n.peers[p].Do(ctx, http.MethodPost, path, hdr, raw, "upload|"+hash)
-		if err != nil || resp.Status >= 400 {
-			n.replFailures.Add(1)
-			n.logger.Warn("cluster: graph replication failed",
-				"owner", p, "graph", hash, "error", errString(err, resp))
-		}
-	}
-}
-
-// handleDeltaUpload applies a delta batch onto a parent graph or version.
-// The parent may live only on other replicas (the ring shards versions by
-// their own ids, not their parents'), so the node first ensures the parent's
-// whole lineage locally, then applies the delta and replicates the raw bytes
-// to the new version's ring owners. Chained hashing makes replication
-// idempotent and order-safe: every replica that applies the same delta to
-// the same parent derives the same version id.
-func (n *Node) handleDeltaUpload(w http.ResponseWriter, r *http.Request) {
-	parent := r.PathValue("hash")
-	raw, ok := n.local.ReadUpload(w, r, "delta")
-	if !ok {
+	if r.Header.Get(HeaderForwarded) != "" {
 		return
 	}
-	if _, ok := n.local.Registry().Resolve(parent); !ok && len(n.peers) > 0 {
-		n.fetchVersion(r.Context(), parent)
-	}
-	info, err := n.local.Registry().AddVersion(parent, raw)
-	if err != nil {
-		if errors.Is(err, serve.ErrUnknownParent) {
-			jsonError(w, http.StatusNotFound, "unknown parent graph or version")
-			return
-		}
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	n.markPath(w, r, "local")
-	// Replicate only first-hand uploads, mirroring handleUpload: a copy
-	// arriving from a peer carries the forwarded marker and must not fan out
-	// again.
-	if len(n.peers) > 0 && r.Header.Get(HeaderForwarded) == "" {
-		n.replicateDelta(r.Context(), parent, raw, info.ID)
-	}
-	status := http.StatusCreated
-	if info.Reused {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, info)
-}
-
-// replicateDelta pushes a delta to the new version's ring owners so detect
-// forwards for the version land on replicas that already hold its lineage.
-// A receiving owner that is missing the parent fetches the ancestor chain on
-// demand before applying. Failures degrade, not fail.
-func (n *Node) replicateDelta(ctx context.Context, parent string, raw []byte, id string) {
 	hdr := http.Header{}
 	hdr.Set("Content-Type", "text/plain")
 	hdr.Set(HeaderForwarded, "1")
@@ -479,21 +345,21 @@ func (n *Node) replicateDelta(ctx context.Context, parent string, raw []byte, id
 		if p == n.cfg.Self || n.peers[p] == nil {
 			continue
 		}
-		resp, err := n.peers[p].Do(ctx, http.MethodPost, "/v1/graphs/"+parent+"/delta", hdr, raw, "delta|"+id)
+		resp, err := n.peers[p].Do(r.Context(), http.MethodPost, path, hdr, body, what+"|"+id)
 		if err != nil || resp.Status >= 400 {
 			n.replFailures.Add(1)
-			n.logger.Warn("cluster: delta replication failed",
-				"owner", p, "version", id, "error", errString(err, resp))
+			n.logger.Warn("cluster: replication failed",
+				"kind", what, "owner", p, "id", id, "error", errString(err, resp))
 		}
 	}
 }
 
-// fetchVersion materializes an id on demand, whatever it names: a base graph
+// Fetch materializes an id on demand, whatever it names: a base graph
 // replicates as its canonical edge list, a delta version as its raw delta
 // bytes applied onto a recursively fetched parent. The chained version hash
 // guarantees the locally replayed lineage converges on the same id the
 // sending replica holds.
-func (n *Node) fetchVersion(ctx context.Context, id string) bool {
+func (n *Node) Fetch(ctx context.Context, id string) bool {
 	if _, ok := n.local.Registry().Resolve(id); ok {
 		return true
 	}
@@ -503,7 +369,7 @@ func (n *Node) fetchVersion(ctx context.Context, id string) bool {
 			continue // not a version on this peer (or the peer is dark)
 		}
 		parent := resp.Header.Get("X-Asamap-Parent")
-		if parent == "" || !n.fetchVersion(ctx, parent) {
+		if parent == "" || !n.Fetch(ctx, parent) {
 			continue
 		}
 		if _, err := n.local.Registry().AddVersion(parent, resp.Body); err != nil {

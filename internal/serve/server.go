@@ -20,6 +20,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,6 +29,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -103,6 +105,8 @@ type Server struct {
 	build    BuildInfo
 	idSalt   uint64        // salts generated request IDs across server instances
 	rt       *runtimeStats // Go runtime gauges + GC pause histogram
+	// placement is nil on a single node; see SetPlacement.
+	placement Placement
 
 	runs      atomic.Uint64 // detection runs actually executed (not cache/coalesced)
 	reqSeq    atomic.Uint64 // generated-request-ID counter
@@ -190,6 +194,32 @@ func (s *Server) Handler() http.Handler { return s.middleware(s.mux) }
 // middleware layer (and Handler-style double wrapping is avoided).
 func (s *Server) Mux() http.Handler { return s.mux }
 
+// Placement spreads requests over the nodes of a cluster. A server without
+// one is a single node and answers every request itself; cluster.NewNode
+// installs one. The server consults it only for requests that passed
+// validation, so a request gets the same answer from a single node and from
+// any node of a cluster.
+type Placement interface {
+	// Forward offers a detect to the owners of its graph. It reports whether
+	// w now holds an owner's answer; false means this node serves it.
+	Forward(w http.ResponseWriter, r *http.Request, graph, key string, body []byte) bool
+	// Adopt may return a sibling owner's cached response bytes for key, which
+	// the server then serves as its own cache hit. cached reports that the
+	// local cache already holds key.
+	Adopt(w http.ResponseWriter, r *http.Request, graph, key string, cached bool) ([]byte, bool)
+	// Fetch makes sure a graph or version id is in the local registry,
+	// pulling it with its whole lineage from a peer when it is missing, and
+	// reports whether it is there.
+	Fetch(ctx context.Context, id string) bool
+	// Replicate pushes an upload the registry accepted to the owners of id by
+	// sending body to path on each; what names the upload ("upload" or
+	// "delta").
+	Replicate(w http.ResponseWriter, r *http.Request, what, path, id string, body []byte)
+}
+
+// SetPlacement installs p. Call it before the server handles any request.
+func (s *Server) SetPlacement(p Placement) { s.placement = p }
+
 // Wrap applies the server's observability middleware to an arbitrary handler.
 func (s *Server) Wrap(next http.Handler) http.Handler { return s.middleware(next) }
 
@@ -243,9 +273,22 @@ type DetectOptions struct {
 // re-optimized, the rest keep their inherited module assignment.
 const DefaultFrontierHops = 2
 
-// toOptions maps the wire options onto infomap.Options.
+// maxCamKB bounds the wire cam_kb. The modeled CAM costs about 3.5× its size
+// in memory per worker, so the bound keeps one request from asking for
+// gigabytes; 64 KB is the largest CAM the repository's own sweeps model and
+// 8× the paper's largest per-core CAM.
+const maxCamKB = 64
+
+// toOptions maps the wire options onto infomap.Options and validates the
+// result: every error it returns is the client's. Workers is clamped to
+// GOMAXPROCS — more workers than cores add no speed, results are
+// bit-identical across worker counts, and Workers is not in the fingerprint,
+// so the clamp changes neither response bytes nor cache keys.
 func (d DetectOptions) toOptions() (infomap.Options, error) {
 	opt := infomap.DefaultOptions()
+	if d.CamKB > maxCamKB {
+		return opt, fmt.Errorf("cam_kb %d exceeds %d", d.CamKB, maxCamKB)
+	}
 	switch d.Accum {
 	case "", "baseline":
 		opt.Kind = infomap.Baseline
@@ -280,7 +323,7 @@ func (d DetectOptions) toOptions() (infomap.Options, error) {
 		return opt, fmt.Errorf("unknown teleport %q (want recorded|unrecorded)", d.Teleport)
 	}
 	if d.Workers != 0 {
-		opt.Workers = d.Workers
+		opt.Workers = min(d.Workers, runtime.GOMAXPROCS(0))
 	}
 	if d.MaxSweeps != 0 {
 		opt.MaxSweeps = d.MaxSweeps
@@ -311,7 +354,7 @@ func (d DetectOptions) toOptions() (infomap.Options, error) {
 	// while walking the version chain. opt carries only the wire-computable
 	// base options, which is what makes the cache key derivable by routers
 	// that cannot resolve the lineage.
-	return opt, nil
+	return opt, opt.Validate()
 }
 
 // effectiveHops resolves the wire frontier radius to its default.
@@ -379,46 +422,49 @@ func detectKey(graphHash, fingerprint string, seed uint64) string {
 	return graphHash + "|" + fingerprint + "|" + strconv.FormatUint(seed, 10)
 }
 
-// DetectKey returns the result-cache key for (graph hash, wire options):
-// canonical graph hash, options fingerprint, and effective seed. Because a
-// run is bit-deterministic given this key, it is also the replication unit
-// the cluster router shards and the coordinate peer cache fetches address.
-// For warm-start requests the key gains a "|w<hops>" suffix derived from the
-// wire options alone — a router can compute it without resolving the version
-// lineage, even though the warm seed partition itself is lineage-derived.
-func DetectKey(graphHash string, d DetectOptions) (string, error) {
-	opt, err := d.toOptions()
+// prepare validates a decoded detect request and derives its run options,
+// their fingerprint, and the result-cache key: canonical graph hash, options
+// fingerprint, and effective seed. Because a run is bit-deterministic given
+// this key, it is also the replication unit a cluster shards and the
+// coordinate peer cache fetches address. For warm-start requests the key
+// gains a "|w<hops>" suffix derived from the wire options alone — a router
+// can compute it without resolving the version lineage, even though the warm
+// seed partition itself is lineage-derived.
+func (req DetectRequest) prepare() (opt infomap.Options, fp, key string, err error) {
+	opt, err = req.Options.toOptions()
 	if err != nil {
-		return "", err
+		return opt, "", "", err
 	}
-	key := detectKey(graphHash, opt.Fingerprint(), opt.Seed)
-	if d.WarmStart {
-		key += warmMarker(effectiveHops(d.FrontierHops))
+	fp = opt.Fingerprint()
+	key = detectKey(req.Graph, fp, opt.Seed)
+	if req.Options.WarmStart {
+		key += warmMarker(effectiveHops(req.Options.FrontierHops))
 	}
-	return key, nil
+	return opt, fp, key, nil
 }
 
-// CachePeek returns the cached response bytes for a detect key without
-// computing anything. It backs GET /v1/cache/{key}, the peer result-cache
-// fetch path.
-func (s *Server) CachePeek(key string) ([]byte, bool) {
-	return s.cache.get(key)
+// decodeDetect strictly decodes one detect request: unknown fields and any
+// data after the JSON object are rejected. Trailing whitespace is accepted.
+func decodeDetect(body []byte) (DetectRequest, error) {
+	var req DetectRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	// A second decode sees EOF only when nothing but whitespace follows;
+	// dec.More would report a stray "}" as the end of the input.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return req, errors.New("data after the JSON object")
+	}
+	return req, nil
 }
 
-// CacheSeed inserts precomputed response bytes under a detect key. The
-// cluster layer uses it to adopt a peer's result: byte-replay determinism
-// makes a peer-computed body indistinguishable from a local one.
-func (s *Server) CacheSeed(key string, body []byte) {
-	s.cache.put(key, body)
-}
-
-// ReadUpload reads a graph or delta upload body of at most the configured
-// MaxUploadBytes. On failure it answers the request itself — 413 "<what>
-// exceeds N bytes" past the limit, 400 otherwise — and returns false.
-// Cluster nodes read uploads through it so their limit and error shape match
-// a single node's.
-func (s *Server) ReadUpload(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+// readBody reads a request body of at most limit bytes. On failure it
+// answers the request itself — 413 "<what> exceeds N bytes" past the limit,
+// 400 otherwise — and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err == nil {
 		return data, true
 	}
@@ -441,7 +487,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad directed value %q", v))
 		return
 	}
-	data, ok := s.ReadUpload(w, r, "upload")
+	data, ok := readBody(w, r, s.cfg.MaxUploadBytes, "upload")
 	if !ok {
 		return
 	}
@@ -450,8 +496,21 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	path := "/v1/graphs"
+	if directed {
+		path += "?directed=true"
+	}
+	s.stored(w, r, "upload", path, info.Hash, data, info.Reused, info)
+}
+
+// stored answers an accepted graph or delta upload — 201 for a new entry,
+// 200 for a re-upload — after handing it to the placement for replication.
+func (s *Server) stored(w http.ResponseWriter, r *http.Request, what, path, id string, data []byte, reused bool, info any) {
+	if s.placement != nil {
+		s.placement.Replicate(w, r, what, path, id, data)
+	}
 	status := http.StatusCreated
-	if info.Reused {
+	if reused {
 		status = http.StatusOK
 	}
 	writeJSON(w, status, info)
@@ -487,13 +546,21 @@ func (s *Server) handleGraphData(w http.ResponseWriter, r *http.Request) {
 // handleDeltaUpload applies a delta-edge batch to a registered graph or
 // version, materializing a new version addressed by the chained delta hash.
 // Re-uploading an identical delta onto the same parent answers 200 with the
-// existing version; a new version answers 201.
+// existing version; a new version answers 201. On a cluster the parent may
+// live only on other nodes (the ring places versions by their own ids, not
+// their parents'), so a missing parent is fetched with its lineage first.
+// Chained hashing makes replication idempotent and order-safe: every node
+// that applies the same delta to the same parent derives the same version id.
 func (s *Server) handleDeltaUpload(w http.ResponseWriter, r *http.Request) {
-	data, ok := s.ReadUpload(w, r, "delta")
+	data, ok := readBody(w, r, s.cfg.MaxUploadBytes, "delta")
 	if !ok {
 		return
 	}
-	info, err := s.registry.AddVersion(r.PathValue("hash"), data)
+	parent := r.PathValue("hash")
+	if s.placement != nil {
+		s.placement.Fetch(r.Context(), parent)
+	}
+	info, err := s.registry.AddVersion(parent, data)
 	if err != nil {
 		if errors.Is(err, ErrUnknownParent) {
 			httpError(w, http.StatusNotFound, "unknown parent graph or version")
@@ -502,11 +569,7 @@ func (s *Server) handleDeltaUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	status := http.StatusCreated
-	if info.Reused {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, info)
+	s.stored(w, r, "delta", "/v1/graphs/"+parent+"/delta", info.ID, data, info.Reused, info)
 }
 
 func (s *Server) handleVersionInfo(w http.ResponseWriter, r *http.Request) {
@@ -548,17 +611,44 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// MaxDetectBodyBytes bounds one detect request body, on a single node and
-// on a cluster node alike.
+// MaxDetectBodyBytes bounds one detect request body.
 const MaxDetectBodyBytes = 1 << 20
 
+// handleDetect is the one detect pipeline of a single node and of every
+// cluster node: a bounded read, one strict decode, option validation and the
+// cache key, then the placement's routing, and only then the graph and the
+// run. Every rejection comes before the placement, so an invalid request
+// costs no peer call and gets the same answer on any node.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	var req DetectRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxDetectBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	raw, ok := readBody(w, r, MaxDetectBodyBytes, "detect request")
+	if !ok {
+		return
+	}
+	req, err := decodeDetect(raw)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
+	}
+	opt, fp, key, err := req.prepare()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	// An empty graph names nothing a peer could hold: it is routed nowhere.
+	if p := s.placement; p != nil && req.Graph != "" {
+		if p.Forward(w, r, req.Graph, key, raw) {
+			return
+		}
+		_, cached := s.cache.get(key)
+		if body, ok := p.Adopt(w, r, req.Graph, key, cached); ok {
+			// Byte-replay determinism makes a sibling's bytes
+			// indistinguishable from a local compute.
+			s.cache.put(key, body)
+		}
+		// A forwarded detect can land before the graph's (or version
+		// lineage's) replication did — or ever could; its uploader may
+		// have died.
+		p.Fetch(r.Context(), req.Graph)
 	}
 	g, ok := s.registry.Resolve(req.Graph)
 	if !ok {
@@ -566,12 +656,6 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 			"unknown graph hash or version id (upload via POST /v1/graphs first)")
 		return
 	}
-	opt, err := req.Options.toOptions()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	fp := opt.Fingerprint()
 	// Nest the run's span tree under this request's root span. Tracing is
 	// excluded from the fingerprint, so the cache key is unaffected.
 	opt.Trace = requestSpan(r.Context())
@@ -583,7 +667,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		body, outcome, err = s.warmDetect(r.Context(), req.Graph, opt, fp,
 			effectiveHops(req.Options.FrontierHops))
 	} else {
-		body, outcome, err = s.cache.GetOrCompute(detectKey(req.Graph, fp, opt.Seed),
+		body, outcome, err = s.cache.GetOrCompute(key,
 			func() ([]byte, error) {
 				res, err := s.computeDetect(r.Context(), g, opt)
 				if err != nil {

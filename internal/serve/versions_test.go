@@ -271,7 +271,7 @@ func TestWarmDetectLineageReplay(t *testing.T) {
 }
 
 // TestWarmAndColdKeysAreSeparate pins the cache-key extension: warm and cold
-// results on the same version never alias, and DetectKey predicts both.
+// results on the same version never alias, and prepare predicts both.
 func TestWarmAndColdKeysAreSeparate(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
 	ctx := context.Background()
@@ -292,11 +292,11 @@ func TestWarmAndColdKeysAreSeparate(t *testing.T) {
 		t.Fatalf("warm marker misplaced: cold=%+v warm=%+v", cold.Warm, warm.Warm)
 	}
 
-	coldKey, err := DetectKey(v1.ID, DetectOptions{Seed: 9})
+	_, _, coldKey, err := DetectRequest{Graph: v1.ID, Options: DetectOptions{Seed: 9}}.prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmKey, err := DetectKey(v1.ID, DetectOptions{Seed: 9, WarmStart: true})
+	_, _, warmKey, err := DetectRequest{Graph: v1.ID, Options: DetectOptions{Seed: 9, WarmStart: true}}.prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,14 +307,14 @@ func TestWarmAndColdKeysAreSeparate(t *testing.T) {
 		t.Fatalf("warm key %q missing hop marker", warmKey)
 	}
 	// Both keys are wire-computable and actually populated.
-	if _, ok := s.CachePeek(coldKey); !ok {
+	if _, ok := s.cache.get(coldKey); !ok {
 		t.Fatalf("cold key %q not in cache", coldKey)
 	}
-	if _, ok := s.CachePeek(warmKey); !ok {
+	if _, ok := s.cache.get(warmKey); !ok {
 		t.Fatalf("warm key %q not in cache", warmKey)
 	}
 	// A different hop radius is a different key (and a recompute).
-	wideKey, err := DetectKey(v1.ID, DetectOptions{Seed: 9, WarmStart: true, FrontierHops: 7})
+	_, _, wideKey, err := DetectRequest{Graph: v1.ID, Options: DetectOptions{Seed: 9, WarmStart: true, FrontierHops: 7}}.prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
