@@ -34,12 +34,14 @@ func TestSchedQuick(t *testing.T) {
 
 // TestCommittedSchedArtifact guards the repository's committed
 // BENCH_sched.json trajectory artifact: the schema must match this package's
-// structs exactly, every (workers, policy) cell of the full sweep must be
-// present, and every row must witness the determinism contract.
+// structs exactly, every (workers, policy) cell of the full sweep up to the
+// recorded GOMAXPROCS must be present and none above it (an artifact may
+// claim only the worker scaling its host could exhibit), and every row must
+// witness the determinism contract.
 func TestCommittedSchedArtifact(t *testing.T) {
 	path := filepath.Join("..", "..", "BENCH_sched.json")
 	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("committed artifact missing: %v (regenerate with `asabench -exp sched -json BENCH_sched.json`)", err)
+		t.Fatalf("committed artifact missing: %v (regenerate with `asabench -exp sched -workers <counts up to GOMAXPROCS> -json BENCH_sched.json`)", err)
 	}
 	report := decodeSchedReport(t, path)
 	if report.Quick {
@@ -52,7 +54,21 @@ func TestCommittedSchedArtifact(t *testing.T) {
 	if report.Scale != 17 {
 		t.Errorf("artifact scale %d, want the full-sweep scale 17", report.Scale)
 	}
-	checkSchedReport(t, report, DefaultConfig().Workers)
+	if report.GOMAXPROCS < 1 {
+		t.Fatalf("artifact records gomaxprocs %d", report.GOMAXPROCS)
+	}
+	var workers []int
+	for _, w := range DefaultConfig().Workers {
+		if w <= report.GOMAXPROCS {
+			workers = append(workers, w)
+		}
+	}
+	for _, row := range report.Rows {
+		if row.Workers > report.GOMAXPROCS {
+			t.Errorf("workers=%d policy=%s: above the recorded gomaxprocs %d", row.Workers, row.Policy, report.GOMAXPROCS)
+		}
+	}
+	checkSchedReport(t, report, workers)
 }
 
 func decodeSchedReport(t *testing.T, path string) schedReport {

@@ -447,6 +447,10 @@ func optimizeLevelDistributed(ctx context.Context, flow *mapeq.Flow, membership 
 
 	totalMoves := uint64(0)
 	prevL := truth.Codelength()
+	// One evaluation state serves every rank's snapshot: each rank rebuilds
+	// it from its ghost membership before evaluating.
+	rankState := new(mapeq.State)
+	snapshot := make([]uint32, n)
 	for step := 0; step < opt.MaxSupersteps; step++ {
 		if err := ctx.Err(); err != nil {
 			return totalMoves, err
@@ -496,9 +500,8 @@ func optimizeLevelDistributed(ctx context.Context, flow *mapeq.Flow, membership 
 			if cl.down(rk, gs) || cl.needsRecovery[rk] {
 				continue
 			}
-			snapshot := append([]uint32(nil), cl.ghosts[rk]...)
-			rankState, err := mapeq.NewState(flow, snapshot, n)
-			if err != nil {
+			copy(snapshot, cl.ghosts[rk])
+			if _, err := rankState.Reset(flow, snapshot, n); err != nil {
 				return totalMoves, err
 			}
 			rankState.OverrideNodeTerm(leafNodeTerm)
@@ -635,12 +638,13 @@ func bestMove(flow *mapeq.Flow, st *mapeq.State, v int) (uint32, bool) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	view := flow.View(v)
+	dep := st.Prepare(view, outW[old], inW[old])
 	best, bestDelta := old, 0.0
 	for _, m := range keys {
 		if m == old {
 			continue
 		}
-		d := st.DeltaMove(view, m, outW[old], inW[old], outW[m], inW[m])
+		d := dep.Delta(m, outW[m], inW[m])
 		if d < bestDelta-1e-15 {
 			best, bestDelta = m, d
 		}

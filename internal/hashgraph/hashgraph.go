@@ -242,17 +242,16 @@ func (t *Table) Len() int {
 // Bins returns the current bin count (for tests and reports).
 func (t *Table) Bins() int { return t.nbins }
 
-// Reset implements accum.Accumulator. All buffers keep their capacity; only
-// lengths and the resolved layout are cleared, so steady-state sessions
-// allocate nothing.
+// Reset implements accum.Accumulator. All buffers keep their capacity, so
+// steady-state sessions allocate nothing. The resolved layout is not
+// cleared but marked stale: the next Lookup or Gather rebuilds it from the
+// (empty) buffer at the session's own bin count, which keeps Reset O(1)
+// even after a hub session has widened the bin arrays.
 func (t *Table) Reset() {
 	t.stats.Resets++
 	t.buf = t.buf[:0]
-	t.dirty = false
+	t.dirty = true
 	t.sessionHits, t.sessionMisses = 0, 0
-	for b := range t.binLen {
-		t.binLen[b] = 0
-	}
 }
 
 // Stats implements accum.Accumulator.

@@ -181,12 +181,15 @@ func (t *Table) Len() int { return len(t.entries) }
 // BucketCount returns the current number of buckets (for tests and reports).
 func (t *Table) BucketCount() int { return len(t.buckets) }
 
-// Reset implements accum.Accumulator. Bucket heads are cleared; the bucket
-// array keeps its size, matching unordered_map::clear semantics.
+// Reset implements accum.Accumulator. The bucket array keeps its size,
+// matching unordered_map::clear semantics, but only the heads this session's
+// entries hashed to are cleared: every other head is already -1, so the cost
+// is O(session entries), not O(bucket count). A hub session grows the array
+// once; the small sessions after it no longer pay to rewrite it.
 func (t *Table) Reset() {
 	t.stats.Resets++
-	for i := range t.buckets {
-		t.buckets[i] = -1
+	for i := range t.entries {
+		t.buckets[t.bucketOf(t.entries[i].key)] = -1
 	}
 	t.entries = t.entries[:0]
 }

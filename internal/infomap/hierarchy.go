@@ -423,12 +423,13 @@ func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, opt Options, r *rng.R
 			collect(sf.G.InNeighbors(v), sf.InFlow, ilo, inW)
 
 			view := sf.View(v)
+			dep := st.Prepare(view, outW[old], inW[old])
 			best, bestDelta := old, 0.0
 			for _, m := range keys {
 				if m == old {
 					continue
 				}
-				d := st.DeltaMove(view, m, outW[old], inW[old], outW[m], inW[m])
+				d := dep.Delta(m, outW[m], inW[m])
 				if d < bestDelta-1e-15 {
 					best, bestDelta = m, d
 				}

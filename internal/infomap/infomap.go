@@ -169,13 +169,18 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 		return res, nil
 	}
 
+	// One State and one membership buffer serve the whole run: every level,
+	// every outer-iteration check and the final codelength Reset them in
+	// place, so they are allocated once, at the leaf level's size (no level
+	// is larger).
+	st := new(mapeq.State)
+	mem := make([]uint32, g.N())
 	// Leaf-level node term is carried through all super-node levels so that
 	// codelengths remain those of the original vertices.
-	leafState, err := mapeq.NewState(baseFlow, make([]uint32, g.N()), 1)
-	if err != nil {
+	if _, err := st.Reset(baseFlow, mem, 1); err != nil {
 		return nil, err
 	}
-	leafNodeTerm := leafState.NodeTerm()
+	leafNodeTerm := st.NodeTerm()
 	res.OneLevelCodelength = mapeq.OneLevelCodelength(baseFlow)
 
 	r := rng.New(opt.Seed)
@@ -191,22 +196,19 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 				return nil, err
 			}
 			n := flow.G.N()
-			var membership []uint32
+			membership := mem[:n]
 			if level == 0 {
 				// Leaf level: start from the current global partition
 				// (singletons on the first outer iteration) so earlier merges
 				// can be undone vertex by vertex.
-				membership = make([]uint32, n)
 				copy(membership, res.Membership)
 				mapeq.CompactMembership(membership)
 			} else {
-				membership = make([]uint32, n)
 				for i := range membership {
 					membership[i] = uint32(i)
 				}
 			}
-			st, err := mapeq.NewState(flow, membership, n)
-			if err != nil {
+			if _, err := st.Reset(flow, membership, n); err != nil {
 				return nil, err
 			}
 			st.OverrideNodeTerm(leafNodeTerm)
@@ -263,14 +265,12 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 
 		// Evaluate the outer iteration's result from scratch on the base
 		// flow; stop when it no longer improves.
-		mem := make([]uint32, len(res.Membership))
 		copy(mem, res.Membership)
 		k := mapeq.CompactMembership(mem)
-		stCheck, err := mapeq.NewState(baseFlow, mem, k)
-		if err != nil {
+		if _, err := st.Reset(baseFlow, mem, k); err != nil {
 			return nil, err
 		}
-		l := stCheck.Codelength()
+		l := st.Codelength()
 		if bestL-l < opt.MinImprovement {
 			break
 		}
@@ -279,15 +279,13 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 
 	// Recompute the final codelength from scratch on the base flow — the
 	// honest number, free of any incremental drift.
-	mem := make([]uint32, len(res.Membership))
 	copy(mem, res.Membership)
 	k := mapeq.CompactMembership(mem)
 	copy(res.Membership, mem)
-	finalState, err := mapeq.NewState(baseFlow, mem, k)
-	if err != nil {
+	if _, err := st.Reset(baseFlow, mem, k); err != nil {
 		return nil, err
 	}
-	res.Codelength = finalState.Codelength()
+	res.Codelength = st.Codelength()
 	res.NumModules = k
 
 	// A fragmented two-level code can price worse than the trivial

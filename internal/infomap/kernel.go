@@ -144,6 +144,7 @@ func (w *worker) candidatesLookup(st *mapeq.State, view mapeq.NodeView, old uint
 	outOld, _ := w.out.Lookup(old)
 	inOld, _ := w.in.Lookup(old)
 
+	dep := st.Prepare(view, outOld, inOld)
 	best := proposal{node: uint32(view.Node), target: old, wid: int32(w.id)}
 	for _, kv := range w.outBuf {
 		if kv.Key == old {
@@ -151,7 +152,7 @@ func (w *worker) candidatesLookup(st *mapeq.State, view mapeq.NodeView, old uint
 		}
 		inFlow, _ := w.in.Lookup(kv.Key)
 		w.stats.Work.CandidatesEvaluated++
-		d := st.DeltaMove(view, kv.Key, outOld, inOld, kv.Value, inFlow)
+		d := dep.Delta(kv.Key, kv.Value, inFlow)
 		if better(best, kv.Key, d, old) {
 			best = proposal{node: uint32(view.Node), target: kv.Key, wid: int32(w.id), delta: d}
 		}
@@ -167,7 +168,7 @@ func (w *worker) candidatesLookup(st *mapeq.State, view mapeq.NodeView, old uint
 			continue // already evaluated above
 		}
 		w.stats.Work.CandidatesEvaluated++
-		d := st.DeltaMove(view, kv.Key, outOld, inOld, 0, kv.Value)
+		d := dep.Delta(kv.Key, 0, kv.Value)
 		if better(best, kv.Key, d, old) {
 			best = proposal{node: uint32(view.Node), target: kv.Key, wid: int32(w.id), delta: d}
 		}
@@ -192,6 +193,7 @@ func (w *worker) candidatesMerged(st *mapeq.State, view mapeq.NodeView, old uint
 		inOld = w.inBuf[i].Value
 	}
 
+	dep := st.Prepare(view, outOld, inOld)
 	best := proposal{node: uint32(view.Node), target: old, wid: int32(w.id)}
 	i, j := 0, 0
 	for i < len(w.outBuf) || j < len(w.inBuf) {
@@ -213,7 +215,7 @@ func (w *worker) candidatesMerged(st *mapeq.State, view mapeq.NodeView, old uint
 			continue
 		}
 		w.stats.Work.CandidatesEvaluated++
-		d := st.DeltaMove(view, m, outOld, inOld, of, nf)
+		d := dep.Delta(m, of, nf)
 		if better(best, m, d, old) {
 			best = proposal{node: uint32(view.Node), target: m, wid: int32(w.id), delta: d}
 		}

@@ -46,8 +46,15 @@ func OneLevelCodelength(f *Flow) float64 {
 }
 
 // State is the incremental map-equation bookkeeping for one partition of one
-// flow level. It supports O(1) evaluation (DeltaMove) and application (Apply)
-// of single-vertex moves, mirroring the module statistics HyPC-Map maintains.
+// flow level. It supports O(1) evaluation (Prepare/Delta) and application
+// (Apply) of single-vertex moves, mirroring the module statistics HyPC-Map
+// maintains.
+//
+// Alongside each module's rates, State caches the module's three plogp
+// terms, and it caches the index term plogp(sumEnter + exitOffset). Every
+// mutation refreshes the terms it touches, so each cached value is exactly
+// Plogp of the current value. A candidate evaluation then costs four Plogp
+// calls instead of fourteen.
 //
 // State is not safe for concurrent mutation; the parallel kernel in package
 // infomap serializes Apply calls and tolerates stale reads during the
@@ -64,12 +71,17 @@ type State struct {
 	exit  []float64 // per module: exit rate
 	enter []float64 // per module: enter rate
 
+	plogpEnter []float64 // per module: Plogp(enter)
+	plogpExit  []float64 // per module: Plogp(exit)
+	plogpBoth  []float64 // per module: Plogp(exit + flow)
+
 	teleTotal float64 // Σ teleport output over all vertices (constant)
 
 	sumEnter      float64
 	sumPlogpEnter float64 // Σ plogp(enter_i)
 	sumPlogpExit  float64 // Σ plogp(exit_i)
 	sumPlogpBoth  float64 // Σ plogp(exit_i + flow_i)
+	plogpIndex    float64 // Plogp(sumEnter + exitOffset)
 	nodeTerm      float64 // Σ plogp(p_α), partition independent
 	exitOffset    float64 // constant added inside plogp(sumEnter + offset)
 }
@@ -77,20 +89,31 @@ type State struct {
 // NewState builds the bookkeeping for the given membership (dense module IDs
 // in [0, numModules)).
 func NewState(f *Flow, membership []uint32, numModules int) (*State, error) {
+	return new(State).Reset(f, membership, numModules)
+}
+
+// Reset rebuilds s for a new flow and membership, exactly as NewState
+// would, and returns s. The per-module arrays are resliced when they are
+// large enough, so one State can serve every level of a run without
+// reallocating. The exit offset returns to zero and the node term to the
+// flow's own.
+func (s *State) Reset(f *Flow, membership []uint32, numModules int) (*State, error) {
 	n := f.G.N()
 	if len(membership) != n {
 		return nil, fmt.Errorf("mapeq: membership length %d, want %d", len(membership), n)
 	}
-	s := &State{
-		f:          f,
-		membership: membership,
-		flow:       make([]float64, numModules),
-		tele:       make([]float64, numModules),
-		land:       make([]float64, numModules),
-		size:       make([]int, numModules),
-		exit:       make([]float64, numModules),
-		enter:      make([]float64, numModules),
-	}
+	s.f = f
+	s.membership = membership
+	s.flow = resize(s.flow, numModules)
+	s.tele = resize(s.tele, numModules)
+	s.land = resize(s.land, numModules)
+	s.exit = resize(s.exit, numModules)
+	s.enter = resize(s.enter, numModules)
+	s.plogpEnter = resize(s.plogpEnter, numModules)
+	s.plogpExit = resize(s.plogpExit, numModules)
+	s.plogpBoth = resize(s.plogpBoth, numModules)
+	s.size = resize(s.size, numModules)
+	s.teleTotal, s.nodeTerm, s.exitOffset = 0, 0, 0
 	for _, t := range f.TeleOut {
 		s.teleTotal += t
 	}
@@ -107,6 +130,17 @@ func NewState(f *Flow, membership []uint32, numModules int) (*State, error) {
 	}
 	s.recomputeExits()
 	return s, nil
+}
+
+// resize returns a zeroed slice of length n, reusing buf's storage when its
+// capacity allows.
+func resize[T float64 | int](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // recomputeExits rebuilds q_i and the aggregate codelength terms from
@@ -146,11 +180,15 @@ func (s *State) recomputeExits() {
 	}
 	s.sumEnter, s.sumPlogpEnter, s.sumPlogpExit, s.sumPlogpBoth = 0, 0, 0, 0
 	for m := range s.exit {
+		s.plogpEnter[m] = Plogp(s.enter[m])
+		s.plogpExit[m] = Plogp(s.exit[m])
+		s.plogpBoth[m] = Plogp(s.exit[m] + s.flow[m])
 		s.sumEnter += s.enter[m]
-		s.sumPlogpEnter += Plogp(s.enter[m])
-		s.sumPlogpExit += Plogp(s.exit[m])
-		s.sumPlogpBoth += Plogp(s.exit[m] + s.flow[m])
+		s.sumPlogpEnter += s.plogpEnter[m]
+		s.sumPlogpExit += s.plogpExit[m]
+		s.sumPlogpBoth += s.plogpBoth[m]
 	}
+	s.plogpIndex = Plogp(s.sumEnter + s.exitOffset)
 }
 
 // Refresh recomputes all aggregates from the current membership, washing out
@@ -161,7 +199,10 @@ func (s *State) Refresh() { s.recomputeExits() }
 // plogp(Σq) term becomes plogp(Σq + offset). The hierarchical driver uses
 // this when optimizing inside a module, whose index codebook also encodes
 // the module's own (fixed) exit rate.
-func (s *State) SetExitOffset(offset float64) { s.exitOffset = offset }
+func (s *State) SetExitOffset(offset float64) {
+	s.exitOffset = offset
+	s.plogpIndex = Plogp(s.sumEnter + s.exitOffset)
+}
 
 // Codelength returns the current two-level map equation value L(M) in bits.
 // The general (directed, possibly non-stationary) form prices the index
@@ -169,7 +210,7 @@ func (s *State) SetExitOffset(offset float64) { s.exitOffset = offset }
 // rate plus member visits; for undirected and stationary recorded flows the
 // two rates coincide and this reduces to the familiar symmetric formula.
 func (s *State) Codelength() float64 {
-	return Plogp(s.sumEnter+s.exitOffset) - s.sumPlogpEnter - s.sumPlogpExit +
+	return s.plogpIndex - s.sumPlogpEnter - s.sumPlogpExit +
 		s.sumPlogpBoth - s.nodeTerm
 }
 
@@ -213,12 +254,11 @@ func (s *State) ModuleEnter(m uint32) float64 { return s.enter[m] }
 // ModuleSize returns the member count of module m.
 func (s *State) ModuleSize(m uint32) int { return s.size[m] }
 
-// moveDeltas returns the changes to the exit and enter rates of the old and
-// new modules if vertex v moved, given the accumulated arc flows between v
-// and the two modules (exactly the values the paper's hash accumulation step
-// produces): outOld/inOld are v's arc flow to/from other members of its
-// current module, outNew/inNew to/from members of newMod.
-func (s *State) moveDeltas(v NodeView, old, newMod uint32, outOld, inOld, outNew, inNew float64) (dExitOld, dEnterOld, dExitNew, dEnterNew float64) {
+// leaveDeltas returns the changes to the exit and enter rates of module old
+// if vertex v left it, given v's accumulated arc flow to (outOld) and from
+// (inOld) the other members of old — exactly the values the paper's hash
+// accumulation step produces.
+func (s *State) leaveDeltas(v *NodeView, old uint32, outOld, inOld float64) (dExitOld, dEnterOld float64) {
 	// Removing v from old: v's boundary out-flow and teleport exits
 	// disappear, while arcs and teleportation from remaining members to v
 	// become exits; symmetrically for enters.
@@ -226,7 +266,13 @@ func (s *State) moveDeltas(v NodeView, old, newMod uint32, outOld, inOld, outNew
 		inOld + (s.tele[old]-v.TeleOut)*v.Land
 	dEnterOld = -(v.ArcIn - inOld) - v.ExtIn - (s.teleTotal-s.tele[old])*v.Land +
 		outOld + v.TeleOut*(s.land[old]-v.Land)
-	// Adding v to newMod.
+	return
+}
+
+// joinDeltas returns the changes to the exit and enter rates of newMod if
+// vertex v joined it, given v's arc flow to (outNew) and from (inNew) the
+// members of newMod.
+func (s *State) joinDeltas(v *NodeView, newMod uint32, outNew, inNew float64) (dExitNew, dEnterNew float64) {
 	dExitNew = (v.ArcOut - outNew) + v.TeleOut*(1-s.land[newMod]-v.Land) -
 		inNew - s.tele[newMod]*v.Land
 	dEnterNew = (v.ArcIn - inNew) + v.ExtIn + (s.teleTotal-s.tele[newMod]-v.TeleOut)*v.Land -
@@ -234,25 +280,69 @@ func (s *State) moveDeltas(v NodeView, old, newMod uint32, outOld, inOld, outNew
 	return
 }
 
-// DeltaMove returns the change in codelength (bits) if vertex v moved from
-// its current module to newMod. Negative is an improvement. The four flow
-// arguments are the accumulated arc flows described at exitDeltas.
-func (s *State) DeltaMove(v NodeView, newMod uint32, outOld, inOld, outNew, inNew float64) float64 {
+// Departure is the half of a move's ΔL that depends only on the vertex and
+// the module it leaves. Prepare computes it once per vertex; Delta then
+// prices each candidate module with four Plogp calls.
+//
+// Each field holds a parenthesised prefix of the full ΔL sum in the order
+// Go evaluates it (left to right; amd64 does not contract into FMA), so
+// Delta's result is bit-identical to evaluating the whole sum per
+// candidate. A Departure is valid until the next mutation of its State.
+type Departure struct {
+	s   *State
+	v   NodeView
+	old uint32
+
+	sumEnterLeft float64 // sumEnter + (enter'_old − enter_old)
+	enterLeft    float64 // Plogp(enter'_old) − Plogp(enter_old)
+	exitLeft     float64 // Plogp(exit'_old) − Plogp(exit_old)
+	bothLeft     float64 // Plogp(exit'_old + flow_old − p_v) − Plogp(exit_old + flow_old)
+}
+
+// Prepare returns vertex v's Departure from its current module; outOld and
+// inOld are v's arc flows to and from the module's other members.
+func (s *State) Prepare(v NodeView, outOld, inOld float64) Departure {
 	old := s.membership[v.Node]
-	if old == newMod {
+	dxo, deo := s.leaveDeltas(&v, old, outOld, inOld)
+	exitOld, enterOld := clampNonNeg(s.exit[old]+dxo), clampNonNeg(s.enter[old]+deo)
+	return Departure{
+		s:            s,
+		v:            v,
+		old:          old,
+		sumEnterLeft: s.sumEnter + (enterOld - s.enter[old]),
+		enterLeft:    Plogp(enterOld) - s.plogpEnter[old],
+		exitLeft:     Plogp(exitOld) - s.plogpExit[old],
+		bothLeft:     Plogp(exitOld+s.flow[old]-v.Flow) - s.plogpBoth[old],
+	}
+}
+
+// Delta returns the change in codelength (bits) if the vertex moved to
+// newMod, given its arc flows to (outNew) and from (inNew) newMod's
+// members. Negative is an improvement; moving to its own module is 0.
+func (d *Departure) Delta(newMod uint32, outNew, inNew float64) float64 {
+	if newMod == d.old {
 		return 0
 	}
-	dxo, deo, dxn, den := s.moveDeltas(v, old, newMod, outOld, inOld, outNew, inNew)
-	exitOld, exitNew := clampNonNeg(s.exit[old]+dxo), clampNonNeg(s.exit[newMod]+dxn)
-	enterOld, enterNew := clampNonNeg(s.enter[old]+deo), clampNonNeg(s.enter[newMod]+den)
-	sumEnterAfter := s.sumEnter + (enterOld - s.enter[old]) + (enterNew - s.enter[newMod])
+	s, v := d.s, &d.v
+	dxn, den := s.joinDeltas(v, newMod, outNew, inNew)
+	exitNew, enterNew := clampNonNeg(s.exit[newMod]+dxn), clampNonNeg(s.enter[newMod]+den)
+	sumEnterAfter := d.sumEnterLeft + (enterNew - s.enter[newMod])
 
-	delta := Plogp(sumEnterAfter+s.exitOffset) - Plogp(s.sumEnter+s.exitOffset)
-	delta -= Plogp(enterOld) - Plogp(s.enter[old]) + Plogp(enterNew) - Plogp(s.enter[newMod])
-	delta -= Plogp(exitOld) - Plogp(s.exit[old]) + Plogp(exitNew) - Plogp(s.exit[newMod])
-	delta += Plogp(exitOld+s.flow[old]-v.Flow) - Plogp(s.exit[old]+s.flow[old])
-	delta += Plogp(exitNew+s.flow[newMod]+v.Flow) - Plogp(s.exit[newMod]+s.flow[newMod])
+	delta := Plogp(sumEnterAfter+s.exitOffset) - s.plogpIndex
+	delta -= d.enterLeft + Plogp(enterNew) - s.plogpEnter[newMod]
+	delta -= d.exitLeft + Plogp(exitNew) - s.plogpExit[newMod]
+	delta += d.bothLeft
+	delta += Plogp(exitNew+s.flow[newMod]+v.Flow) - s.plogpBoth[newMod]
 	return delta
+}
+
+// DeltaMove returns the change in codelength (bits) if vertex v moved from
+// its current module to newMod: Prepare followed by one Delta. Candidate
+// scans call Prepare once per vertex instead; DeltaMove serves the one-off
+// re-check before a commit.
+func (s *State) DeltaMove(v NodeView, newMod uint32, outOld, inOld, outNew, inNew float64) float64 {
+	d := s.Prepare(v, outOld, inOld)
+	return d.Delta(newMod, outNew, inNew)
 }
 
 func clampNonNeg(x float64) float64 {
@@ -262,25 +352,28 @@ func clampNonNeg(x float64) float64 {
 	return x
 }
 
-// Apply moves vertex v to newMod and updates all bookkeeping incrementally.
-// The flow arguments must be the same values passed to the corresponding
-// DeltaMove.
+// Apply moves vertex v to newMod and updates all bookkeeping incrementally,
+// cached plogp terms included. The flow arguments must be the same values
+// the move was priced with (Prepare and Delta, or DeltaMove).
 func (s *State) Apply(v NodeView, newMod uint32, outOld, inOld, outNew, inNew float64) {
 	old := s.membership[v.Node]
 	if old == newMod {
 		return
 	}
-	dxo, deo, dxn, den := s.moveDeltas(v, old, newMod, outOld, inOld, outNew, inNew)
+	dxo, deo := s.leaveDeltas(&v, old, outOld, inOld)
+	dxn, den := s.joinDeltas(&v, newMod, outNew, inNew)
 	exitOld, exitNew := clampNonNeg(s.exit[old]+dxo), clampNonNeg(s.exit[newMod]+dxn)
 	enterOld, enterNew := clampNonNeg(s.enter[old]+deo), clampNonNeg(s.enter[newMod]+den)
+	plEnterOld, plEnterNew := Plogp(enterOld), Plogp(enterNew)
+	plExitOld, plExitNew := Plogp(exitOld), Plogp(exitNew)
 
 	s.sumEnter += (enterOld - s.enter[old]) + (enterNew - s.enter[newMod])
-	s.sumPlogpEnter += Plogp(enterOld) - Plogp(s.enter[old]) +
-		Plogp(enterNew) - Plogp(s.enter[newMod])
-	s.sumPlogpExit += Plogp(exitOld) - Plogp(s.exit[old]) +
-		Plogp(exitNew) - Plogp(s.exit[newMod])
-	s.sumPlogpBoth += Plogp(exitOld+s.flow[old]-v.Flow) - Plogp(s.exit[old]+s.flow[old]) +
-		Plogp(exitNew+s.flow[newMod]+v.Flow) - Plogp(s.exit[newMod]+s.flow[newMod])
+	s.sumPlogpEnter += plEnterOld - s.plogpEnter[old] +
+		plEnterNew - s.plogpEnter[newMod]
+	s.sumPlogpExit += plExitOld - s.plogpExit[old] +
+		plExitNew - s.plogpExit[newMod]
+	s.sumPlogpBoth += Plogp(exitOld+s.flow[old]-v.Flow) - s.plogpBoth[old] +
+		Plogp(exitNew+s.flow[newMod]+v.Flow) - s.plogpBoth[newMod]
 
 	s.exit[old] = exitOld
 	s.exit[newMod] = exitNew
@@ -302,6 +395,15 @@ func (s *State) Apply(v NodeView, newMod uint32, outOld, inOld, outNew, inNew fl
 		s.tele[old] = clampTiny(s.tele[old])
 		s.land[old] = clampTiny(s.land[old])
 	}
+
+	// Refresh the cached terms from the stored values. plogpBoth cannot
+	// reuse the sum above: exit + (flow − p_v) rounds differently from
+	// (exit + flow) − p_v, and the cache must equal Plogp(exit + flow).
+	s.plogpEnter[old], s.plogpEnter[newMod] = plEnterOld, plEnterNew
+	s.plogpExit[old], s.plogpExit[newMod] = plExitOld, plExitNew
+	s.plogpBoth[old] = Plogp(s.exit[old] + s.flow[old])
+	s.plogpBoth[newMod] = Plogp(s.exit[newMod] + s.flow[newMod])
+	s.plogpIndex = Plogp(s.sumEnter + s.exitOffset)
 }
 
 func clampTiny(x float64) float64 {
