@@ -30,6 +30,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadEdgeList -fuzztime=15s ./internal/graph
 	$(GO) test -run=NONE -fuzz=FuzzDetectRequest -fuzztime=15s ./internal/serve/cluster
+	$(GO) test -run=NONE -fuzz=FuzzDeltaRequest -fuzztime=15s ./internal/serve/cluster
 
 bench-smoke:
 	$(GO) test -run=NONE -bench='Sched|AsalintRepo|Ingest|Kernel' -benchtime=1x ./...

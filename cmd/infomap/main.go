@@ -44,7 +44,6 @@ func main() {
 	accumKind := flag.String("accum", "baseline", "accumulator backend: baseline | asa | gomap | hashgraph")
 	camKB := flag.Int("cam-kb", 8, "CAM size in KB for the asa backend")
 	workers := flag.Int("workers", 1, "parallel workers (0 = all CPUs)")
-	schedPolicy := flag.String("sched", "steal", "sweep scheduling policy: steal | static")
 	seed := flag.Uint64("seed", 1, "seed for the visitation order")
 	stats := flag.Bool("stats", false, "print kernel breakdown and modeled hardware counters")
 	hierarchical := flag.Bool("hierarchical", false, "detect a multi-level hierarchy (hierarchical map equation)")
@@ -113,14 +112,6 @@ func main() {
 	opt := infomap.DefaultOptions()
 	opt.Workers = *workers
 	opt.Seed = *seed
-	switch *schedPolicy {
-	case "steal":
-		opt.Sched = infomap.SchedSteal
-	case "static":
-		opt.Sched = infomap.SchedStatic
-	default:
-		fatal(fmt.Errorf("unknown -sched %q", *schedPolicy))
-	}
 	switch *teleport {
 	case "recorded":
 		opt.Teleport = infomap.TeleportRecorded
@@ -274,8 +265,8 @@ func main() {
 			fmt.Printf("%-20s %12v  %5.1f%%\n", k, d.Round(time.Microsecond), 100*float64(d)/float64(kernelWall))
 		}
 		fmt.Printf("accumulator: %+v\n", res.TotalStats())
-		fmt.Printf("scheduler: policy=%s steals=%d mean-imbalance=%.3f\n",
-			opt.Sched, res.Steals, res.MeanImbalance())
+		fmt.Printf("scheduler: steals=%d mean-imbalance=%.3f\n",
+			res.Steals, res.MeanImbalance())
 		machine := perf.Baseline()
 		model := perf.DefaultModel(machine)
 		name := "softhash"

@@ -89,29 +89,25 @@ func TestE2EInfomapGolden(t *testing.T) {
 	}
 }
 
-// TestE2EInfomapGoldenWorkerInvariance reruns the same detection with a
-// different worker count and scheduler; the assignment bytes must not move —
-// the scheduler's determinism guarantee observed at the CLI boundary.
+// TestE2EInfomapGoldenWorkerInvariance reruns the same detection with
+// different worker counts; the assignment bytes must not move — the
+// scheduler's determinism guarantee observed at the CLI boundary.
 func TestE2EInfomapGoldenWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs go run; skipped in -short mode")
 	}
 	wantAssign := readGolden(t, "lfr_small.assign.golden")
-	for _, tc := range []struct{ workers, sched string }{
-		{"1", "steal"},
-		{"4", "steal"},
-		{"4", "static"},
-	} {
+	for _, workers := range []string{"1", "3", "4"} {
 		assign := filepath.Join(t.TempDir(), "assign.txt")
 		runCLI(t, "infomap",
 			"-in", filepath.Join("testdata", "golden", "lfr_small.txt"),
-			"-seed", "1", "-workers", tc.workers, "-sched", tc.sched, "-out", assign)
+			"-seed", "1", "-workers", workers, "-out", assign)
 		got, err := os.ReadFile(assign)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, wantAssign) {
-			t.Errorf("workers=%s sched=%s: assignment differs from golden", tc.workers, tc.sched)
+			t.Errorf("workers=%s: assignment differs from golden", workers)
 		}
 	}
 }
@@ -163,30 +159,25 @@ func TestE2EWarmStartGolden(t *testing.T) {
 }
 
 // TestE2EWarmStartGoldenWorkerInvariance reruns the incremental detection
-// with different worker counts and both schedulers; the warm assignment
-// bytes must not move.
+// with different worker counts; the warm assignment bytes must not move.
 func TestE2EWarmStartGoldenWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs go run; skipped in -short mode")
 	}
 	wantAssign := readGolden(t, "lfr_small.warm.assign.golden")
-	for _, tc := range []struct{ workers, sched string }{
-		{"1", "steal"},
-		{"4", "steal"},
-		{"4", "static"},
-	} {
+	for _, workers := range []string{"1", "3", "4"} {
 		assign := filepath.Join(t.TempDir(), "assign.txt")
 		runCLI(t, "infomap",
 			"-in", filepath.Join("testdata", "golden", "lfr_small.txt"),
 			"-delta", filepath.Join("testdata", "golden", "lfr_small.delta.txt"),
 			"-warm-start", "-seed", "1",
-			"-workers", tc.workers, "-sched", tc.sched, "-out", assign)
+			"-workers", workers, "-out", assign)
 		got, err := os.ReadFile(assign)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, wantAssign) {
-			t.Errorf("workers=%s sched=%s: warm assignment differs from golden", tc.workers, tc.sched)
+			t.Errorf("workers=%s: warm assignment differs from golden", workers)
 		}
 	}
 }

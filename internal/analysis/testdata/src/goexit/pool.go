@@ -7,6 +7,6 @@ import "github.com/asamap/asamap/internal/sched"
 // it in the same function is accepted structured-concurrency evidence.
 func dispatchesThroughPool(p *sched.Pool, bounds []int) error {
 	go work()
-	_, err := p.Dispatch(bounds, sched.Steal, func(worker, block, lo, hi int) error { return nil })
+	_, err := p.Dispatch(bounds, func(worker, block, lo, hi int) error { return nil })
 	return err
 }

@@ -88,7 +88,7 @@ var Experiments = []Experiment{
 	{"hierarchy", "X5: hierarchical map equation vs two-level", runHierarchy},
 	{"cachesim", "X6: trace-driven cache simulation of hash probes", runCacheSim},
 	{"distributed", "X7: distributed-memory (hybrid) simulation, rank sweep", runDistributed},
-	{"sched", "X8: sweep scheduling — static vs work stealing", runSched},
+	{"sched", "X8: sweep scheduling — work-stealing worker scaling and determinism", runSched},
 	{"accum", "X9: accumulator backend sweep — gomap/softhash/asa/hashgraph", runAccum},
 	{"delta", "X10: incremental detection — warm start vs cold on an evolved graph", runDelta},
 }

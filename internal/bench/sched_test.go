@@ -9,10 +9,10 @@ import (
 )
 
 // TestSchedQuick runs the scheduling sweep end to end in quick mode and
-// checks the invariants the committed artifact is built on: both policies at
-// every worker count, bit-identical membership everywhere (runSched fails
-// hard otherwise), and a JSON artifact that round-trips through the schema
-// with no unknown fields.
+// checks the invariants the committed artifact is built on: one row per
+// worker count, bit-identical membership everywhere (runSched fails hard
+// otherwise), and a JSON artifact that round-trips through the schema with
+// no unknown fields.
 func TestSchedQuick(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "sched.json")
 	cfg := QuickConfig()
@@ -34,7 +34,7 @@ func TestSchedQuick(t *testing.T) {
 
 // TestCommittedSchedArtifact guards the repository's committed
 // BENCH_sched.json trajectory artifact: the schema must match this package's
-// structs exactly, every (workers, policy) cell of the full sweep up to the
+// structs exactly, exactly one row for every worker count from 1 up to the
 // recorded GOMAXPROCS must be present and none above it (an artifact may
 // claim only the worker scaling its host could exhibit), and every row must
 // witness the determinism contract.
@@ -58,18 +58,27 @@ func TestCommittedSchedArtifact(t *testing.T) {
 		t.Fatalf("artifact records gomaxprocs %d", report.GOMAXPROCS)
 	}
 	var workers []int
-	for _, w := range DefaultConfig().Workers {
-		if w <= report.GOMAXPROCS {
-			workers = append(workers, w)
-		}
+	for w := 1; w <= report.GOMAXPROCS; w++ {
+		workers = append(workers, w)
 	}
 	for _, row := range report.Rows {
 		if row.Workers > report.GOMAXPROCS {
-			t.Errorf("workers=%d policy=%s: above the recorded gomaxprocs %d", row.Workers, row.Policy, report.GOMAXPROCS)
+			t.Errorf("workers=%d: above the recorded gomaxprocs %d", row.Workers, report.GOMAXPROCS)
 		}
 	}
 	checkSchedReport(t, report, workers)
+	// The scheduler never changes result bytes, so the committed codelength
+	// is pinned across regenerations on any host.
+	for _, row := range report.Rows {
+		if row.Codelength != committedSchedCodelength {
+			t.Errorf("workers=%d: codelength %v, want %v", row.Workers, row.Codelength, committedSchedCodelength)
+		}
+	}
 }
+
+// committedSchedCodelength is the codelength of R-MAT scale 17, edge factor
+// 8, seed 1 under DefaultOptions — the committed artifact's graph.
+const committedSchedCodelength = 14.958132741336891
 
 func decodeSchedReport(t *testing.T, path string) schedReport {
 	t.Helper()
@@ -96,43 +105,30 @@ func checkSchedReport(t *testing.T, report schedReport, workers []int) {
 	if report.Generator != "rmat" || report.Vertices <= 0 || report.Arcs <= 0 {
 		t.Errorf("bad graph provenance: %+v", report)
 	}
-	perWorkers := map[int]map[string]schedRow{}
+	perWorkers := map[int]int{}
 	codelength := 0.0
 	for _, row := range report.Rows {
-		if perWorkers[row.Workers] == nil {
-			perWorkers[row.Workers] = map[string]schedRow{}
-		}
-		perWorkers[row.Workers][row.Policy] = row
+		perWorkers[row.Workers]++
 		if !row.BitIdentical {
-			t.Errorf("workers=%d policy=%s: not bit-identical to the 1-worker reference", row.Workers, row.Policy)
+			t.Errorf("workers=%d: not bit-identical to the 1-worker reference", row.Workers)
 		}
 		if row.SweepWallMS <= 0 || row.TotalWallMS <= 0 {
-			t.Errorf("workers=%d policy=%s: empty timings: %+v", row.Workers, row.Policy, row)
+			t.Errorf("workers=%d: empty timings: %+v", row.Workers, row)
 		}
 		if codelength == 0 {
 			codelength = row.Codelength
 		} else if row.Codelength != codelength {
 			// Bit-identical membership must mean bit-identical codelength; a
 			// divergence here is schema or determinism drift.
-			t.Errorf("workers=%d policy=%s: codelength %v != %v", row.Workers, row.Policy, row.Codelength, codelength)
+			t.Errorf("workers=%d: codelength %v != %v", row.Workers, row.Codelength, codelength)
 		}
 	}
 	if len(perWorkers) != len(workers) {
 		t.Errorf("artifact covers %d worker counts, want %d", len(perWorkers), len(workers))
 	}
 	for _, w := range workers {
-		rows, ok := perWorkers[w]
-		if !ok {
-			t.Errorf("worker count %d missing from artifact", w)
-			continue
+		if n := perWorkers[w]; n != 1 {
+			t.Errorf("worker count %d has %d rows, want exactly 1", w, n)
 		}
-		for _, policy := range []string{"static", "steal"} {
-			if _, ok := rows[policy]; !ok {
-				t.Errorf("workers=%d: policy %s missing", w, policy)
-			}
-		}
-	}
-	if report.SpeedupStealVsStatic <= 0 {
-		t.Errorf("speedup_steal_vs_static %v, want > 0", report.SpeedupStealVsStatic)
 	}
 }

@@ -522,21 +522,13 @@ func optimizeLevelDistributed(ctx context.Context, flow *mapeq.Flow, membership 
 		byOwner := make([][]delta, ranks)
 		for rk := 0; rk < ranks; rk++ {
 			for _, p := range proposals[rk] {
-				v := int(p.v)
-				old := truth.Module(v)
-				if old == p.target {
-					continue
-				}
-				oo, io, on, in := commitFlowsLocal(flow, truth, v, old, p.target)
-				view := flow.View(v)
-				if d := truth.DeltaMove(view, p.target, oo, io, on, in); d < 0 {
-					truth.Apply(view, p.target, oo, io, on, in)
+				if truth.CommitMove(flow, int(p.v), p.target) {
 					moves++
 					dl := delta{v: p.v, m: p.target}
 					stepDeltas = append(stepDeltas, dl)
 					byOwner[rk] = append(byOwner[rk], dl)
 					// The owner sees its own commit immediately.
-					cl.ghosts[rk][v] = p.target
+					cl.ghosts[rk][p.v] = p.target
 				}
 			}
 		}
@@ -650,41 +642,6 @@ func bestMove(flow *mapeq.Flow, st *mapeq.State, v int) (uint32, bool) {
 		}
 	}
 	return best, best != old
-}
-
-// commitFlowsLocal recomputes the four commit flows against the true state
-// (same role as the shared-memory engine's commit re-check).
-func commitFlowsLocal(flow *mapeq.Flow, st *mapeq.State, v int, old, target uint32) (oo, io, on, in float64) {
-	g := flow.G
-	lo, _ := g.OutRange(v)
-	nb := g.OutNeighbors(v)
-	for j := range nb {
-		t := int(nb[j])
-		if t == v {
-			continue
-		}
-		switch st.Module(t) {
-		case old:
-			oo += flow.OutFlow[lo+j]
-		case target:
-			on += flow.OutFlow[lo+j]
-		}
-	}
-	ilo, _ := g.InRange(v)
-	inn := g.InNeighbors(v)
-	for j := range inn {
-		s := int(inn[j])
-		if s == v {
-			continue
-		}
-		switch st.Module(s) {
-		case old:
-			io += flow.InFlow[ilo+j]
-		case target:
-			in += flow.InFlow[ilo+j]
-		}
-	}
-	return
 }
 
 // Compare runs the shared-memory engine on the same graph for quality

@@ -38,10 +38,9 @@ func lfrPair(t *testing.T) (und, dir *graph.Graph) {
 
 // TestDeterministicAcrossWorkers is the scheduler's central correctness
 // claim: for a fixed seed, the result — membership and the exact codelength
-// bits — must not depend on the worker count, the scheduling policy, or the
-// (nondeterministic) steal schedule. One worker with static chunking is the
-// reference; every other configuration, and a repeat run of each, must
-// reproduce it bit for bit.
+// bits — must not depend on the worker count or the (nondeterministic)
+// steal schedule. One worker is the reference; every other worker count,
+// and a repeat run of each, must reproduce it bit for bit.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	und, dir := lfrPair(t)
 	for _, kind := range []AccumKind{Baseline, ASA, HashGraph} {
@@ -56,32 +55,28 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 				opt := DefaultOptions()
 				opt.Kind = kind
 				opt.Workers = 1
-				opt.Sched = SchedStatic
 				ref, err := Run(tc.g, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 2, 4, 8} {
-					for _, policy := range []SchedPolicy{SchedSteal, SchedStatic} {
-						for rep := 0; rep < 2; rep++ {
-							opt := DefaultOptions()
-							opt.Kind = kind
-							opt.Workers = workers
-							opt.Sched = policy
-							res, err := Run(tc.g, opt)
-							if err != nil {
-								t.Fatal(err)
-							}
-							label := fmt.Sprintf("workers=%d sched=%v rep=%d", workers, policy, rep)
-							if math.Float64bits(res.Codelength) != math.Float64bits(ref.Codelength) {
-								t.Fatalf("%s: codelength %.17g != reference %.17g",
-									label, res.Codelength, ref.Codelength)
-							}
-							for v := range res.Membership {
-								if res.Membership[v] != ref.Membership[v] {
-									t.Fatalf("%s: membership diverges at vertex %d: %d != %d",
-										label, v, res.Membership[v], ref.Membership[v])
-								}
+					for rep := 0; rep < 2; rep++ {
+						opt := DefaultOptions()
+						opt.Kind = kind
+						opt.Workers = workers
+						res, err := Run(tc.g, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("workers=%d rep=%d", workers, rep)
+						if math.Float64bits(res.Codelength) != math.Float64bits(ref.Codelength) {
+							t.Fatalf("%s: codelength %.17g != reference %.17g",
+								label, res.Codelength, ref.Codelength)
+						}
+						for v := range res.Membership {
+							if res.Membership[v] != ref.Membership[v] {
+								t.Fatalf("%s: membership diverges at vertex %d: %d != %d",
+									label, v, res.Membership[v], ref.Membership[v])
 							}
 						}
 					}
@@ -93,7 +88,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 
 // TestHashGraphMatchesBaseline: every accumulator backend computes the same
 // sums, so HashGraph runs must partition byte-identically to the chained
-// Baseline table — across worker counts and both schedulers. This is the
+// Baseline table — across worker counts and steal schedules. This is the
 // cross-backend half of the determinism contract: switching the accumulator
 // is a pure performance decision, never a quality one.
 func TestHashGraphMatchesBaseline(t *testing.T) {
@@ -109,36 +104,32 @@ func TestHashGraphMatchesBaseline(t *testing.T) {
 			opt := DefaultOptions()
 			opt.Kind = Baseline
 			opt.Workers = 1
-			opt.Sched = SchedStatic
 			ref, err := Run(tc.g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				for _, policy := range []SchedPolicy{SchedStatic, SchedSteal} {
-					opt := DefaultOptions()
-					opt.Kind = HashGraph
-					opt.Workers = workers
-					opt.Sched = policy
-					res, err := Run(tc.g, opt)
-					if err != nil {
-						t.Fatal(err)
+			for _, workers := range []int{1, 2, 4} {
+				opt := DefaultOptions()
+				opt.Kind = HashGraph
+				opt.Workers = workers
+				res, err := Run(tc.g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("workers=%d", workers)
+				if math.Float64bits(res.Codelength) != math.Float64bits(ref.Codelength) {
+					t.Fatalf("%s: hashgraph codelength %.17g != baseline %.17g",
+						label, res.Codelength, ref.Codelength)
+				}
+				for v := range res.Membership {
+					if res.Membership[v] != ref.Membership[v] {
+						t.Fatalf("%s: membership diverges from baseline at vertex %d",
+							label, v)
 					}
-					label := fmt.Sprintf("workers=%d sched=%v", workers, policy)
-					if math.Float64bits(res.Codelength) != math.Float64bits(ref.Codelength) {
-						t.Fatalf("%s: hashgraph codelength %.17g != baseline %.17g",
-							label, res.Codelength, ref.Codelength)
-					}
-					for v := range res.Membership {
-						if res.Membership[v] != ref.Membership[v] {
-							t.Fatalf("%s: membership diverges from baseline at vertex %d",
-								label, v)
-						}
-					}
-					st := res.TotalStats()
-					if st.ChainHops != 0 || st.Rehashes != 0 {
-						t.Fatalf("%s: hashgraph reported probe events: %+v", label, st)
-					}
+				}
+				st := res.TotalStats()
+				if st.ChainHops != 0 || st.Rehashes != 0 {
+					t.Fatalf("%s: hashgraph reported probe events: %+v", label, st)
 				}
 			}
 		})

@@ -18,18 +18,13 @@ func TestFingerprintStable(t *testing.T) {
 }
 
 func TestFingerprintIgnoresExecutionConfig(t *testing.T) {
-	// Workers and Sched cannot change result bytes (bit-determinism across
-	// worker counts and steal schedules), so they must not fragment the key.
+	// Workers cannot change result bytes (bit-determinism across worker
+	// counts and steal schedules), so it must not fragment the key.
 	base := DefaultOptions()
 	w8 := base
 	w8.Workers = 8
 	if base.Fingerprint() != w8.Fingerprint() {
 		t.Fatal("Workers changed the fingerprint")
-	}
-	st := base
-	st.Sched = SchedStatic
-	if base.Fingerprint() != st.Fingerprint() {
-		t.Fatal("Sched changed the fingerprint")
 	}
 }
 

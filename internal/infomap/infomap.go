@@ -54,16 +54,15 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 
 	// Span tree root of this run. opt.Trace nil makes every span below nil,
 	// and nil spans absorb all calls, so the untraced path stays branch-free.
-	// Worker count and scheduling policy never change result bytes, so they
-	// are volatile attributes — excluded from the canonical tree that the
-	// determinism tests compare across schedules.
+	// Worker count never changes result bytes, so it is a volatile
+	// attribute — excluded from the canonical tree that the determinism
+	// tests compare across schedules.
 	run := opt.Trace.Child("run")
 	run.SetUint("seed", opt.Seed)
 	run.SetAttr("kind", opt.Kind.String())
 	run.SetAttr("teleport", opt.Teleport.String())
 	run.SetUint("vertices", uint64(g.N()))
 	run.SetVolatileUint("workers", uint64(opt.Workers))
-	run.SetVolatileAttr("sched", opt.Sched.String())
 	defer run.End()
 
 	// --- Kernel 1: PageRank / flow construction. ---
@@ -330,27 +329,26 @@ const sweepBlocksPerWorker = 8
 // into blocks too tiny to amortize the dispatch atomics.
 const sweepMinBlockVertices = 32
 
-// sweepBounds partitions the order[0:m] of a sweep into schedulable blocks.
-// Static policy (or one worker) reproduces the pre-scheduler baseline: one
-// equal-vertex-count chunk per worker. Steal policy cuts degree-aware blocks
-// — block boundaries follow the prefix sum of adjacency sizes, so a block
-// holding one huge hub stays small in vertex count and a block of leaves
-// stays large, equalizing per-block work up front.
-func sweepBounds(flow *mapeq.Flow, order []uint32, workers int, policy SchedPolicy) ([]int, sched.Mode) {
+// sweepBounds partitions the order[0:m] of a sweep into schedulable blocks
+// for the work-stealing pool. Blocks are degree-aware — boundaries follow
+// the prefix sum of adjacency sizes, so a block holding one huge hub stays
+// small in vertex count and a block of leaves stays large, equalizing
+// per-block work up front. One worker has nobody to balance against, so it
+// gets the whole order as one block without the weighting pass.
+func sweepBounds(flow *mapeq.Flow, order []uint32, workers int) []int {
 	m := len(order)
-	if policy == SchedStatic || workers == 1 {
-		return sched.UniformBounds(m, workers), sched.Static
+	if workers == 1 {
+		return sched.UniformBounds(m, 1)
 	}
 	blocks := workers * sweepBlocksPerWorker
 	if maxBlocks := (m + sweepMinBlockVertices - 1) / sweepMinBlockVertices; blocks > maxBlocks {
 		blocks = maxBlocks
 	}
 	g := flow.G
-	bounds := sched.WeightedBounds(m, blocks, func(i int) int64 {
+	return sched.WeightedBounds(m, blocks, func(i int) int64 {
 		v := int(order[i])
 		return int64(g.OutDegree(v)+g.InDegree(v)) + 1
 	})
-	return bounds, sched.Steal
 }
 
 // optimizeLevel runs FindBestCommunity sweeps on one level until the
@@ -422,12 +420,12 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 		// --- Kernel 2: FindBestCommunity (parallel, read-only). ---
 		fbc := sw.Child(trace.KernelFindBestCommunity)
 		fbcStart := clk.Now()
-		bounds, mode := sweepBounds(flow, order, len(workers), opt.Sched)
+		bounds := sweepBounds(flow, order, len(workers))
 		nblocks := len(bounds) - 1
 		for len(props) < nblocks {
 			props = append(props, nil)
 		}
-		ds, err := pool.DispatchTraced(bounds, mode, func(wid, blk, lo, hi int) error {
+		ds, err := pool.DispatchTraced(bounds, func(wid, blk, lo, hi int) error {
 			var perr error
 			props[blk], perr = safeEvaluateBlock(workers[wid], st, flow, order, lo, hi, props[blk][:0])
 			return perr
@@ -454,22 +452,16 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 		for blk := 0; blk < nblocks; blk++ {
 			for _, p := range props[blk] {
 				v := int(p.node)
-				old := st.Module(v)
-				if old == p.target {
-					continue
-				}
 				// Earlier commits in this sweep may have moved this vertex's
 				// neighbors, so the flows captured during parallel evaluation
-				// can be stale. Recompute them against the *current*
-				// membership (a plain adjacency walk — synchronization
-				// bookkeeping, not part of the modeled hash workload) and
-				// re-evaluate ΔL; committing only exact improvements makes
-				// the codelength strictly decreasing and immune to the
-				// oscillations synchronous parallel updates are prone to.
-				oo, io, on, in := commitFlows(flow, st, v, old, p.target)
-				view := flow.View(v)
-				if d := st.DeltaMove(view, p.target, oo, io, on, in); d < 0 {
-					st.Apply(view, p.target, oo, io, on, in)
+				// can be stale. CommitMove recomputes them against the
+				// *current* membership (a plain adjacency walk —
+				// synchronization bookkeeping, not part of the modeled hash
+				// workload) and re-evaluates ΔL; committing only exact
+				// improvements makes the codelength strictly decreasing and
+				// immune to the oscillations synchronous parallel updates are
+				// prone to.
+				if st.CommitMove(flow, v, p.target) {
 					workers[p.wid].stats.Work.MovesApplied++
 					moves++
 					// The moved vertex and its neighborhood become active —
@@ -563,41 +555,6 @@ func liveTotals(workers []*worker) (accum.Stats, perf.KernelWork) {
 		wk.Add(w.stats.Work)
 	}
 	return st, wk
-}
-
-// commitFlows recomputes vertex v's accumulated arc flow to/from its current
-// module and the proposed target module against the present membership.
-func commitFlows(f *mapeq.Flow, st *mapeq.State, v int, old, target uint32) (outOld, inOld, outNew, inNew float64) {
-	g := f.G
-	lo, _ := g.OutRange(v)
-	nb := g.OutNeighbors(v)
-	for i := range nb {
-		t := int(nb[i])
-		if t == v {
-			continue
-		}
-		switch st.Module(t) {
-		case old:
-			outOld += f.OutFlow[lo+i]
-		case target:
-			outNew += f.OutFlow[lo+i]
-		}
-	}
-	ilo, _ := g.InRange(v)
-	in := g.InNeighbors(v)
-	for i := range in {
-		s := int(in[i])
-		if s == v {
-			continue
-		}
-		switch st.Module(s) {
-		case old:
-			inOld += f.InFlow[ilo+i]
-		case target:
-			inNew += f.InFlow[ilo+i]
-		}
-	}
-	return
 }
 
 // Modules groups vertex IDs by final module, returning a slice of modules

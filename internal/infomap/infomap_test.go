@@ -287,7 +287,6 @@ func TestOptionsValidation(t *testing.T) {
 		func(o *Options) { o.Damping = 1 },
 		func(o *Options) { o.MinImprovement = -1 },
 		func(o *Options) { o.Kind = AccumKind(99) },
-		func(o *Options) { o.Sched = SchedPolicy(99) },
 	}
 	for i, mutate := range cases {
 		opt := DefaultOptions()

@@ -24,18 +24,17 @@ func traceGraph(t *testing.T) *graph.Graph {
 
 // runTraced runs detection under a fresh tracer and returns the canonical
 // span-tree JSON plus the result.
-func runTraced(t *testing.T, g *graph.Graph, workers int, policy SchedPolicy) ([]byte, *Result) {
-	return runTracedKind(t, g, ASA, workers, policy)
+func runTraced(t *testing.T, g *graph.Graph, workers int) ([]byte, *Result) {
+	return runTracedKind(t, g, ASA, workers)
 }
 
-func runTracedKind(t *testing.T, g *graph.Graph, kind AccumKind, workers int, policy SchedPolicy) ([]byte, *Result) {
+func runTracedKind(t *testing.T, g *graph.Graph, kind AccumKind, workers int) ([]byte, *Result) {
 	t.Helper()
 	tr := obs.New(obs.Config{Seed: 42})
 	root := tr.Begin("detect")
 	opt := DefaultOptions()
 	opt.Kind = kind
 	opt.Workers = workers
-	opt.Sched = policy
 	opt.Seed = 7
 	opt.Trace = root
 	res, err := RunContext(context.Background(), g, opt)
@@ -52,21 +51,20 @@ func runTracedKind(t *testing.T, g *graph.Graph, kind AccumKind, workers int, po
 
 // TestTraceCanonicalInvariance is the observability determinism contract:
 // identical seeds produce byte-identical canonical span trees across worker
-// counts and scheduling policies — per-worker spans and dispatch-shape
+// counts and steal schedules — per-worker spans and dispatch-shape
 // attributes are volatile and excluded.
 func TestTraceCanonicalInvariance(t *testing.T) {
 	g := traceGraph(t)
-	base, res1 := runTraced(t, g, 1, SchedSteal)
+	base, res1 := runTraced(t, g, 1)
 	for _, tc := range []struct {
 		name    string
 		workers int
-		policy  SchedPolicy
 	}{
-		{"4-steal", 4, SchedSteal},
-		{"4-static", 4, SchedStatic},
-		{"3-steal", 3, SchedSteal},
+		{"2-workers", 2},
+		{"4-workers", 4},
+		{"3-workers", 3},
 	} {
-		j, res := runTraced(t, g, tc.workers, tc.policy)
+		j, res := runTraced(t, g, tc.workers)
 		if !bytes.Equal(base, j) {
 			t.Errorf("%s: canonical span tree differs from 1-worker baseline:\n--- base ---\n%s\n--- %s ---\n%s",
 				tc.name, base, tc.name, j)
@@ -82,19 +80,18 @@ func TestTraceCanonicalInvariance(t *testing.T) {
 // HashGraph backend — sweep spans carry the resolve-pass counters
 // (hg_binned_kv / hg_scattered_kv / hg_bin_merged_kv), which are per-session
 // sums and therefore schedule-invariant, and the canonical tree stays
-// byte-identical across worker counts and schedulers.
+// byte-identical across worker counts and steal schedules.
 func TestTraceCanonicalInvarianceHashGraph(t *testing.T) {
 	g := traceGraph(t)
-	base, res1 := runTracedKind(t, g, HashGraph, 1, SchedStatic)
+	base, res1 := runTracedKind(t, g, HashGraph, 1)
 	for _, tc := range []struct {
 		name    string
 		workers int
-		policy  SchedPolicy
 	}{
-		{"4-steal", 4, SchedSteal},
-		{"4-static", 4, SchedStatic},
+		{"2-workers", 2},
+		{"4-workers", 4},
 	} {
-		j, res := runTracedKind(t, g, HashGraph, tc.workers, tc.policy)
+		j, res := runTracedKind(t, g, HashGraph, tc.workers)
 		if !bytes.Equal(base, j) {
 			t.Errorf("%s: canonical span tree differs from 1-worker baseline:\n--- base ---\n%s\n--- %s ---\n%s",
 				tc.name, base, tc.name, j)
@@ -142,7 +139,7 @@ func TestTraceCanonicalInvarianceHashGraph(t *testing.T) {
 // with the accumulator telemetry attached where the issue specifies.
 func TestTraceNesting(t *testing.T) {
 	g := traceGraph(t)
-	j, res := runTraced(t, g, 2, SchedSteal)
+	j, res := runTraced(t, g, 2)
 	var roots []*obs.TreeNode
 	if err := json.Unmarshal(j, &roots); err != nil {
 		t.Fatal(err)
@@ -165,8 +162,8 @@ func TestTraceNesting(t *testing.T) {
 	if attr(run, "seed") != "7" || attr(run, "kind") != "asa" {
 		t.Errorf("run attrs wrong: %+v", run.Attrs)
 	}
-	if attr(run, "workers") != "" || attr(run, "sched") != "" {
-		t.Error("volatile workers/sched attrs leaked into the canonical tree")
+	if attr(run, "workers") != "" {
+		t.Error("volatile workers attr leaked into the canonical tree")
 	}
 	if len(run.Children) == 0 || run.Children[0].Name != "PageRank" {
 		t.Fatalf("first run child should be PageRank, got %+v", run.Children)

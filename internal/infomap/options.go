@@ -75,26 +75,6 @@ func (k AccumKind) String() string {
 	return fmt.Sprintf("AccumKind(%d)", int(k))
 }
 
-// SchedPolicy selects how sweep blocks are scheduled onto workers.
-type SchedPolicy int
-
-const (
-	// SchedSteal (the default) partitions each sweep into degree-aware
-	// blocks and lets idle workers steal blocks from stragglers' spans.
-	SchedSteal SchedPolicy = iota
-	// SchedStatic gives each worker one contiguous equal-vertex-count chunk
-	// — the pre-scheduler baseline, kept measurable for comparison.
-	SchedStatic
-)
-
-// String names the scheduling policy.
-func (s SchedPolicy) String() string {
-	if s == SchedStatic {
-		return "static"
-	}
-	return "steal"
-}
-
 // Options configures a run. The zero value is not valid; start from
 // DefaultOptions.
 type Options struct {
@@ -108,9 +88,6 @@ type Options struct {
 	// available to the process; negative values are invalid. For a fixed
 	// Seed the result is bit-identical across any Workers value.
 	Workers int
-	// Sched selects the sweep scheduling policy; see SchedPolicy. The zero
-	// value is SchedSteal.
-	Sched SchedPolicy
 	// MaxSweeps bounds the vertex-level optimization sweeps per level.
 	MaxSweeps int
 	// MinImprovement is the codelength gain (bits) below which a level's
@@ -198,11 +175,6 @@ func (o Options) clk() clock.Clock {
 func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("infomap: Workers %d < 0 (0 means all CPUs)", o.Workers)
-	}
-	switch o.Sched {
-	case SchedSteal, SchedStatic:
-	default:
-		return fmt.Errorf("infomap: unknown scheduling policy %d", int(o.Sched))
 	}
 	if o.MaxSweeps < 1 {
 		return fmt.Errorf("infomap: MaxSweeps %d < 1", o.MaxSweeps)

@@ -124,7 +124,7 @@ func TestWarmStartDifferentialEpsilon(t *testing.T) {
 // TestWarmStartFullFrontierByteIdentical: the byte-identity leg — when the
 // frontier covers the whole graph, the restriction is vacuous and the run
 // must be bit-identical to an unrestricted warm start, across worker counts
-// and both schedulers.
+// and steal schedules.
 func TestWarmStartFullFrontierByteIdentical(t *testing.T) {
 	_, child, d, seed := warmFixture(t)
 
@@ -135,32 +135,29 @@ func TestWarmStartFullFrontierByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		for _, policy := range []SchedPolicy{SchedSteal, SchedStatic} {
-			t.Run(fmt.Sprintf("workers=%d/sched=%v", workers, policy), func(t *testing.T) {
-				opt := DefaultOptions()
-				opt.Workers = workers
-				opt.Sched = policy
-				opt.WarmStart = seed
-				opt.FrontierSeeds = d.Touched()
-				opt.FrontierHops = child.N() // covers every reachable vertex
-				res, err := Run(child, opt)
-				if err != nil {
-					t.Fatal(err)
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opt := DefaultOptions()
+			opt.Workers = workers
+			opt.WarmStart = seed
+			opt.FrontierSeeds = d.Touched()
+			opt.FrontierHops = child.N() // covers every reachable vertex
+			res, err := Run(child, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.FrozenVertices != 0 {
+				t.Fatalf("full-coverage frontier froze %d vertices", res.FrozenVertices)
+			}
+			if math.Float64bits(res.Codelength) != math.Float64bits(refRes.Codelength) {
+				t.Fatalf("codelength %.17g != unrestricted %.17g", res.Codelength, refRes.Codelength)
+			}
+			for v := range res.Membership {
+				if res.Membership[v] != refRes.Membership[v] {
+					t.Fatalf("membership diverges at vertex %d: %d vs %d",
+						v, res.Membership[v], refRes.Membership[v])
 				}
-				if res.FrozenVertices != 0 {
-					t.Fatalf("full-coverage frontier froze %d vertices", res.FrozenVertices)
-				}
-				if math.Float64bits(res.Codelength) != math.Float64bits(refRes.Codelength) {
-					t.Fatalf("codelength %.17g != unrestricted %.17g", res.Codelength, refRes.Codelength)
-				}
-				for v := range res.Membership {
-					if res.Membership[v] != refRes.Membership[v] {
-						t.Fatalf("membership diverges at vertex %d: %d vs %d",
-							v, res.Membership[v], refRes.Membership[v])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -280,22 +277,19 @@ func TestWarmStartFrontierRestricted(t *testing.T) {
 	// Restricted warm runs obey the same schedule-invariance contract as
 	// everything else.
 	for _, workers := range []int{1, 4} {
-		for _, policy := range []SchedPolicy{SchedSteal, SchedStatic} {
-			opt := newOpt()
-			opt.Workers = workers
-			opt.Sched = policy
-			got, err := Run(child, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(got.Codelength) != math.Float64bits(res.Codelength) {
-				t.Fatalf("workers=%d sched=%v: codelength %.17g != %.17g",
-					workers, policy, got.Codelength, res.Codelength)
-			}
-			for v := range got.Membership {
-				if got.Membership[v] != res.Membership[v] {
-					t.Fatalf("workers=%d sched=%v: membership diverges at %d", workers, policy, v)
-				}
+		opt := newOpt()
+		opt.Workers = workers
+		got, err := Run(child, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Codelength) != math.Float64bits(res.Codelength) {
+			t.Fatalf("workers=%d: codelength %.17g != %.17g",
+				workers, got.Codelength, res.Codelength)
+		}
+		for v := range got.Membership {
+			if got.Membership[v] != res.Membership[v] {
+				t.Fatalf("workers=%d: membership diverges at %d", workers, v)
 			}
 		}
 	}

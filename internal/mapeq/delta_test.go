@@ -234,3 +234,58 @@ func TestResetMatchesNewState(t *testing.T) {
 		t.Fatal("short membership accepted")
 	}
 }
+
+// TestCommitMoveMatchesReference pins CommitMove to the commit re-check both
+// engines used to spell out: sum v's flows under the current membership,
+// price the move with DeltaMove and Apply it only when ΔL < 0. Random
+// proposals, many of them stale or non-improving, must leave the two states
+// bit-identical after every call.
+func TestCommitMoveMatchesReference(t *testing.T) {
+	for _, nf := range deltaFlows(t) {
+		f := nf.f
+		t.Run(nf.name, func(t *testing.T) {
+			r := rng.New(76)
+			n := f.G.N()
+			k := n / 2
+			membership := randomMembership(n, k, r)
+			got, err := NewState(f, append([]uint32(nil), membership...), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewState(f, membership, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed := 0
+			for step := 0; step < 2000; step++ {
+				v := r.Intn(n)
+				target := uint32(r.Intn(k))
+				if nb := f.G.OutNeighbors(v); step%2 == 0 && len(nb) > 0 {
+					target = want.Module(int(nb[r.Intn(len(nb))]))
+				}
+				wantMoved := false
+				if old := want.Module(v); old != target {
+					oo, io, on, in := moveFlows(f, want.Membership(), v, old, target)
+					view := f.View(v)
+					if d := want.DeltaMove(view, target, oo, io, on, in); d < 0 {
+						want.Apply(view, target, oo, io, on, in)
+						wantMoved = true
+					}
+				}
+				if moved := got.CommitMove(f, v, target); moved != wantMoved {
+					t.Fatalf("step %d: CommitMove(%d -> %d) = %v, reference %v", step, v, target, moved, wantMoved)
+				}
+				if wantMoved {
+					committed++
+				}
+				if got.Module(v) != want.Module(v) || !sameBits(got.Codelength(), want.Codelength()) {
+					t.Fatalf("step %d: states diverge: codelength %x vs %x", step,
+						math.Float64bits(got.Codelength()), math.Float64bits(want.Codelength()))
+				}
+			}
+			if committed == 0 {
+				t.Fatal("no proposal committed; the apply path went untested")
+			}
+		})
+	}
+}

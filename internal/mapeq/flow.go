@@ -368,7 +368,7 @@ func dispatch(pool *sched.Pool, bounds []int, fn sched.BlockFunc) error {
 		}
 		return nil
 	}
-	_, err := pool.Dispatch(bounds, sched.Steal, fn)
+	_, err := pool.Dispatch(bounds, fn)
 	return err
 }
 

@@ -406,6 +406,57 @@ func (s *State) Apply(v NodeView, newMod uint32, outOld, inOld, outNew, inNew fl
 	s.plogpIndex = Plogp(s.sumEnter + s.exitOffset)
 }
 
+// CommitMove re-prices moving vertex v to target against the current
+// membership and applies the move only when it strictly lowers the
+// codelength, reporting whether it did. Proposals priced against an older
+// membership (a parallel sweep's frozen snapshot, a rank's stale ghosts)
+// are therefore harmless: every committed move is an exact improvement.
+func (s *State) CommitMove(f *Flow, v int, target uint32) bool {
+	old := s.membership[v]
+	if old == target {
+		return false
+	}
+	oo, io, on, in := s.moveFlows(f, v, old, target)
+	view := f.View(v)
+	if d := s.DeltaMove(view, target, oo, io, on, in); d < 0 {
+		s.Apply(view, target, oo, io, on, in)
+		return true
+	}
+	return false
+}
+
+// moveFlows sums vertex v's arc flow to and from the members of its current
+// module old and of target under the current membership — a plain adjacency
+// walk, self-loops excluded.
+func (s *State) moveFlows(f *Flow, v int, old, target uint32) (outOld, inOld, outNew, inNew float64) {
+	g := f.G
+	lo, _ := g.OutRange(v)
+	for i, t := range g.OutNeighbors(v) {
+		if int(t) == v {
+			continue
+		}
+		switch s.membership[t] {
+		case old:
+			outOld += f.OutFlow[lo+i]
+		case target:
+			outNew += f.OutFlow[lo+i]
+		}
+	}
+	ilo, _ := g.InRange(v)
+	for i, u := range g.InNeighbors(v) {
+		if int(u) == v {
+			continue
+		}
+		switch s.membership[u] {
+		case old:
+			inOld += f.InFlow[ilo+i]
+		case target:
+			inNew += f.InFlow[ilo+i]
+		}
+	}
+	return
+}
+
 func clampTiny(x float64) float64 {
 	if math.Abs(x) < 1e-12 {
 		return 0

@@ -224,8 +224,8 @@ func BuildCanonicalTree(spans []SpanData) []*TreeNode {
 }
 
 // MarshalCanonicalJSON renders spans as the canonical indented-JSON tree.
-// For a fixed seed the bytes are identical across worker counts and
-// scheduling policies — the determinism witness the golden tests compare.
+// For a fixed seed the bytes are identical across worker counts and steal
+// schedules — the determinism witness the golden tests compare.
 func MarshalCanonicalJSON(spans []SpanData) ([]byte, error) {
 	return json.MarshalIndent(BuildCanonicalTree(spans), "", "  ")
 }

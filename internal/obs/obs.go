@@ -19,7 +19,7 @@
 //     execution schedule (which worker ran a block, busy times, steal
 //     counts) are marked volatile; CanonicalJSON excludes them along with
 //     all timestamps, so the canonical tree of a seeded run is byte-identical
-//     across worker counts and scheduling policies. The Chrome export keeps
+//     across worker counts and steal schedules. The Chrome export keeps
 //     everything.
 //
 // All wall-clock reads flow through an injectable clock.Clock, so tests can

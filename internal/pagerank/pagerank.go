@@ -135,7 +135,7 @@ func ComputeContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, e
 			body(0, n)
 			return
 		}
-		pool.Dispatch(bounds, sched.Steal, func(_, _, lo, hi int) error {
+		pool.Dispatch(bounds, func(_, _, lo, hi int) error {
 			body(lo, hi)
 			return nil
 		})

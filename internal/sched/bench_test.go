@@ -9,27 +9,25 @@ import (
 // — the overhead every sweep pays on top of its useful block work.
 func BenchmarkSchedDispatch(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, mode := range []Mode{Static, Steal} {
-			b.Run(fmt.Sprintf("workers=%d/%v", workers, mode), func(b *testing.B) {
-				p := NewPool(workers)
-				defer p.Close()
-				bounds := UniformBounds(1<<14, workers*8)
-				sink := make([]int64, workers)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Dispatch(bounds, mode, func(w, _, lo, hi int) error {
-						s := int64(0)
-						for j := lo; j < hi; j++ {
-							s += int64(j)
-						}
-						sink[w] += s
-						return nil
-					}); err != nil {
-						b.Fatal(err)
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			p := NewPool(workers)
+			defer p.Close()
+			bounds := UniformBounds(1<<14, workers*8)
+			sink := make([]int64, workers)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Dispatch(bounds, func(w, _, lo, hi int) error {
+					s := int64(0)
+					for j := lo; j < hi; j++ {
+						s += int64(j)
 					}
+					sink[w] += s
+					return nil
+				}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

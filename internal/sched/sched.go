@@ -39,27 +39,6 @@ import (
 	"github.com/asamap/asamap/internal/obs"
 )
 
-// Mode selects the scheduling policy of one Dispatch.
-type Mode int
-
-const (
-	// Steal lets a worker that exhausts its own block span take blocks from
-	// other workers' spans (chunked work-stealing; the default).
-	Steal Mode = iota
-	// Static disables stealing: every worker runs exactly its own span.
-	// With one block per worker this reproduces classic static chunking,
-	// kept as the measurable baseline.
-	Static
-)
-
-// String names the mode as used in reports.
-func (m Mode) String() string {
-	if m == Static {
-		return "static"
-	}
-	return "steal"
-}
-
 // BlockFunc processes one block: items [lo, hi) of the caller's index space,
 // on behalf of the given worker ID. Implementations may use worker-local
 // scratch indexed by worker and must write results into block-indexed
@@ -155,7 +134,6 @@ func (p *Pool) workerLoop(id int) {
 type dispatch struct {
 	bounds []int
 	fn     BlockFunc
-	mode   Mode
 	clk    clock.Clock
 	parent *obs.Span // span the per-worker spans nest under; nil = no tracing
 
@@ -185,7 +163,7 @@ func (d *dispatch) setErr(err error) {
 	d.errMu.Unlock()
 }
 
-// runWorker drains worker id's own span, then (in Steal mode) the remaining
+// runWorker drains worker id's own span, then steals the remaining
 // blocks of the other spans. A panic inside the BlockFunc is converted into
 // a dispatch error rather than crashing the process. When the dispatch has a
 // trace parent, the worker's share is emitted as a keyed volatile span (its
@@ -212,9 +190,6 @@ func (d *dispatch) runWorker(id int) {
 			break
 		}
 		d.runBlock(id, b, st, false)
-	}
-	if d.mode == Static {
-		return
 	}
 	for off := 1; off < len(d.spanLo); off++ {
 		v := (id + off) % len(d.spanLo)
@@ -247,20 +222,20 @@ func (d *dispatch) runBlock(id, b int, st *WorkerStat, stolen bool) {
 
 // Dispatch runs fn over the blocks described by bounds (len(bounds)-1 blocks;
 // block b covers [bounds[b], bounds[b+1])) and waits for completion. Blocks
-// are split evenly across workers as initial spans; under Steal mode idle
-// workers then take over the unstarted tail of loaded spans. Each block runs
-// exactly once. The first error (or recovered panic) is returned after all
-// workers have stopped; remaining unstarted blocks may be skipped once an
-// error is recorded. Only one Dispatch may be in flight per pool.
-func (p *Pool) Dispatch(bounds []int, mode Mode, fn BlockFunc) (Stats, error) {
-	return p.DispatchTraced(bounds, mode, fn, nil)
+// are split evenly across workers as initial spans; idle workers then take
+// over the unstarted tail of loaded spans. Each block runs exactly once. The
+// first error (or recovered panic) is returned after all workers have
+// stopped; remaining unstarted blocks may be skipped once an error is
+// recorded. Only one Dispatch may be in flight per pool.
+func (p *Pool) Dispatch(bounds []int, fn BlockFunc) (Stats, error) {
+	return p.DispatchTraced(bounds, fn, nil)
 }
 
 // DispatchTraced is Dispatch with span tracing: each participating worker
 // emits one volatile keyed span under parent carrying its busy time, block
 // count, and steal count on its own display track. A nil parent traces
 // nothing (Dispatch delegates here with nil).
-func (p *Pool) DispatchTraced(bounds []int, mode Mode, fn BlockFunc, parent *obs.Span) (Stats, error) {
+func (p *Pool) DispatchTraced(bounds []int, fn BlockFunc, parent *obs.Span) (Stats, error) {
 	nb := len(bounds) - 1
 	if nb < 0 {
 		return Stats{}, fmt.Errorf("sched: empty bounds")
@@ -268,7 +243,6 @@ func (p *Pool) DispatchTraced(bounds []int, mode Mode, fn BlockFunc, parent *obs
 	d := &dispatch{
 		bounds:  bounds,
 		fn:      fn,
-		mode:    mode,
 		clk:     p.clk,
 		parent:  parent,
 		spanLo:  make([]int, p.n),
@@ -310,7 +284,9 @@ func (p *Pool) DispatchTraced(bounds []int, mode Mode, fn BlockFunc, parent *obs
 }
 
 // UniformBounds splits [0, n) into k contiguous blocks of near-equal item
-// count — the static-chunk baseline partition.
+// count. Sweeps use it only where the split cannot matter (one worker); on
+// skewed work it is the straggling static-chunk partition the package exists
+// to avoid.
 func UniformBounds(n, k int) []int {
 	if n <= 0 {
 		return []int{0, 0}

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -101,32 +100,30 @@ func TestWeightedBoundsDeterministic(t *testing.T) {
 
 func TestDispatchRunsEveryBlockOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, mode := range []Mode{Steal, Static} {
-			p := NewPool(workers)
-			n := 1000
-			bounds := UniformBounds(n, workers*7)
-			hits := make([]int32, n)
-			stats, err := p.Dispatch(bounds, mode, func(_, _, lo, hi int) error {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-				return nil
-			})
-			p.Close()
-			if err != nil {
-				t.Fatalf("workers=%d mode=%v: %v", workers, mode, err)
+		p := NewPool(workers)
+		n := 1000
+		bounds := UniformBounds(n, workers*7)
+		hits := make([]int32, n)
+		stats, err := p.Dispatch(bounds, func(_, _, lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
 			}
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d mode=%v: item %d ran %d times", workers, mode, i, h)
-				}
+			return nil
+		})
+		p.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d: item %d ran %d times", workers, i, h)
 			}
-			if stats.Blocks != len(bounds)-1 {
-				t.Fatalf("workers=%d mode=%v: %d blocks ran, want %d", workers, mode, stats.Blocks, len(bounds)-1)
-			}
-			if mode == Static && stats.Steals != 0 {
-				t.Fatalf("static mode stole %d blocks", stats.Steals)
-			}
+		}
+		if stats.Blocks != len(bounds)-1 {
+			t.Fatalf("workers=%d: %d blocks ran, want %d", workers, stats.Blocks, len(bounds)-1)
+		}
+		if workers == 1 && stats.Steals != 0 {
+			t.Fatalf("one worker stole %d blocks", stats.Steals)
 		}
 	}
 }
@@ -141,7 +138,7 @@ func TestDispatchStealsFromStragglers(t *testing.T) {
 	// their own spans and must steal the tail of span 0.
 	bounds := UniformBounds(64, 16)
 	var ranBy [4]int32
-	_, err := p.Dispatch(bounds, Steal, func(worker, block, lo, hi int) error {
+	_, err := p.Dispatch(bounds, func(worker, block, lo, hi int) error {
 		if block < 4 { // worker 0's span
 			time.Sleep(20 * time.Millisecond)
 		}
@@ -162,7 +159,7 @@ func TestDispatchErrorPropagates(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	sentinel := errors.New("boom")
-	_, err := p.Dispatch(UniformBounds(100, 8), Steal, func(_, block, _, _ int) error {
+	_, err := p.Dispatch(UniformBounds(100, 8), func(_, block, _, _ int) error {
 		if block == 3 {
 			return sentinel
 		}
@@ -176,7 +173,7 @@ func TestDispatchErrorPropagates(t *testing.T) {
 func TestDispatchPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		p := NewPool(workers)
-		_, err := p.Dispatch(UniformBounds(10, 5), Steal, func(_, block, _, _ int) error {
+		_, err := p.Dispatch(UniformBounds(10, 5), func(_, block, _, _ int) error {
 			if block == 2 {
 				panic("injected")
 			}
@@ -192,7 +189,7 @@ func TestDispatchPanicBecomesError(t *testing.T) {
 func TestDispatchStats(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	stats, err := p.Dispatch(UniformBounds(100, 4), Steal, func(_, _, lo, hi int) error {
+	stats, err := p.Dispatch(UniformBounds(100, 4), func(_, _, lo, hi int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	})
@@ -216,7 +213,7 @@ func TestPoolReuseAcrossDispatches(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 50; round++ {
 		var count int64
-		if _, err := p.Dispatch(UniformBounds(200, 16), Steal, func(_, _, lo, hi int) error {
+		if _, err := p.Dispatch(UniformBounds(200, 16), func(_, _, lo, hi int) error {
 			atomic.AddInt64(&count, int64(hi-lo))
 			return nil
 		}); err != nil {
@@ -235,7 +232,7 @@ func TestPoolReuseAcrossDispatches(t *testing.T) {
 func TestCloseIdempotentAndReleases(t *testing.T) {
 	before := runtime.NumGoroutine()
 	p := NewPool(8)
-	if _, err := p.Dispatch(UniformBounds(8, 8), Static, func(_, _, _, _ int) error { return nil }); err != nil {
+	if _, err := p.Dispatch(UniformBounds(8, 8), func(_, _, _, _ int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
@@ -255,7 +252,7 @@ func TestDispatchEmptyAndTiny(t *testing.T) {
 	// Zero items: one empty block, fn sees lo == hi.
 	ran := 0
 	var mu sync.Mutex
-	if _, err := p.Dispatch(UniformBounds(0, 4), Steal, func(_, _, lo, hi int) error {
+	if _, err := p.Dispatch(UniformBounds(0, 4), func(_, _, lo, hi int) error {
 		mu.Lock()
 		ran += hi - lo
 		mu.Unlock()
@@ -268,7 +265,7 @@ func TestDispatchEmptyAndTiny(t *testing.T) {
 	}
 	// Fewer items than workers.
 	var count int64
-	if _, err := p.Dispatch(UniformBounds(2, 4), Steal, func(_, _, lo, hi int) error {
+	if _, err := p.Dispatch(UniformBounds(2, 4), func(_, _, lo, hi int) error {
 		atomic.AddInt64(&count, int64(hi-lo))
 		return nil
 	}); err != nil {
@@ -276,12 +273,6 @@ func TestDispatchEmptyAndTiny(t *testing.T) {
 	}
 	if count != 2 {
 		t.Fatalf("covered %d of 2 items", count)
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if fmt.Sprint(Steal) != "steal" || fmt.Sprint(Static) != "static" {
-		t.Fatalf("mode names: %v %v", Steal, Static)
 	}
 }
 

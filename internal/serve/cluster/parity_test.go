@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -38,6 +39,7 @@ var parityBodies = []struct {
 	{"workers", `{"graph":"GRAPH","options":{"workers":-1}}`, http.StatusBadRequest},
 	{"max_sweeps", `{"graph":"GRAPH","options":{"max_sweeps":-3}}`, http.StatusBadRequest},
 	{"cam_kb", `{"graph":"GRAPH","options":{"accum":"asa","cam_kb":65}}`, http.StatusBadRequest},
+	{"sched", `{"graph":"GRAPH","options":{"sched":"static"}}`, http.StatusBadRequest},
 	{"empty graph", `{"graph":""}`, http.StatusNotFound},
 }
 
@@ -155,5 +157,65 @@ func FuzzDetectRequest(f *testing.F) {
 	rig := newParityRig(f)
 	f.Fuzz(func(t *testing.T, body string) {
 		rig.check(t, body)
+	})
+}
+
+// FuzzDeltaRequest posts arbitrary bytes as a delta onto the one small base
+// graph a single serve.Server holds. No body may earn a 5xx or a panic;
+// every accepted body must name a version the server reports with the base
+// as its parent, and re-posting it must answer the same id as reused.
+func FuzzDeltaRequest(f *testing.F) {
+	const maxUpload = 4 << 10
+	for _, seed := range []string{
+		"+ 0 6 1\n", // add: an edge to a brand-new vertex
+		"- 0 3\n",   // remove: the bridge between the triangles
+		"+ 0 9\n",   // vertex 9 >= parent.N() + 2·len(Ops) = 8
+		"+ 0 1 +Inf\n",
+		strings.Repeat("+ 0 1\n", maxUpload/6+1), // over MaxUploadBytes
+	} {
+		f.Add(seed)
+	}
+	cfg := serve.DefaultConfig()
+	cfg.MaxUploadBytes = maxUpload
+	s := serve.New(cfg)
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	call := func(t testing.TB, method, path, body string) (int, []byte) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	status, raw := call(f, http.MethodPost, "/v1/graphs", graphA)
+	var base serve.GraphInfo
+	if status != http.StatusCreated || json.Unmarshal(raw, &base) != nil {
+		f.Fatalf("base upload: %d %s", status, raw)
+	}
+	deltaPath := "/v1/graphs/" + base.Hash + "/delta"
+	f.Fuzz(func(t *testing.T, body string) {
+		status, raw := call(t, http.MethodPost, deltaPath, body)
+		if status >= 500 {
+			t.Fatalf("delta %.200q: status %d %s", body, status, raw)
+		}
+		if status != http.StatusOK && status != http.StatusCreated {
+			return
+		}
+		var posted serve.VersionInfo
+		if err := json.Unmarshal(raw, &posted); err != nil {
+			t.Fatalf("delta %.200q: undecodable %d answer %s: %v", body, status, raw, err)
+		}
+		status, raw = call(t, http.MethodGet, "/v1/versions/"+posted.ID, "")
+		var stored serve.VersionInfo
+		if status != http.StatusOK || json.Unmarshal(raw, &stored) != nil {
+			t.Fatalf("version %s of delta %.200q: GET answered %d %s", posted.ID, body, status, raw)
+		}
+		if stored.ID != posted.ID || stored.Parent != base.Hash {
+			t.Fatalf("version %s reports id %s parent %s, want parent %s", posted.ID, stored.ID, stored.Parent, base.Hash)
+		}
+		status, raw = call(t, http.MethodPost, deltaPath, body)
+		var again serve.VersionInfo
+		if status != http.StatusOK || json.Unmarshal(raw, &again) != nil || again.ID != posted.ID || !again.Reused {
+			t.Fatalf("re-posted delta %.200q answered %d %s, want 200 reused %s", body, status, raw, posted.ID)
+		}
 	})
 }

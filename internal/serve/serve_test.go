@@ -150,10 +150,10 @@ func TestWorkerCountDoesNotFragmentCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same seed, different execution config: the fingerprint excludes
-	// Workers/Sched because results are bit-identical across them, so this
-	// must be a cache hit with the same bytes.
-	r2, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 3, Workers: 4, Sched: "static"})
+	// Same seed, different worker count: the fingerprint excludes Workers
+	// because results are bit-identical across it, so this must be a cache
+	// hit with the same bytes.
+	r2, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 3, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,6 @@ type DetectOptions struct {
 	Accum          string  `json:"accum,omitempty"` // baseline | asa | gomap | hashgraph
 	CamKB          int     `json:"cam_kb,omitempty"`
 	Workers        int     `json:"workers,omitempty"` // per-run sweep workers; 0 keeps default 1
-	Sched          string  `json:"sched,omitempty"`   // steal | static
 	MaxSweeps      int     `json:"max_sweeps,omitempty"`
 	MinImprovement float64 `json:"min_improvement,omitempty"`
 	MaxLevels      int     `json:"max_levels,omitempty"`
@@ -305,14 +304,6 @@ func (d DetectOptions) toOptions() (infomap.Options, error) {
 		opt.Kind = infomap.HashGraph
 	default:
 		return opt, fmt.Errorf("unknown accum %q (want baseline|asa|gomap|hashgraph)", d.Accum)
-	}
-	switch d.Sched {
-	case "", "steal":
-		opt.Sched = infomap.SchedSteal
-	case "static":
-		opt.Sched = infomap.SchedStatic
-	default:
-		return opt, fmt.Errorf("unknown sched %q (want steal|static)", d.Sched)
 	}
 	switch d.Teleport {
 	case "", "recorded":

@@ -239,11 +239,11 @@ func TestWarmDetectLineageReplay(t *testing.T) {
 		t.Fatalf("intermediate step not reused (outcome %q, runs %d)", rv1.Cache, s.Runs())
 	}
 
-	// An independent server with different worker counts and the static
-	// scheduler replays the identical bytes — determinism is cross-replica.
+	// An independent server with different worker counts replays the
+	// identical bytes — determinism is cross-replica.
 	for _, alt := range []DetectOptions{
 		{Seed: 5, WarmStart: true, Workers: 4},
-		{Seed: 5, WarmStart: true, Workers: 2, Sched: "static"},
+		{Seed: 5, WarmStart: true, Workers: 2},
 	} {
 		_, _, c2 := newTestServer(t, DefaultConfig())
 		if _, err := c2.UploadGraph(ctx, strings.NewReader(twoTriangles), false); err != nil {
