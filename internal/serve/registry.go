@@ -56,7 +56,7 @@ type Registry struct {
 	byRaw       map[string]string        // raw-byte key -> canonical hash
 	versions    map[string]*versionEntry // chained delta hash -> version
 
-	flight flightGroup
+	flight flightGroup[[]byte]
 
 	parses        atomic.Uint64
 	rawHits       atomic.Uint64

@@ -292,15 +292,15 @@ func TestCacheEvictionRaceSingleflight(t *testing.T) {
 		go func() {
 			defer finished.Done()
 			entered.Add(1)
-			val, _, err := cache.GetOrCompute("a", func() ([]byte, error) {
+			val, _, err := cache.GetOrCompute("a", func() (cacheEntry, error) {
 				for entered.Load() < stormers {
 					time.Sleep(time.Microsecond)
 				}
 				aComputes.Add(1)
-				return []byte("A1"), nil
+				return cacheEntry{body: []byte("A1")}, nil
 			})
-			if err != nil || string(val) != "A1" {
-				t.Errorf("storm got %q, %v", val, err)
+			if err != nil || string(val.body) != "A1" {
+				t.Errorf("storm got %q, %v", val.body, err)
 			}
 		}()
 	}
@@ -318,13 +318,13 @@ func TestCacheEvictionRaceSingleflight(t *testing.T) {
 	if _, ok := cache.get("a"); ok {
 		t.Fatal("evicted key still readable")
 	}
-	val, outcome, err := cache.GetOrCompute("a", func() ([]byte, error) {
+	val, outcome, err := cache.GetOrCompute("a", func() (cacheEntry, error) {
 		aComputes.Add(1)
 		cache.put("c", []byte("C1")) // concurrent insert mid-flight: evicts "b"
-		return []byte("A2"), nil
+		return cacheEntry{body: []byte("A2")}, nil
 	})
-	if err != nil || outcome != CacheMiss || string(val) != "A2" {
-		t.Fatalf("recompute after eviction: %q %s %v", val, outcome, err)
+	if err != nil || outcome != CacheMiss || string(val.body) != "A2" {
+		t.Fatalf("recompute after eviction: %q %s %v", val.body, outcome, err)
 	}
 	if got := aComputes.Load(); got != 2 {
 		t.Fatalf("evicted key recomputed %d times total, want 2", got)
@@ -332,8 +332,8 @@ func TestCacheEvictionRaceSingleflight(t *testing.T) {
 	if _, ok := cache.get("b"); ok {
 		t.Fatal("entry evicted mid-flight resurrected")
 	}
-	if v, ok := cache.get("a"); !ok || string(v) != "A2" {
-		t.Fatalf("cache serves %q for a, want the post-eviction generation A2", v)
+	if v, ok := cache.get("a"); !ok || string(v.body) != "A2" {
+		t.Fatalf("cache serves %q for a, want the post-eviction generation A2", v.body)
 	}
 	if cache.Stats().Entries > 1 {
 		t.Fatalf("capacity-1 cache holds %d entries", cache.Stats().Entries)
@@ -359,15 +359,15 @@ func TestCacheEvictionStormManyKeys(t *testing.T) {
 				wg.Add(1)
 				go func(ki int) {
 					defer wg.Done()
-					val, _, err := cache.GetOrCompute(keys[ki], func() ([]byte, error) {
+					val, _, err := cache.GetOrCompute(keys[ki], func() (cacheEntry, error) {
 						if n := inFlight[ki].Add(1); n != 1 {
 							t.Errorf("key %s: %d concurrent computes", keys[ki], n)
 						}
 						defer inFlight[ki].Add(-1)
-						return []byte(keys[ki]), nil
+						return cacheEntry{body: []byte(keys[ki])}, nil
 					})
-					if err != nil || string(val) != keys[ki] {
-						t.Errorf("key %s: got %q, %v", keys[ki], val, err)
+					if err != nil || string(val.body) != keys[ki] {
+						t.Errorf("key %s: got %q, %v", keys[ki], val.body, err)
 					}
 				}(ki)
 			}

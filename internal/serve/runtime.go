@@ -112,6 +112,7 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 			"cache_misses_total":           cs.Misses,
 			"cache_coalesced_total":        cs.Coalesced,
 			"cache_evictions_total":        cs.Evictions,
+			"warm_parent_decodes_total":    cs.ParentDecodes,
 			"registry_parses_total":        rs.Parses,
 			"registry_raw_hits_total":      rs.RawHits,
 			"registry_delta_applies_total": rs.DeltaApplies,

@@ -345,16 +345,16 @@ func TestGraphInfoEndpoint(t *testing.T) {
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	cache := NewResultCache(2)
-	mk := func(v string) func() ([]byte, error) {
-		return func() ([]byte, error) { return []byte(v), nil }
+	mk := func(v string) func() (cacheEntry, error) {
+		return func() (cacheEntry, error) { return cacheEntry{body: []byte(v)}, nil }
 	}
 	cache.GetOrCompute("a", mk("A"))
 	cache.GetOrCompute("b", mk("B"))
 	cache.GetOrCompute("a", mk("A2")) // refresh a's recency; still "A"
 	cache.GetOrCompute("c", mk("C"))  // evicts b (the LRU entry)
 	val, out, _ := cache.GetOrCompute("a", mk("A3"))
-	if out != CacheHit || string(val) != "A" {
-		t.Fatalf("key a: outcome %q val %q", out, val)
+	if out != CacheHit || string(val.body) != "A" {
+		t.Fatalf("key a: outcome %q val %q", out, val.body)
 	}
 	if _, out, _ := cache.GetOrCompute("b", mk("B2")); out != CacheMiss {
 		t.Fatalf("evicted key outcome %q, want miss", out)

@@ -591,7 +591,7 @@ func (s *Server) handleVersionDelta(w http.ResponseWriter, r *http.Request) {
 // It never computes: peers use it to harvest each other's result caches
 // before paying for a recompute.
 func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.cache.get(r.PathValue("key"))
+	ent, ok := s.cache.get(r.PathValue("key"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "key not cached")
 		return
@@ -599,7 +599,7 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Asamap-Cache", string(CacheHit))
 	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	w.Write(ent.body)
 }
 
 // MaxDetectBodyBytes bounds one detect request body.
@@ -658,14 +658,19 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		body, outcome, err = s.warmDetect(r.Context(), req.Graph, opt, fp,
 			effectiveHops(req.Options.FrontierHops))
 	} else {
-		body, outcome, err = s.cache.GetOrCompute(key,
-			func() ([]byte, error) {
+		// A cold result is cached as bytes only: most are never a warm
+		// parent, and one that becomes one is decoded once on first use.
+		var ent cacheEntry
+		ent, outcome, err = s.cache.GetOrCompute(key,
+			func() (cacheEntry, error) {
 				res, err := s.computeDetect(r.Context(), g, opt)
 				if err != nil {
-					return nil, err
+					return cacheEntry{}, err
 				}
-				return marshalDetect(req.Graph, fp, opt.Seed, res, nil)
+				body, err := marshalDetect(req.Graph, fp, opt.Seed, res, nil)
+				return cacheEntry{body: body}, err
 			})
+		body = ent.body
 	}
 	if err != nil {
 		requestLogger(r.Context(), s.logger).Warn("detect failed",
@@ -788,6 +793,12 @@ func marshalDetect(graphID, fp string, seed uint64, res *infomap.Result, warm *W
 	})
 }
 
+// warmEntry caches a warm-walk run's bytes with its partition, so the next
+// lineage step seeds from it without decoding them.
+func warmEntry(body []byte, res *infomap.Result) cacheEntry {
+	return cacheEntry{body: body, part: &partition{membership: res.Membership, modules: res.NumModules}}
+}
+
 // errWarmNeedsVersion rejects warm_start on a graph with no parent lineage.
 var errWarmNeedsVersion = errors.New(
 	"warm_start requires a delta version (the graph has no parent lineage)")
@@ -811,14 +822,15 @@ func (s *Server) warmDetect(ctx context.Context, target string, opt infomap.Opti
 	}
 	// Base step: a plain cold run under the ordinary cold key, so a prior
 	// cold detect on the base graph is reused as-is (and vice versa).
-	body, outcome, err := s.cache.GetOrCompute(detectKey(base, fp, opt.Seed),
-		func() ([]byte, error) {
-			res, err := s.computeDetect(ctx, bg, opt)
-			if err != nil {
-				return nil, err
-			}
-			return marshalDetect(base, fp, opt.Seed, res, nil)
-		})
+	key := detectKey(base, fp, opt.Seed)
+	ent, outcome, err := s.cache.GetOrCompute(key, func() (cacheEntry, error) {
+		res, err := s.computeDetect(ctx, bg, opt)
+		if err != nil {
+			return cacheEntry{}, err
+		}
+		body, err := marshalDetect(base, fp, opt.Seed, res, nil)
+		return warmEntry(body, res), err
+	})
 	if err != nil {
 		return nil, "", err
 	}
@@ -829,44 +841,36 @@ func (s *Server) warmDetect(ctx context.Context, target string, opt infomap.Opti
 			return nil, "", fmt.Errorf("serve: lineage step %s vanished", vid)
 		}
 		info, _ := s.registry.Version(vid)
-		var parent DetectResponse
-		if err := json.Unmarshal(body, &parent); err != nil {
-			return nil, "", fmt.Errorf("serve: decoding cached parent result: %w", err)
-		}
-		// Versions never shrink the vertex set, so the parent partition
-		// extends by giving each new vertex a fresh singleton module.
-		seedM := make([]uint32, vg.N())
-		copy(seedM, parent.Membership)
-		next := uint32(parent.NumModules)
-		for j := len(parent.Membership); j < vg.N(); j++ {
-			seedM[j] = next
-			next++
-		}
-		stepOpt := opt
-		stepOpt.WarmStart = seedM
-		stepOpt.FrontierSeeds = touched
-		stepOpt.FrontierHops = hops
-		parentID := lineage[i-1]
-		body, outcome, err = s.cache.GetOrCompute(detectKey(vid, fp, opt.Seed)+warmMarker(hops),
-			func() ([]byte, error) {
-				res, err := s.computeDetect(ctx, vg, stepOpt)
-				if err != nil {
-					return nil, err
-				}
-				return marshalDetect(vid, fp, opt.Seed, res, &WarmInfo{
-					Parent:       parentID,
-					Base:         base,
-					Depth:        info.Depth,
-					FrontierHops: hops,
-					FrontierSize: res.FrontierSize,
-					Frozen:       res.FrozenVertices,
-				})
+		parentKey, parentEnt, parentID := key, ent, lineage[i-1]
+		key = detectKey(vid, fp, opt.Seed) + warmMarker(hops)
+		ent, outcome, err = s.cache.GetOrCompute(key, func() (cacheEntry, error) {
+			parent, err := s.cache.partitionOf(parentKey, parentEnt)
+			if err != nil {
+				return cacheEntry{}, err
+			}
+			stepOpt := opt
+			stepOpt.WarmStart = parent.extend(vg.N())
+			stepOpt.FrontierSeeds = touched
+			stepOpt.FrontierHops = hops
+			res, err := s.computeDetect(ctx, vg, stepOpt)
+			if err != nil {
+				return cacheEntry{}, err
+			}
+			body, err := marshalDetect(vid, fp, opt.Seed, res, &WarmInfo{
+				Parent:       parentID,
+				Base:         base,
+				Depth:        info.Depth,
+				FrontierHops: hops,
+				FrontierSize: res.FrontierSize,
+				Frozen:       res.FrozenVertices,
 			})
+			return warmEntry(body, res), err
+		})
 		if err != nil {
 			return nil, "", err
 		}
 	}
-	return body, outcome, nil
+	return ent.body, outcome, nil
 }
 
 // writeDetectError maps queue and context failures onto HTTP statuses.
@@ -935,6 +939,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE asamap_cache_misses_total counter\nasamap_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "# TYPE asamap_cache_coalesced_total counter\nasamap_cache_coalesced_total %d\n", cs.Coalesced)
 	fmt.Fprintf(w, "# TYPE asamap_cache_evictions_total counter\nasamap_cache_evictions_total %d\n", cs.Evictions)
+	fmt.Fprintf(w, "# TYPE asamap_warm_parent_decodes_total counter\nasamap_warm_parent_decodes_total %d\n", cs.ParentDecodes)
 	fmt.Fprintf(w, "# TYPE asamap_registry_graphs gauge\nasamap_registry_graphs %d\n", rs.Graphs)
 	fmt.Fprintf(w, "# TYPE asamap_registry_versions gauge\nasamap_registry_versions %d\n", rs.Versions)
 	fmt.Fprintf(w, "# TYPE asamap_registry_delta_applies_total counter\nasamap_registry_delta_applies_total %d\n", rs.DeltaApplies)

@@ -10,30 +10,30 @@ import "sync"
 // A minimal reimplementation of golang.org/x/sync/singleflight (the module
 // has no external dependencies); no Forget/DoChan — the serving layer only
 // needs the blocking form.
-type flightGroup struct {
+type flightGroup[V any] struct {
 	mu sync.Mutex
-	m  map[string]*flightCall
+	m  map[string]*flightCall[V]
 }
 
-type flightCall struct {
+type flightCall[V any] struct {
 	wg  sync.WaitGroup
-	val []byte
+	val V
 	err error
 }
 
 // Do executes fn once per concurrent key, returning its result and whether
 // this caller shared a leader's execution rather than running fn itself.
-func (g *flightGroup) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
+func (g *flightGroup[V]) Do(key string, fn func() (V, error)) (val V, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*flightCall)
+		g.m = make(map[string]*flightCall[V])
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, true, c.err
 	}
-	c := new(flightCall)
+	c := new(flightCall[V])
 	c.wg.Add(1)
 	g.m[key] = c
 	g.mu.Unlock()
