@@ -26,6 +26,7 @@ lint-json:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve
+	$(GO) test -race -count=2 -run 'Metrics|Exposition' ./internal/serve/cluster
 
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadEdgeList -fuzztime=15s ./internal/graph

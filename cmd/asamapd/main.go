@@ -34,11 +34,13 @@
 //	POST /v1/detect                   {"graph":"<hash or version id>","options":{...}};
 //	                                  options.warm_start replays the lineage warm
 //	GET  /healthz                     liveness + build info + registry/queue/cache stats
-//	GET  /metrics                     Prometheus text format (latency histograms, accumulator,
-//	                                  cluster counters, Go runtime gauges, trace-drop counters)
-//	GET  /metrics/snapshot            machine-readable /metrics twin (cluster federation wire)
-//	GET  /cluster/metrics[?format=json]  exact cluster-wide aggregate of every node's metrics,
-//	                                  with per-peer scrape-failure accounting (cluster mode)
+//	GET  /metrics                     the metrics snapshot as Prometheus text (latency histograms,
+//	                                  kernel seconds, accumulator events, sweep gauges, cluster
+//	                                  counters, Go runtime gauges, trace-drop counters)
+//	GET  /metrics/snapshot            the same snapshot as JSON (cluster federation wire)
+//	GET  /cluster/metrics[?format=json]  exact merge of every node's snapshot through the
+//	                                  /metrics writer, with per-peer scrape-failure accounting
+//	                                  (cluster mode)
 //	GET  /cluster/status              replication/forwarding/breaker state (cluster mode)
 //	GET  /debug/trace[?n=N]           last-N completed spans from the trace ring
 //	GET  /debug/trace/{trace-id}      one distributed trace: merged across nodes on a cluster

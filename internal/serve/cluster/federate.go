@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -39,29 +40,42 @@ type ClusterMetrics struct {
 }
 
 // gatherClusterMetrics scrapes the local snapshot plus every peer's
-// /metrics/snapshot and merges them.
+// /metrics/snapshot and merges them. A peer whose snapshot does not merge
+// drops out of the scrape whole, like an unreachable one.
 func (n *Node) gatherClusterMetrics(r *http.Request) ClusterMetrics {
+	local := n.local.MetricsSnapshot()
 	out := ClusterMetrics{
-		Self:         n.cfg.Self,
-		Nodes:        map[string]serve.MetricsSnapshot{fmt.Sprint(n.cfg.Self): n.local.MetricsSnapshot()},
+		Self:  n.cfg.Self,
+		Nodes: map[string]serve.MetricsSnapshot{fmt.Sprint(n.cfg.Self): local},
+		Merged: serve.MetricsSnapshot{
+			Counters:   map[string]uint64{},
+			Gauges:     map[string]float64{},
+			Histograms: map[string]serve.HistWire{},
+		},
 		ScrapeErrors: map[string]string{},
 	}
+	// This node merges first, then the peers in index order, so every float
+	// sum adds its terms in the same order on every scrape. Merging into an
+	// empty snapshot cannot fail.
+	_ = mergeSnapshot(out.Merged, local)
 	hdr := http.Header{}
 	hdr.Set(HeaderForwarded, "1")
 	for i, pc := range n.peers {
 		if pc == nil {
 			continue
 		}
+		var snap serve.MetricsSnapshot
 		resp, err := pc.Do(r.Context(), http.MethodGet, "/metrics/snapshot", hdr, nil, fmt.Sprintf("metrics|%d", i))
 		if err != nil || resp.Status != http.StatusOK {
-			n.scrapeFails[i].Add(1)
-			out.ScrapeErrors[fmt.Sprint(i)] = errString(err, resp)
-			continue
+			err = errors.New(errString(err, resp))
+		} else if err = json.Unmarshal(resp.Body, &snap); err != nil {
+			err = fmt.Errorf("bad snapshot: %w", err)
+		} else {
+			err = mergeSnapshot(out.Merged, snap)
 		}
-		var snap serve.MetricsSnapshot
-		if err := json.Unmarshal(resp.Body, &snap); err != nil {
+		if err != nil {
 			n.scrapeFails[i].Add(1)
-			out.ScrapeErrors[fmt.Sprint(i)] = "bad snapshot: " + err.Error()
+			out.ScrapeErrors[fmt.Sprint(i)] = err.Error()
 			continue
 		}
 		out.Nodes[fmt.Sprint(i)] = snap
@@ -74,70 +88,67 @@ func (n *Node) gatherClusterMetrics(r *http.Request) ClusterMetrics {
 			}
 		}
 	}
-	// Merge in sorted node order for a stable walk; the result is
-	// order-independent anyway (integer sums and exact histogram merges).
-	keys := sortedKeys(out.Nodes)
-	merged := serve.MetricsSnapshot{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]serve.HistWire{},
-	}
-	hists := map[string]*trace.Histogram{}
-	for _, k := range keys {
-		snap := out.Nodes[k]
-		for name, v := range snap.Counters {
-			merged.Counters[name] += v
-		}
-		for name, v := range snap.Gauges {
-			merged.Gauges[name] += v
-		}
-		for _, name := range sortedKeys(snap.Histograms) {
-			h, err := trace.NewHistogramFromSnapshot(snap.Histograms[name].Snapshot())
-			if err != nil {
-				out.ScrapeErrors[k] = fmt.Sprintf("histogram %s: %s", name, err)
-				continue
-			}
-			if prev, ok := hists[name]; ok {
-				if err := prev.Merge(h); err != nil {
-					out.ScrapeErrors[k] = fmt.Sprintf("histogram %s: %s", name, err)
-				}
-			} else {
-				hists[name] = h
-			}
-		}
-	}
-	for name, h := range hists {
-		merged.Histograms[name] = serve.NewHistWire(h.Snapshot())
-	}
-	out.Merged = merged
 	return out
+}
+
+// mergeSnapshot adds snap into m: counters and gauges sum, histograms add
+// bucket by bucket. It first checks every histogram of snap — well-formed,
+// and over the same bounds as m's histogram of that name — and merges
+// nothing when one fails.
+func mergeSnapshot(m, snap serve.MetricsSnapshot) error {
+	for _, name := range sortedKeys(snap.Histograms) {
+		hw := snap.Histograms[name]
+		if _, err := trace.NewHistogramFromSnapshot(hw.Snapshot()); err != nil {
+			return fmt.Errorf("histogram %s: %w", name, err)
+		}
+		if prev, ok := m.Histograms[name]; ok && !slices.Equal(prev.BoundsNS, hw.BoundsNS) {
+			return fmt.Errorf("histogram %s: bounds differ from the merge's", name)
+		}
+	}
+	for name, v := range snap.Counters {
+		m.Counters[name] += v
+	}
+	for name, v := range snap.Gauges {
+		m.Gauges[name] += v
+	}
+	for name, hw := range snap.Histograms {
+		prev, ok := m.Histograms[name]
+		if !ok {
+			m.Histograms[name] = hw
+			continue
+		}
+		counts := slices.Clone(prev.Counts)
+		for i, c := range hw.Counts {
+			counts[i] += c
+		}
+		m.Histograms[name] = serve.HistWire{
+			BoundsNS: prev.BoundsNS,
+			Counts:   counts,
+			SumNS:    prev.SumNS + hw.SumNS,
+			Count:    prev.Count + hw.Count,
+		}
+	}
+	return nil
 }
 
 // handleClusterMetrics serves the cluster-wide aggregate: Prometheus text by
 // default, the full per-node JSON under ?format=json. Aggregation uses the
 // exact bucket-wise histogram merge, so a quantile read here equals the
 // quantile of the union of every node's samples — not an average of
-// quantiles.
+// quantiles. The text form renders the merge, plus this node's per-peer
+// scrape failures, through the snapshot's own writer.
 func (n *Node) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	cm := n.gatherClusterMetrics(r)
 	if r.URL.Query().Get("format") == "json" {
 		writeJSON(w, http.StatusOK, cm)
 		return
 	}
+	for peer, fails := range cm.ScrapeFailures {
+		cm.Merged.Counters[`cluster_scrape_failures_total{peer="`+peer+`"}`] = fails
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "# Cluster-wide aggregate over %d of %d nodes.\n", len(cm.Nodes), n.nodeCount())
-	for _, name := range sortedKeys(cm.Merged.Counters) {
-		fmt.Fprintf(w, "# TYPE asamap_%s counter\nasamap_%s %d\n", name, name, cm.Merged.Counters[name])
-	}
-	for _, name := range sortedKeys(cm.Merged.Gauges) {
-		fmt.Fprintf(w, "# TYPE asamap_%s gauge\nasamap_%s %g\n", name, name, cm.Merged.Gauges[name])
-	}
-	for _, name := range sortedKeys(cm.Merged.Histograms) {
-		cm.Merged.Histograms[name].Snapshot().WritePrometheus(w, "asamap_"+name, "")
-	}
-	for _, k := range sortedKeys(cm.ScrapeFailures) {
-		fmt.Fprintf(w, "asamap_cluster_scrape_failures_total{peer=%q} %d\n", k, cm.ScrapeFailures[k])
-	}
+	cm.Merged.WritePrometheus(w)
 }
 
 // nodeCount is the cluster size including a shard-less router.

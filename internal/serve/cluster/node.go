@@ -168,7 +168,6 @@ func NewNode(local *serve.Server, cfg Config) *Node {
 	}
 	local.SetPlacement(n)
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", n.handleMetrics)
 	mux.HandleFunc("GET /cluster/metrics", n.handleClusterMetrics)
 	mux.HandleFunc("GET /cluster/status", n.handleStatus)
 	mux.HandleFunc("GET /debug/trace/{id}", n.handleTraceByID)
@@ -424,7 +423,7 @@ func (n *Node) fetchGraph(ctx context.Context, hash string) bool {
 	return false
 }
 
-// ClusterStats is the /cluster/status JSON (and the node slice of /metrics).
+// ClusterStats is the /cluster/status JSON.
 type ClusterStats struct {
 	Self            int                  `json:"self"`
 	Peers           []string             `json:"peers"`
@@ -475,41 +474,34 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, n.Stats())
 }
 
-// handleMetrics serves the local server's metrics and appends the cluster
-// lines, so one scrape shows routing health next to queue/cache health.
-func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	n.local.Mux().ServeHTTP(w, r)
-	fmt.Fprintf(w, "# HELP asamap_cluster_forwarded_total Requests proxied to a ring owner.\n")
-	fmt.Fprintf(w, "# TYPE asamap_cluster_forwarded_total counter\nasamap_cluster_forwarded_total %d\n", n.forwarded.Load())
-	fmt.Fprintf(w, "# HELP asamap_cluster_failovers_total Forwards that fell through to a secondary owner.\n")
-	fmt.Fprintf(w, "# TYPE asamap_cluster_failovers_total counter\nasamap_cluster_failovers_total %d\n", n.failovers.Load())
-	fmt.Fprintf(w, "# HELP asamap_cluster_degraded_total Requests served by local compute because every owner was unreachable.\n")
-	fmt.Fprintf(w, "# TYPE asamap_cluster_degraded_total counter\nasamap_cluster_degraded_total %d\n", n.degraded.Load())
-	fmt.Fprintf(w, "# TYPE asamap_cluster_peer_cache_hits_total counter\nasamap_cluster_peer_cache_hits_total %d\n", n.peerCacheHits.Load())
-	fmt.Fprintf(w, "# TYPE asamap_cluster_peer_cache_misses_total counter\nasamap_cluster_peer_cache_misses_total %d\n", n.peerCacheMiss.Load())
-	fmt.Fprintf(w, "# TYPE asamap_cluster_replication_failures_total counter\nasamap_cluster_replication_failures_total %d\n", n.replFailures.Load())
-	fmt.Fprintf(w, "# TYPE asamap_cluster_graph_fetches_total counter\nasamap_cluster_graph_fetches_total %d\n", n.graphFetches.Load())
-	fmt.Fprintf(w, "# TYPE asamap_cluster_version_fetches_total counter\nasamap_cluster_version_fetches_total %d\n", n.versionFetches.Load())
+// AddMetrics adds the node's routing counters and each peer's client and
+// breaker series to m; the local server calls it for every snapshot, so the
+// node's /metrics, /metrics/snapshot and /cluster/metrics all carry them.
+func (n *Node) AddMetrics(m serve.MetricsSnapshot) {
+	m.Counters["cluster_forwarded_total"] = n.forwarded.Load()
+	m.Counters["cluster_failovers_total"] = n.failovers.Load()
+	m.Counters["cluster_degraded_total"] = n.degraded.Load()
+	m.Counters["cluster_peer_cache_hits_total"] = n.peerCacheHits.Load()
+	m.Counters["cluster_peer_cache_misses_total"] = n.peerCacheMiss.Load()
+	m.Counters["cluster_replication_failures_total"] = n.replFailures.Load()
+	m.Counters["cluster_graph_fetches_total"] = n.graphFetches.Load()
+	m.Counters["cluster_version_fetches_total"] = n.versionFetches.Load()
 	for i, pc := range n.peers {
 		if pc == nil {
 			continue
 		}
-		st := pc.Stats()
-		fmt.Fprintf(w, "asamap_cluster_peer_requests_total{peer=\"%d\"} %d\n", i, st.Requests)
-		fmt.Fprintf(w, "asamap_cluster_peer_failures_total{peer=\"%d\"} %d\n", i, st.Failures)
-		fmt.Fprintf(w, "asamap_cluster_peer_retries_total{peer=\"%d\"} %d\n", i, st.Retries)
-		fmt.Fprintf(w, "asamap_cluster_peer_timeouts_total{peer=\"%d\"} %d\n", i, st.Timeouts)
-		fmt.Fprintf(w, "asamap_cluster_breaker_trips_total{peer=\"%d\"} %d\n", i, st.BreakerTrips)
-		fmt.Fprintf(w, "asamap_cluster_breaker_rejects_total{peer=\"%d\"} %d\n", i, st.BreakerRejects)
-		fmt.Fprintf(w, "asamap_cluster_breaker_open{peer=\"%d\"} %d\n", i, boolMetric(pc.Breaker().State() != BreakerClosed))
+		st, label := pc.Stats(), `{peer="`+strconv.Itoa(i)+`"}`
+		m.Counters["cluster_peer_requests_total"+label] = st.Requests
+		m.Counters["cluster_peer_failures_total"+label] = st.Failures
+		m.Counters["cluster_peer_retries_total"+label] = st.Retries
+		m.Counters["cluster_peer_timeouts_total"+label] = st.Timeouts
+		m.Counters["cluster_breaker_trips_total"+label] = st.BreakerTrips
+		m.Counters["cluster_breaker_rejects_total"+label] = st.BreakerRejects
+		m.Gauges["cluster_breaker_open"+label] = 0
+		if pc.Breaker().State() != BreakerClosed {
+			m.Gauges["cluster_breaker_open"+label] = 1
+		}
 	}
-}
-
-func boolMetric(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // errString renders a peer failure for the log, whichever shape it took.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"runtime"
 	rpprof "runtime/pprof"
@@ -27,126 +26,25 @@ func newRuntimeStats() *runtimeStats {
 	return &runtimeStats{pauseHist: trace.NewHistogram(trace.DefaultGCPauseBounds())}
 }
 
-// sample reads MemStats and folds any GC pauses since the previous sample
-// into the pause histogram. MemStats keeps only the last 256 pauses; if more
-// cycles than that elapsed between scrapes the overflow is simply lost (the
-// gc_runs counter still advances, so the gap is visible).
-func (rt *runtimeStats) sample() runtime.MemStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+// observePauses folds the GC pauses of the cycles ms records beyond the
+// previous call into the pause histogram. Cycle i (0-based) sits at
+// PauseNs[i%256], and only the last 256 are kept: if more cycles than that
+// elapsed between scrapes the older pauses are lost (go_gc_runs_total still
+// advances, so the gap is visible).
+func (rt *runtimeStats) observePauses(ms *runtime.MemStats) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if delta := ms.NumGC - rt.lastNumGC; delta > 0 {
-		if delta > 256 {
-			delta = 256
-		}
-		for i := ms.NumGC - delta; i < ms.NumGC; i++ {
-			rt.pauseHist.Observe(time.Duration(ms.PauseNs[(i+255)%256]))
-		}
-		rt.lastNumGC = ms.NumGC
+	if ms.NumGC <= rt.lastNumGC {
+		return
 	}
-	return ms
-}
-
-// HistWire is a trace.HistogramSnapshot in integer-nanosecond JSON form, the
-// shape /metrics/snapshot ships between nodes. Integer fields (rather than
-// Go duration strings or float seconds) keep cluster merges exact.
-type HistWire struct {
-	BoundsNS []int64  `json:"bounds_ns"`
-	Counts   []uint64 `json:"counts"`
-	SumNS    int64    `json:"sum_ns"`
-	Count    uint64   `json:"count"`
-}
-
-// NewHistWire converts a snapshot to wire form.
-func NewHistWire(s trace.HistogramSnapshot) HistWire {
-	out := HistWire{
-		BoundsNS: make([]int64, len(s.Bounds)),
-		Counts:   s.Counts,
-		SumNS:    s.Sum.Nanoseconds(),
-		Count:    s.Count,
+	from := rt.lastNumGC
+	if ms.NumGC-from > 256 {
+		from = ms.NumGC - 256
 	}
-	for i, b := range s.Bounds {
-		out.BoundsNS[i] = b.Nanoseconds()
+	for i := from; i < ms.NumGC; i++ {
+		rt.pauseHist.Observe(time.Duration(ms.PauseNs[i%256]))
 	}
-	return out
-}
-
-// Snapshot converts back to the exact snapshot the sender held.
-func (hw HistWire) Snapshot() trace.HistogramSnapshot {
-	out := trace.HistogramSnapshot{
-		Bounds: make([]time.Duration, len(hw.BoundsNS)),
-		Counts: hw.Counts,
-		Sum:    time.Duration(hw.SumNS),
-		Count:  hw.Count,
-	}
-	for i, b := range hw.BoundsNS {
-		out.Bounds[i] = time.Duration(b)
-	}
-	return out
-}
-
-// MetricsSnapshot is the machine-readable form of /metrics that cluster
-// federation consumes: flat counter and gauge maps plus full histogram
-// states. Counters and histogram counts merge by addition; gauges merge by
-// summation (they are all extensive quantities — queue depths, heap bytes,
-// entry counts — whose cluster-wide total is the meaningful number).
-type MetricsSnapshot struct {
-	Counters   map[string]uint64   `json:"counters"`
-	Gauges     map[string]float64  `json:"gauges"`
-	Histograms map[string]HistWire `json:"histograms"`
-}
-
-// MetricsSnapshot captures the server's current metric state.
-func (s *Server) MetricsSnapshot() MetricsSnapshot {
-	qs, cs, rs := s.queue.Stats(), s.cache.Stats(), s.registry.Stats()
-	ms := s.rt.sample()
-	droppedSpans, droppedTraces := s.tracer.Dropped()
-	return MetricsSnapshot{
-		Counters: map[string]uint64{
-			"jobs_submitted_total":         qs.Submitted,
-			"jobs_rejected_total":          qs.Rejected,
-			"jobs_completed_total":         qs.Completed,
-			"jobs_canceled_total":          qs.Canceled,
-			"cache_hits_total":             cs.Hits,
-			"cache_misses_total":           cs.Misses,
-			"cache_coalesced_total":        cs.Coalesced,
-			"cache_evictions_total":        cs.Evictions,
-			"warm_parent_decodes_total":    cs.ParentDecodes,
-			"registry_parses_total":        rs.Parses,
-			"registry_raw_hits_total":      rs.RawHits,
-			"registry_delta_applies_total": rs.DeltaApplies,
-			"runs_total":                   s.runs.Load(),
-			"trace_dropped_total":          droppedSpans,
-			"trace_dropped_traces_total":   droppedTraces,
-			"go_gc_runs_total":             uint64(ms.NumGC),
-		},
-		Gauges: map[string]float64{
-			"queue_capacity":      float64(qs.Capacity),
-			"queue_outstanding":   float64(qs.Outstanding),
-			"cache_entries":       float64(cs.Entries),
-			"registry_graphs":     float64(rs.Graphs),
-			"registry_versions":   float64(rs.Versions),
-			"go_goroutines":       float64(runtime.NumGoroutine()),
-			"go_heap_alloc_bytes": float64(ms.HeapAlloc),
-			"go_heap_objects":     float64(ms.HeapObjects),
-		},
-		Histograms: map[string]HistWire{
-			"request_seconds":     NewHistWire(s.reqHist.Snapshot()),
-			"queue_wait_seconds":  NewHistWire(s.waitHist.Snapshot()),
-			"go_gc_pause_seconds": NewHistWire(s.rt.pauseSnapshot()),
-		},
-	}
-}
-
-// pauseSnapshot returns the GC pause histogram state.
-func (rt *runtimeStats) pauseSnapshot() trace.HistogramSnapshot {
-	return rt.pauseHist.Snapshot()
-}
-
-// handleMetricsSnapshot serves the JSON twin of /metrics for federation.
-func (s *Server) handleMetricsSnapshot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
+	rt.lastNumGC = ms.NumGC
 }
 
 // Tracer exposes the server's span ring so the cluster layer can collect
@@ -240,20 +138,4 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	default:
 		httpError(w, http.StatusBadRequest, "kind must be heap or cpu")
 	}
-}
-
-// writeRuntimeMetrics appends the Go runtime gauges and trace-drop counters
-// to the Prometheus exposition.
-func (s *Server) writeRuntimeMetrics(w http.ResponseWriter) {
-	ms := s.rt.sample()
-	droppedSpans, droppedTraces := s.tracer.Dropped()
-	fmt.Fprintf(w, "# HELP asamap_trace_dropped_total Spans evicted from the trace ring before collection.\n")
-	fmt.Fprintf(w, "# TYPE asamap_trace_dropped_total counter\nasamap_trace_dropped_total %d\n", droppedSpans)
-	fmt.Fprintf(w, "# TYPE asamap_trace_dropped_traces_total counter\nasamap_trace_dropped_traces_total %d\n", droppedTraces)
-	fmt.Fprintf(w, "# TYPE asamap_go_goroutines gauge\nasamap_go_goroutines %d\n", runtime.NumGoroutine())
-	fmt.Fprintf(w, "# TYPE asamap_go_heap_alloc_bytes gauge\nasamap_go_heap_alloc_bytes %d\n", ms.HeapAlloc)
-	fmt.Fprintf(w, "# TYPE asamap_go_heap_objects gauge\nasamap_go_heap_objects %d\n", ms.HeapObjects)
-	fmt.Fprintf(w, "# TYPE asamap_go_gc_runs_total counter\nasamap_go_gc_runs_total %d\n", ms.NumGC)
-	s.rt.pauseSnapshot().WritePrometheus(w, "asamap_go_gc_pause_seconds",
-		"GC stop-the-world pause durations.")
 }

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/asamap/asamap/internal/accum"
 	"github.com/asamap/asamap/internal/asa"
 	"github.com/asamap/asamap/internal/clock"
 	"github.com/asamap/asamap/internal/graph"
@@ -95,7 +94,6 @@ type Server struct {
 	registry *Registry
 	queue    *Queue
 	cache    *ResultCache
-	agg      *trace.Breakdown // accumulator events and sweep gauges of all successful runs
 	mux      *http.ServeMux
 	started  time.Time
 	logger   *slog.Logger
@@ -105,6 +103,7 @@ type Server struct {
 	build    BuildInfo
 	idSalt   uint64        // salts generated request IDs across server instances
 	rt       *runtimeStats // Go runtime gauges + GC pause histogram
+	folded   trace.RunFold // accumulator events and sweep gauges of all successful runs
 	// placement is nil on a single node; see SetPlacement.
 	placement Placement
 
@@ -148,7 +147,6 @@ func New(cfg Config) *Server {
 		registry: NewRegistry(),
 		queue:    NewQueue(cfg.QueueCapacity, cfg.Workers, cfg.Clock, cfg.RetryAfterPrior),
 		cache:    NewResultCache(cfg.CacheEntries),
-		agg:      trace.NewBreakdown(),
 		started:  started,
 		logger:   logger,
 		tracer:   obs.New(obs.Config{Clock: cfg.Clock, RingSize: ring}),
@@ -215,6 +213,9 @@ type Placement interface {
 	// sending body to path on each; what names the upload ("upload" or
 	// "delta").
 	Replicate(w http.ResponseWriter, r *http.Request, what, path, id string, body []byte)
+	// AddMetrics adds the placement's routing series to a snapshot of the
+	// server's metrics, so /metrics and /metrics/snapshot carry them.
+	AddMetrics(m MetricsSnapshot)
 }
 
 // SetPlacement installs p. Call it before the server handles any request.
@@ -687,7 +688,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 
 // computeDetect runs one detection job through the bounded queue, honoring
 // the configured job timeout, and folds its events and gauges into the
-// server-wide aggregate.
+// server-wide total.
 func (s *Server) computeDetect(ctx context.Context, g *graph.Graph, opt infomap.Options) (*infomap.Result, error) {
 	jobCtx := ctx
 	if s.cfg.JobTimeout > 0 {
@@ -708,63 +709,8 @@ func (s *Server) computeDetect(ctx context.Context, g *graph.Graph, opt infomap.
 	if err := handle.Wait(jobCtx); err != nil {
 		return nil, err
 	}
-	s.agg.Merge(runEvents(res))
+	foldRun(&s.folded, res)
 	return res, nil
-}
-
-// runEvents folds one successful run into the /metrics event counters and
-// gauges: one imbalance and one steal sample per sweep, the run-total
-// accumulator events, and per-level folds of the CAM and HashGraph counters.
-func runEvents(res *infomap.Result) *trace.Breakdown {
-	bd := trace.NewBreakdown()
-	var levels []accum.Stats
-	for _, sw := range res.SweepLog {
-		bd.Observe(trace.GaugeSweepImbalance, sw.Sched.Imbalance)
-		bd.Observe(trace.GaugeSweepSteals, float64(sw.Sched.Steals))
-		for len(levels) <= sw.Level {
-			levels = append(levels, accum.Stats{})
-		}
-		levels[sw.Level].Add(sw.Stats)
-	}
-	addAccumEvents(bd, "", res.TotalStats())
-	for level, s := range levels {
-		addAccumEvents(bd, fmt.Sprintf("Level%d/", level), accum.Stats{
-			Hits:        s.Hits,
-			Misses:      s.Misses,
-			Evictions:   s.Evictions,
-			OverflowKV:  s.OverflowKV,
-			BinnedKV:    s.BinnedKV,
-			ScatteredKV: s.ScatteredKV,
-			BinMergedKV: s.BinMergedKV,
-		})
-	}
-	return bd
-}
-
-// addAccumEvents records every accum.Stats counter as a named event under
-// the given prefix ("" for run totals, "Level0/" for per-level folds). All
-// these totals are sums over per-vertex accumulator sessions and are
-// therefore identical across worker counts and steal schedules — except
-// ChainHops and Rehashes, which depend on each worker's private table-growth
-// history; they are exported for capacity tuning but must never enter a
-// determinism comparison.
-func addAccumEvents(bd *trace.Breakdown, prefix string, s accum.Stats) {
-	bd.AddEvents(prefix+"AccumAccumulates", s.Accumulates)
-	bd.AddEvents(prefix+"AccumLookups", s.Lookups)
-	bd.AddEvents(prefix+"AccumHits", s.Hits)
-	bd.AddEvents(prefix+"AccumMisses", s.Misses)
-	bd.AddEvents(prefix+"AccumChainHops", s.ChainHops)
-	bd.AddEvents(prefix+"AccumInserts", s.Inserts)
-	bd.AddEvents(prefix+"AccumRehashes", s.Rehashes)
-	bd.AddEvents(prefix+"AccumEvictions", s.Evictions)
-	bd.AddEvents(prefix+"AccumOverflowKV", s.OverflowKV)
-	bd.AddEvents(prefix+"AccumMergedKV", s.MergedKV)
-	bd.AddEvents(prefix+"AccumBinnedKV", s.BinnedKV)
-	bd.AddEvents(prefix+"AccumScatteredKV", s.ScatteredKV)
-	bd.AddEvents(prefix+"AccumBinMergedKV", s.BinMergedKV)
-	bd.AddEvents(prefix+"AccumGathers", s.Gathers)
-	bd.AddEvents(prefix+"AccumGatheredKV", s.GatheredKV)
-	bd.AddEvents(prefix+"AccumResets", s.Resets)
 }
 
 // marshalDetect renders the deterministic response body for one run. fp is
@@ -919,65 +865,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Cache:         s.cache.Stats(),
 		Runs:          s.runs.Load(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	qs, cs, rs := s.queue.Stats(), s.cache.Stats(), s.registry.Stats()
-	fmt.Fprintf(w, "# HELP asamap_queue_capacity Outstanding-job bound of the detection queue.\n")
-	fmt.Fprintf(w, "# TYPE asamap_queue_capacity gauge\n")
-	fmt.Fprintf(w, "asamap_queue_capacity %d\n", qs.Capacity)
-	fmt.Fprintf(w, "# HELP asamap_queue_outstanding Admitted jobs not yet finished.\n")
-	fmt.Fprintf(w, "# TYPE asamap_queue_outstanding gauge\n")
-	fmt.Fprintf(w, "asamap_queue_outstanding %d\n", qs.Outstanding)
-	fmt.Fprintf(w, "# TYPE asamap_jobs_submitted_total counter\nasamap_jobs_submitted_total %d\n", qs.Submitted)
-	fmt.Fprintf(w, "# TYPE asamap_jobs_rejected_total counter\nasamap_jobs_rejected_total %d\n", qs.Rejected)
-	fmt.Fprintf(w, "# TYPE asamap_jobs_completed_total counter\nasamap_jobs_completed_total %d\n", qs.Completed)
-	fmt.Fprintf(w, "# TYPE asamap_jobs_canceled_total counter\nasamap_jobs_canceled_total %d\n", qs.Canceled)
-	fmt.Fprintf(w, "# TYPE asamap_cache_entries gauge\nasamap_cache_entries %d\n", cs.Entries)
-	fmt.Fprintf(w, "# TYPE asamap_cache_hits_total counter\nasamap_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(w, "# TYPE asamap_cache_misses_total counter\nasamap_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(w, "# TYPE asamap_cache_coalesced_total counter\nasamap_cache_coalesced_total %d\n", cs.Coalesced)
-	fmt.Fprintf(w, "# TYPE asamap_cache_evictions_total counter\nasamap_cache_evictions_total %d\n", cs.Evictions)
-	fmt.Fprintf(w, "# TYPE asamap_warm_parent_decodes_total counter\nasamap_warm_parent_decodes_total %d\n", cs.ParentDecodes)
-	fmt.Fprintf(w, "# TYPE asamap_registry_graphs gauge\nasamap_registry_graphs %d\n", rs.Graphs)
-	fmt.Fprintf(w, "# TYPE asamap_registry_versions gauge\nasamap_registry_versions %d\n", rs.Versions)
-	fmt.Fprintf(w, "# TYPE asamap_registry_delta_applies_total counter\nasamap_registry_delta_applies_total %d\n", rs.DeltaApplies)
-	fmt.Fprintf(w, "# TYPE asamap_registry_parses_total counter\nasamap_registry_parses_total %d\n", rs.Parses)
-	fmt.Fprintf(w, "# TYPE asamap_registry_raw_hits_total counter\nasamap_registry_raw_hits_total %d\n", rs.RawHits)
-	fmt.Fprintf(w, "# TYPE asamap_runs_total counter\nasamap_runs_total %d\n", s.runs.Load())
-	s.writeRuntimeMetrics(w)
-	s.reqHist.Snapshot().WritePrometheus(w, "asamap_request_seconds",
-		"End-to-end HTTP request latency.")
-	s.waitHist.Snapshot().WritePrometheus(w, "asamap_queue_wait_seconds",
-		"Detection-job wait between queue admission and worker pickup.")
-	writeKernelMetrics(w, s.tracer.Totals())
-	s.agg.Snapshot().WritePrometheus(w, "asamap")
-}
-
-// writeKernelMetrics renders the per-kernel wall-time counters from the
-// tracer's span totals, which count every ended kernel span — canceled and
-// failed runs included — however small the trace ring.
-func writeKernelMetrics(w io.Writer, totals map[string]obs.SpanTotal) {
-	var kernels []string
-	for _, k := range trace.Kernels() {
-		if totals[k].Count > 0 {
-			kernels = append(kernels, k)
-		}
-	}
-	if len(kernels) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# HELP asamap_kernel_seconds_total Cumulative wall-clock seconds per kernel.\n")
-	fmt.Fprintf(w, "# TYPE asamap_kernel_seconds_total counter\n")
-	for _, k := range kernels {
-		fmt.Fprintf(w, "asamap_kernel_seconds_total{kernel=%q} %g\n", k, totals[k].Duration.Seconds())
-	}
-	fmt.Fprintf(w, "# HELP asamap_kernel_invocations_total Recorded spans per kernel.\n")
-	fmt.Fprintf(w, "# TYPE asamap_kernel_invocations_total counter\n")
-	for _, k := range kernels {
-		fmt.Fprintf(w, "asamap_kernel_invocations_total{kernel=%q} %d\n", k, totals[k].Count)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -224,12 +224,7 @@ func (s HistogramSnapshot) P99() time.Duration { return s.Quantile(0.99) }
 // format under the given fully qualified metric name (e.g.
 // "asamap_request_seconds"): cumulative le buckets in seconds, +Inf, _sum,
 // and _count.
-func (s HistogramSnapshot) WritePrometheus(w io.Writer, name, help string) error {
-	if help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
-			return err
-		}
-	}
+func (s HistogramSnapshot) WritePrometheus(w io.Writer, name string) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 		return err
 	}

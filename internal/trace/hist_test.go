@@ -97,7 +97,7 @@ func TestHistogramMergeDeterminism(t *testing.T) {
 
 	render := func(h *Histogram) string {
 		var buf bytes.Buffer
-		if err := h.Snapshot().WritePrometheus(&buf, "t_seconds", ""); err != nil {
+		if err := h.Snapshot().WritePrometheus(&buf, "t_seconds"); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -151,12 +151,11 @@ func TestHistogramPrometheus(t *testing.T) {
 	h.Observe(time.Second)
 	h.Observe(time.Minute)
 	var buf bytes.Buffer
-	if err := h.Snapshot().WritePrometheus(&buf, "x_seconds", "test histogram"); err != nil {
+	if err := h.Snapshot().WritePrometheus(&buf, "x_seconds"); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
 	for _, want := range []string{
-		"# HELP x_seconds test histogram",
 		"# TYPE x_seconds histogram",
 		`x_seconds_bucket{le="0.005"} 1`,
 		`x_seconds_bucket{le="2.5"} 2`,
@@ -185,40 +184,5 @@ func TestNewHistogramPanics(t *testing.T) {
 			}()
 			NewHistogram(bounds)
 		}()
-	}
-}
-
-// TestBreakdownEvents: event counters accumulate, merge, snapshot in sorted
-// order, and render in Prometheus output.
-func TestBreakdownEvents(t *testing.T) {
-	b := NewBreakdown()
-	b.AddEvents("AccumHits", 10)
-	b.AddEvents("AccumHits", 5)
-	b.AddEvents("AccumMisses", 3)
-	b.AddEvents("Zero", 0) // no-op: never recorded
-
-	other := NewBreakdown()
-	other.AddEvents("AccumMisses", 7)
-	other.AddEvents("AccumEvictions", 2)
-	b.Merge(other)
-
-	// Sorted, merged, and without the zero-count event.
-	s := b.Snapshot()
-	want := []EventSnapshot{{"AccumEvictions", 2}, {"AccumHits", 15}, {"AccumMisses", 10}}
-	if len(s.Events) != len(want) {
-		t.Fatalf("snapshot events = %v", s.Events)
-	}
-	for i, e := range s.Events {
-		if e != want[i] {
-			t.Errorf("snapshot event %d = %+v, want %+v", i, e, want[i])
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := s.WritePrometheus(&buf, "asamap"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `asamap_events_total{event="AccumHits"} 15`) {
-		t.Errorf("Prometheus exposition missing event counter:\n%s", buf.String())
 	}
 }
