@@ -34,7 +34,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDeltaRequest -fuzztime=15s ./internal/serve/cluster
 
 bench-smoke:
-	$(GO) test -run=NONE -bench='Sched|AsalintRepo|Ingest|Kernel|WarmReplay' -benchtime=1x ./...
+	$(GO) test -run=NONE -bench='Sched|AsalintRepo|Ingest|Kernel|WarmReplay|DistRun' -benchtime=1x ./...
 
 # bench-accum regenerates the accumulator backend sweep at quick scale and
 # verifies the committed BENCH_accum.json still matches the schema and the

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -298,6 +299,42 @@ func TestHierarchyExperiment(t *testing.T) {
 	gains := parseColumn(t, out, re)
 	if len(gains) != 1 || gains[0] <= 0 {
 		t.Fatalf("hierarchy gain %v should be positive:\n%s", gains, out)
+	}
+}
+
+// TestDistributedExperiment pins X7's shape at quick scale: one rank
+// exchanges nothing, the volume moved grows strictly with the rank count,
+// stale ghost state keeps every row's codelength within 1% of the one-rank
+// row, and the ranks' candidate scans are counted.
+func TestDistributedExperiment(t *testing.T) {
+	out := runExp(t, "distributed")
+	re := regexp.MustCompile(`(?m)^\s*(\d+)\s+\d+\s+(\d+\.\d+)\s+\d+\s+(\d+)\s+(\d+\.\d+)\s+\d+\.\d+\s+(\d+)$`)
+	rows := re.FindAllStringSubmatch(out, -1)
+	if len(rows) != 5 {
+		t.Fatalf("want 5 rank rows, got %d:\n%s", len(rows), out)
+	}
+	num := func(s string) float64 {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if rows[0][1] != "1" || num(rows[0][3]) != 0 || num(rows[0][4]) != 0 {
+		t.Fatalf("1-rank row must move 0 updates and 0 MB: %q", rows[0][0])
+	}
+	l1 := num(rows[0][2])
+	for i, row := range rows {
+		if l := num(row[2]); math.Abs(l-l1) > 0.01*l1 {
+			t.Errorf("ranks=%s: L %.4f more than 1%% from the 1-rank %.4f", row[1], l, l1)
+		}
+		if num(row[5]) == 0 {
+			t.Errorf("ranks=%s: no candidates evaluated", row[1])
+		}
+		if i > 0 && num(row[4]) <= num(rows[i-1][4]) {
+			t.Errorf("ranks=%s: MB moved %s does not exceed %s at ranks=%s",
+				row[1], row[4], rows[i-1][4], rows[i-1][1])
+		}
 	}
 }
 

@@ -140,8 +140,8 @@ func runDistributed(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%6s %10s %12s %12s %14s %12s %10s\n",
-		"ranks", "modules", "L (bits)", "supersteps", "updates", "MB moved", "comm (s)")
+	fmt.Fprintf(w, "%6s %10s %12s %12s %14s %12s %10s %12s\n",
+		"ranks", "modules", "L (bits)", "supersteps", "updates", "MB moved", "comm (s)", "candidates")
 	for _, ranks := range []int{1, 2, 4, 8, 16} {
 		opt := dist.DefaultOptions()
 		opt.Ranks = ranks
@@ -150,9 +150,10 @@ func runDistributed(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%6d %10d %12.4f %12d %14d %12.3f %10.6f\n",
+		fmt.Fprintf(w, "%6d %10d %12.4f %12d %14d %12.3f %10.6f %12d\n",
 			ranks, res.NumModules, res.Codelength, res.Comm.Supersteps,
-			res.Comm.UpdatesSent, float64(res.Comm.Bytes)/1e6, res.Comm.ModeledCommSec)
+			res.Comm.UpdatesSent, float64(res.Comm.Bytes)/1e6, res.Comm.ModeledCommSec,
+			res.Work.Work.CandidatesEvaluated)
 	}
 	return nil
 }

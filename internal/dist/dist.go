@@ -29,7 +29,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/asamap/asamap/internal/fault"
 	"github.com/asamap/asamap/internal/graph"
@@ -135,6 +134,9 @@ type Result struct {
 	Levels             int
 	Comm               CommStats
 	Fault              fault.Stats // faults the injector actually issued
+	// Work is the ranks' scan work and accumulator events, summed over
+	// every superstep of every level.
+	Work infomap.WorkerStats
 }
 
 // Run executes the simulated distributed Infomap.
@@ -182,6 +184,12 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	leafNodeTerm := leafState.NodeTerm()
 	res.OneLevelCodelength = mapeq.OneLevelCodelength(baseFlow)
 
+	// Ranks evaluate one after another, so one Scanner on the Baseline
+	// backend serves them all.
+	sc, err := infomap.NewScanner(infomap.DefaultOptions(), g.MaxDegree())
+	if err != nil {
+		return nil, err
+	}
 	r := rng.New(opt.Seed)
 	// Crash downtime is tracked in global supersteps so a rank can stay down
 	// across a level boundary.
@@ -205,7 +213,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 		}
 		res.Levels++
 		moves, err := optimizeLevelDistributed(ctx, flow, membership, leafNodeTerm,
-			opt, r, &res.Comm, injector, downUntil)
+			sc, opt, r, &res.Comm, injector, downUntil)
 		if err != nil {
 			return nil, err
 		}
@@ -244,6 +252,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	}
 	res.Comm.ModeledCommSec = modeledCommTime(opt, res.Comm)
 	res.Fault = injector.Stats()
+	res.Work = sc.Stats()
 	return res, nil
 }
 
@@ -396,7 +405,7 @@ func (c *cluster) down(rk, gs int) bool {
 // authoritative state at the superstep boundary and broadcast through the
 // simulated network.
 func optimizeLevelDistributed(ctx context.Context, flow *mapeq.Flow, membership []uint32,
-	leafNodeTerm float64, opt Options, r *rng.RNG, comm *CommStats,
+	leafNodeTerm float64, sc *infomap.Scanner, opt Options, r *rng.RNG, comm *CommStats,
 	inj *fault.Injector, downUntil []int) (uint64, error) {
 
 	n := flow.G.N()
@@ -508,7 +517,7 @@ func optimizeLevelDistributed(ctx context.Context, flow *mapeq.Flow, membership 
 			order := append([]uint32(nil), blocks[rk]...)
 			r.ShuffleUint32(order)
 			for _, v := range order {
-				if t, ok := bestMove(flow, rankState, int(v)); ok {
+				if t, _, ok := sc.FindBestCommunity(rankState, flow, int(v)); ok {
 					proposals[rk] = append(proposals[rk], proposal{v: v, target: t})
 				}
 			}
@@ -587,61 +596,6 @@ func (c *cluster) allLive(gs int) bool {
 		}
 	}
 	return true
-}
-
-// bestMove evaluates one vertex against the rank's state snapshot and
-// returns the best target module, if improving.
-func bestMove(flow *mapeq.Flow, st *mapeq.State, v int) (uint32, bool) {
-	g := flow.G
-	old := st.Module(v)
-	outW := map[uint32]float64{}
-	inW := map[uint32]float64{}
-	var keys []uint32
-	lo, _ := g.OutRange(v)
-	nb := g.OutNeighbors(v)
-	for j := range nb {
-		t := int(nb[j])
-		if t == v {
-			continue
-		}
-		m := st.Module(t)
-		if _, ok := outW[m]; !ok {
-			keys = append(keys, m)
-		}
-		outW[m] += flow.OutFlow[lo+j]
-	}
-	ilo, _ := g.InRange(v)
-	in := g.InNeighbors(v)
-	for j := range in {
-		s := int(in[j])
-		if s == v {
-			continue
-		}
-		m := st.Module(s)
-		if _, ok := outW[m]; !ok {
-			if _, ok2 := inW[m]; !ok2 {
-				keys = append(keys, m)
-			}
-		}
-		inW[m] += flow.InFlow[ilo+j]
-	}
-	if len(keys) == 0 {
-		return old, false
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	view := flow.View(v)
-	dep := st.Prepare(view, outW[old], inW[old])
-	best, bestDelta := old, 0.0
-	for _, m := range keys {
-		if m == old {
-			continue
-		}
-		d := dep.Delta(m, outW[m], inW[m])
-		if d < bestDelta-1e-15 {
-			best, bestDelta = m, d
-		}
-	}
-	return best, best != old
 }
 
 // Compare runs the shared-memory engine on the same graph for quality

@@ -169,7 +169,8 @@ func membershipBytes(m []uint32) []byte {
 
 // TestFaultReplayDeterminism extends the rng determinism guarantees to the
 // fault layer: the same Seed and the same fault schedule must reproduce a
-// byte-identical Membership and identical communication accounting.
+// byte-identical Membership, identical communication accounting and
+// identical scan work.
 func TestFaultReplayDeterminism(t *testing.T) {
 	g, _ := plantedGraph(t)
 	for name, cfg := range faultMatrix() {
@@ -188,6 +189,9 @@ func TestFaultReplayDeterminism(t *testing.T) {
 		}
 		if a.Comm != b.Comm || a.Fault != b.Fault {
 			t.Fatalf("%s: accounting differs between identical replays:\n%+v\n%+v", name, a.Comm, b.Comm)
+		}
+		if a.Work != b.Work {
+			t.Fatalf("%s: scan work differs between identical replays:\n%+v\n%+v", name, a.Work, b.Work)
 		}
 	}
 }

@@ -124,9 +124,9 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nWorkers := range []int{1, 4} {
-		workers := make([]*worker, nWorkers)
+		workers := make([]*Scanner, nWorkers)
 		for i := range workers {
-			workers[i] = &worker{id: i, out: panicAccum{}, in: panicAccum{}}
+			workers[i] = &Scanner{out: panicAccum{}, in: panicAccum{}}
 		}
 		pool := sched.NewPool(nWorkers)
 		_, _, err := optimizeLevel(context.Background(), st, flow, workers, pool,

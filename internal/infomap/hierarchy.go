@@ -66,6 +66,9 @@ type HierResult struct {
 	TopMembership      []uint32
 	Depth              int // tree height including the root
 	Modules            int // total module count across all levels
+	// Work is the scan work and accumulator events of the submodule and
+	// super-level searches (the flat run's are not included).
+	Work WorkerStats
 }
 
 // RunHierarchical detects a hierarchy of communities: it first runs the
@@ -132,6 +135,12 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 	for v, m := range mem {
 		groups[m] = append(groups[m], v)
 	}
+	// One Scanner, on the run's own backend, prices every submodule and
+	// super-level move.
+	sc, err := NewScanner(opt, g.MaxDegree())
+	if err != nil {
+		return nil, err
+	}
 	r := rng.New(opt.Seed)
 	for m, members := range groups {
 		child := &HierNode{
@@ -143,15 +152,16 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 	}
 	// Try to split each top module recursively (fine structure below)...
 	for _, child := range root.Children {
-		if err := splitRecursively(flow, child, opt, r, opt.MaxLevels); err != nil {
+		if err := splitRecursively(flow, child, sc, opt, r, opt.MaxLevels); err != nil {
 			return nil, err
 		}
 	}
 	// ...and to agglomerate top modules under super modules (coarse
 	// structure above), while either direction shortens the code.
-	if err := addSuperLevels(flow, root, mem, opt, r); err != nil {
+	if err := addSuperLevels(flow, root, mem, sc, opt, r); err != nil {
 		return nil, err
 	}
+	res.Work = sc.Stats()
 
 	res.Root = root
 	res.Codelength = HierCodelength(flow, root)
@@ -170,7 +180,7 @@ func countModules(n *HierNode) int {
 
 // splitRecursively attempts to split a leaf module into submodules and, when
 // accepted, recurses into the new children.
-func splitRecursively(flow *mapeq.Flow, node *HierNode, opt Options, r *rng.RNG, depthBudget int) error {
+func splitRecursively(flow *mapeq.Flow, node *HierNode, sc *Scanner, opt Options, r *rng.RNG, depthBudget int) error {
 	if depthBudget <= 0 || !node.IsLeaf() || len(node.Vertices) < 4 {
 		return nil
 	}
@@ -178,7 +188,7 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, opt Options, r *rng.RNG,
 	if err != nil {
 		return err
 	}
-	membership, innerState, err := optimizeSubmodule(sf, node.Exit, opt, r)
+	membership, innerState, err := optimizeSubmodule(sf, node.Exit, sc, opt, r)
 	if err != nil {
 		return err
 	}
@@ -211,7 +221,7 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, opt Options, r *rng.RNG,
 	node.Children = children
 	node.Vertices = nil
 	for _, c := range children {
-		if err := splitRecursively(flow, c, opt, r, depthBudget-1); err != nil {
+		if err := splitRecursively(flow, c, sc, opt, r, depthBudget-1); err != nil {
 			return err
 		}
 	}
@@ -229,7 +239,7 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, opt Options, r *rng.RNG,
 // three-level map equation. A grouping is accepted when that beats the
 // current root index codebook, and the procedure repeats on the new top
 // level until no further coarsening pays.
-func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, opt Options, r *rng.RNG) error {
+func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, sc *Scanner, opt Options, r *rng.RNG) error {
 	mem := append([]uint32(nil), topMembership...)
 	curFlow := flow
 	for level := 0; level < 10; level++ {
@@ -245,7 +255,7 @@ func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, op
 		for i, c := range root.Children {
 			cf.NodeFlow[i] = c.Exit
 		}
-		grouping, st, err := optimizeSubmodule(cf, 0, opt, r)
+		grouping, st, err := optimizeSubmodule(cf, 0, sc, opt, r)
 		if err != nil {
 			return err
 		}
@@ -377,9 +387,9 @@ func subFlow(f *mapeq.Flow, members []int) (*mapeq.Flow, error) {
 
 // optimizeSubmodule greedily partitions a module's members by the map
 // equation with the module's exit rate as a constant index-codebook offset.
-// It is a compact sequential multi-level optimizer (submodules are small, so
-// the parallel machinery and instrumented accumulators are unnecessary).
-func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, opt Options, r *rng.RNG) ([]uint32, *mapeq.State, error) {
+// It is a compact sequential multi-level optimizer: each vertex is priced by
+// sc and its move committed at once, before the next vertex is visited.
+func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, sc *Scanner, opt Options, r *rng.RNG) ([]uint32, *mapeq.State, error) {
 	n := sf.G.N()
 	membership := make([]uint32, n)
 	for i := range membership {
@@ -392,50 +402,10 @@ func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, opt Options, r *rng.R
 	st.SetExitOffset(exitOffset)
 
 	order := r.Perm(n)
-	outW := map[uint32]float64{}
-	inW := map[uint32]float64{}
-	var keys []uint32
 	for sweep := 0; sweep < opt.MaxSweeps; sweep++ {
 		moves := 0
 		for _, v := range order {
-			old := st.Module(v)
-			clear(outW)
-			clear(inW)
-			keys = keys[:0]
-			collect := func(nbs []uint32, flows []float64, lo int, into map[uint32]float64) {
-				for j := range nbs {
-					t := int(nbs[j])
-					if t == v {
-						continue
-					}
-					m := st.Module(t)
-					if _, seen := outW[m]; !seen {
-						if _, seen2 := inW[m]; !seen2 {
-							keys = append(keys, m)
-						}
-					}
-					into[m] += flows[lo+j]
-				}
-			}
-			lo, _ := sf.G.OutRange(v)
-			collect(sf.G.OutNeighbors(v), sf.OutFlow, lo, outW)
-			ilo, _ := sf.G.InRange(v)
-			collect(sf.G.InNeighbors(v), sf.InFlow, ilo, inW)
-
-			view := sf.View(v)
-			dep := st.Prepare(view, outW[old], inW[old])
-			best, bestDelta := old, 0.0
-			for _, m := range keys {
-				if m == old {
-					continue
-				}
-				d := dep.Delta(m, outW[m], inW[m])
-				if d < bestDelta-1e-15 {
-					best, bestDelta = m, d
-				}
-			}
-			if best != old {
-				st.Apply(view, best, outW[old], inW[old], outW[best], inW[best])
+			if target, _, ok := sc.FindBestCommunity(st, sf, v); ok && st.CommitMove(sf, v, target) {
 				moves++
 			}
 		}

@@ -64,6 +64,9 @@ func TestHierarchicalOnNestedGraph(t *testing.T) {
 	if res.Depth < 3 {
 		t.Fatalf("nested graph should produce depth >= 3 (got %d): %v", res.Depth, res)
 	}
+	if w := res.Work; w.Work.CandidatesEvaluated == 0 || w.Accum.Accumulates == 0 {
+		t.Fatalf("submodule search work not counted: %+v", w)
+	}
 	// The deepest cut should align with the cliques, the top cut with the
 	// super groups (up to which level the optimizer picked as "top").
 	leaves := res.Leaves()

@@ -101,9 +101,9 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	// principle exceed the leaf bound (a sparse graph may contract to a dense
 	// quotient), so the hint is a starting size, not a hard capacity.
 	accumHint := g.MaxDegree()
-	workers := make([]*worker, opt.Workers)
+	workers := make([]*Scanner, opt.Workers)
 	for i := range workers {
-		w, err := newWorker(i, opt, accumHint)
+		w, err := NewScanner(opt, accumHint)
 		if err != nil {
 			return nil, err
 		}
@@ -298,9 +298,6 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 		res.NumModules = 1
 	}
 
-	for _, w := range workers {
-		w.snapshotStats()
-	}
 	res.PerWorker = collectWorkerStats(workers)
 	res.Elapsed = clk.Since(start)
 	run.SetUint("modules", uint64(res.NumModules))
@@ -311,10 +308,10 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	return res, nil
 }
 
-func collectWorkerStats(workers []*worker) []WorkerStats {
+func collectWorkerStats(workers []*Scanner) []WorkerStats {
 	out := make([]WorkerStats, len(workers))
 	for i, w := range workers {
-		out[i] = w.stats
+		out[i] = w.Stats()
 	}
 	return out
 }
@@ -359,7 +356,7 @@ func sweepBounds(flow *mapeq.Flow, order []uint32, workers int) []int {
 // checked once per sweep; a panic in any worker aborts the level with an
 // error after all workers of the sweep have finished (so no goroutine
 // outlives the call).
-func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, workers []*worker,
+func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, workers []*Scanner,
 	pool *sched.Pool, opt Options, r *rng.RNG, level int, res *Result,
 	lvSpan *obs.Span, frozen []bool) (sweeps int, totalMoves uint64, err error) {
 
@@ -427,7 +424,7 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 		}
 		ds, err := pool.DispatchTraced(bounds, func(wid, blk, lo, hi int) error {
 			var perr error
-			props[blk], perr = safeEvaluateBlock(workers[wid], st, flow, order, lo, hi, props[blk][:0])
+			props[blk], perr = safeEvaluateBlock(workers[wid], wid, st, flow, order, lo, hi, props[blk][:0])
 			return perr
 		}, fbc)
 		fbc.SetVolatileUint("blocks", uint64(nblocks))
@@ -534,25 +531,25 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 // safeEvaluateBlock runs one block of a FindBestCommunity sweep, converting
 // any panic (a bug in an accumulator backend, an out-of-range module ID)
 // into an error so one bad worker cannot take down the caller's process.
-func safeEvaluateBlock(w *worker, st *mapeq.State, flow *mapeq.Flow, order []uint32, lo, hi int, dst []proposal) (out []proposal, err error) {
+func safeEvaluateBlock(w *Scanner, wid int, st *mapeq.State, flow *mapeq.Flow, order []uint32, lo, hi int, dst []proposal) (out []proposal, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			out = dst
-			err = fmt.Errorf("infomap: worker %d panicked: %v", w.id, p)
+			err = fmt.Errorf("infomap: worker %d panicked: %v", wid, p)
 		}
 	}()
-	return w.evaluateBlock(st, flow, order, lo, hi, dst), nil
+	return w.evaluateBlock(st, flow, order, lo, hi, int32(wid), dst), nil
 }
 
 // liveTotals sums the cumulative accumulator stats and kernel work over all
 // workers at this instant (used to delta out per-sweep event counts).
-func liveTotals(workers []*worker) (accum.Stats, perf.KernelWork) {
+func liveTotals(workers []*Scanner) (accum.Stats, perf.KernelWork) {
 	var st accum.Stats
 	var wk perf.KernelWork
 	for _, w := range workers {
-		st.Add(w.out.Stats())
-		st.Add(w.in.Stats())
-		wk.Add(w.stats.Work)
+		ws := w.Stats()
+		st.Add(ws.Accum)
+		wk.Add(ws.Work)
 	}
 	return st, wk
 }

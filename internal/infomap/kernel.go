@@ -17,14 +17,17 @@ type proposal struct {
 	node   uint32
 	target uint32
 	wid    int32
-	delta  float64
 }
 
-// worker owns the core-local accumulators — one table for outgoing flow and
-// one for incoming flow, exactly the pair declared in lines 1–2 of the
-// paper's Algorithm 1 — plus scratch buffers and event counters.
-type worker struct {
-	id           int
+// Scanner is the paper's FindBestCommunity for one vertex at a time, and the
+// only candidate scan in the repository: the flat kernel's workers, the
+// hierarchical submodule search and the distributed ranks all price moves
+// through it. It owns the core-local accumulators — one table for outgoing
+// flow and one for incoming flow, exactly the pair declared in lines 1–2 of
+// the paper's Algorithm 1 — plus scratch buffers and event counters. A
+// Scanner is not safe for concurrent use; parallel sweeps give each worker
+// its own.
+type Scanner struct {
 	out, in      accum.Accumulator
 	outBuf       []accum.KV
 	inBuf        []accum.KV
@@ -32,32 +35,36 @@ type worker struct {
 	mergedGather bool // ASA-style candidate iteration (Algorithm 2)
 }
 
-func newWorker(id int, o Options, hint int) (*worker, error) {
-	out, err := o.newAccumulator(hint)
+// NewScanner builds a Scanner over opt's accumulator backend. hint is the
+// expected largest session — the graph's maximum degree — and sizes the
+// software tables so hubs pay no growth churn.
+func NewScanner(opt Options, hint int) (*Scanner, error) {
+	out, err := opt.newAccumulator(hint)
 	if err != nil {
 		return nil, err
 	}
-	in, err := o.newAccumulator(hint)
+	in, err := opt.newAccumulator(hint)
 	if err != nil {
 		return nil, err
 	}
-	return &worker{
-		id:  id,
+	return &Scanner{
 		out: out,
 		in:  in,
 		// ASA gathers+merges instead of point probes (Algorithm 2); the
 		// probe-free HashGraph backend takes the same lookup-free candidate
 		// path — its whole point is never probing during accumulation.
-		mergedGather: o.Kind == ASA || o.Kind == HashGraph,
+		mergedGather: opt.Kind == ASA || opt.Kind == HashGraph,
 	}, nil
 }
 
-// snapshotStats folds the accumulators' cumulative stats into the worker's
-// WorkerStats. Called once at the end of a run.
-func (w *worker) snapshotStats() {
-	w.stats.Accum = accum.Stats{}
-	w.stats.Accum.Add(w.out.Stats())
-	w.stats.Accum.Add(w.in.Stats())
+// Stats returns the Scanner's cumulative kernel work with both
+// accumulators' event counts folded in.
+func (s *Scanner) Stats() WorkerStats {
+	ws := s.stats
+	ws.Accum = accum.Stats{}
+	ws.Accum.Add(s.out.Stats())
+	ws.Accum.Add(s.in.Stats())
+	return ws
 }
 
 // evaluateBlock runs FindBestCommunity for the vertices order[lo:hi] against
@@ -68,25 +75,29 @@ func (w *worker) snapshotStats() {
 // which worker ran — or stole — which block.
 //
 //asalint:hotroot per-sweep block evaluation: the inner loop of the paper's kernel
-func (w *worker) evaluateBlock(st *mapeq.State, f *mapeq.Flow, order []uint32, lo, hi int, dst []proposal) []proposal {
+func (s *Scanner) evaluateBlock(st *mapeq.State, f *mapeq.Flow, order []uint32, lo, hi int, wid int32, dst []proposal) []proposal {
 	for i := lo; i < hi; i++ {
-		if p, ok := w.findBestCommunity(st, f, int(order[i])); ok {
-			dst = append(dst, p)
+		if t, _, ok := s.FindBestCommunity(st, f, int(order[i])); ok {
+			dst = append(dst, proposal{node: order[i], target: t, wid: wid})
 		}
 	}
 	return dst
 }
 
-// findBestCommunity is Algorithm 1 (Baseline) / Algorithm 2 (ASA) of the
-// paper: accumulate per-module outgoing and incoming flow over the vertex's
-// adjacency, then pick the module whose ΔL is most negative.
-func (w *worker) findBestCommunity(st *mapeq.State, f *mapeq.Flow, v int) (proposal, bool) {
+// FindBestCommunity is Algorithm 1 (Baseline) / Algorithm 2 (ASA) of the
+// paper: accumulate per-module outgoing and incoming flow over vertex v's
+// adjacency under st's membership, then pick the module whose ΔL is most
+// negative. ok reports an improving move (target differs from v's module and
+// delta < 0); st is only read.
+//
+//asalint:hotroot per-vertex candidate scan shared by flat, hierarchical and distributed sweeps
+func (s *Scanner) FindBestCommunity(st *mapeq.State, f *mapeq.Flow, v int) (target uint32, delta float64, ok bool) {
 	g := f.G
-	w.stats.Work.VerticesProcessed++
+	s.stats.Work.VerticesProcessed++
 	old := st.Module(v)
 
-	w.out.Reset()
-	w.in.Reset()
+	s.out.Reset()
+	s.in.Reset()
 
 	// Accumulate outgoing flow per neighbor module (Alg. 1 lines 4–13).
 	lo, _ := g.OutRange(v)
@@ -97,130 +108,131 @@ func (w *worker) findBestCommunity(st *mapeq.State, f *mapeq.Flow, v int) (propo
 		if t == v {
 			continue
 		}
-		w.stats.Work.ArcsProcessed++
-		w.out.Accumulate(st.Module(t), f.OutFlow[lo+i])
+		s.stats.Work.ArcsProcessed++
+		s.out.Accumulate(st.Module(t), f.OutFlow[lo+i])
 		links++
 	}
 	// Accumulate incoming flow (Alg. 1 line 14).
 	ilo, _ := g.InRange(v)
 	in := g.InNeighbors(v)
 	for i := range in {
-		s := int(in[i])
-		if s == v {
+		u := int(in[i])
+		if u == v {
 			continue
 		}
-		w.stats.Work.ArcsProcessed++
-		w.in.Accumulate(st.Module(s), f.InFlow[ilo+i])
+		s.stats.Work.ArcsProcessed++
+		s.in.Accumulate(st.Module(u), f.InFlow[ilo+i])
 		links++
 	}
 	if links == 0 {
 		// Isolated vertex (or only self-loops): no neighbor module to join.
-		return proposal{}, false
+		return old, 0, false
 	}
 
 	view := f.View(v)
-	if w.mergedGather {
-		return w.candidatesMerged(st, view, old)
+	if s.mergedGather {
+		target, delta = s.candidatesMerged(st, view, old)
+	} else {
+		target, delta = s.candidatesLookup(st, view, old)
 	}
-	return w.candidatesLookup(st, view, old)
+	return target, delta, target != old && delta < 0
 }
 
-// better reports whether candidate module m with ΔL d improves on best. The
-// ΔL tie-break on the smaller module ID matters for determinism: the hash
-// table's Gather order depends on its capacity history, which varies with
-// which worker's table processed the vertex, so exact-ΔL ties would
-// otherwise resolve differently across worker counts and steal schedules.
-func better(best proposal, m uint32, d float64, old uint32) bool {
-	if d < best.delta {
+// better reports whether candidate module m with ΔL d improves on the best
+// so far (bestM, bestD), the scan having started from (old, 0). It is the one
+// tie-break rule of every candidate scan: exact ΔL ties go to the smaller
+// module ID. That matters for determinism: the hash table's Gather order
+// depends on its capacity history, which varies with which worker's table
+// processed the vertex, so exact-ΔL ties would otherwise resolve differently
+// across worker counts and steal schedules.
+func better(bestM uint32, bestD float64, m uint32, d float64, old uint32) bool {
+	if d < bestD {
 		return true
 	}
-	return d == best.delta && best.target != old && m < best.target
+	return d == bestD && bestM != old && m < bestM
 }
 
 // candidatesLookup is the Baseline candidate scan (Alg. 1 lines 15–25):
 // iterate the out-flow hash table and point-look-up the in-flow table.
-func (w *worker) candidatesLookup(st *mapeq.State, view mapeq.NodeView, old uint32) (proposal, bool) {
-	w.outBuf = w.out.Gather(w.outBuf[:0])
-	outOld, _ := w.out.Lookup(old)
-	inOld, _ := w.in.Lookup(old)
+func (s *Scanner) candidatesLookup(st *mapeq.State, view mapeq.NodeView, old uint32) (uint32, float64) {
+	s.outBuf = s.out.Gather(s.outBuf[:0])
+	outOld, _ := s.out.Lookup(old)
+	inOld, _ := s.in.Lookup(old)
 
 	dep := st.Prepare(view, outOld, inOld)
-	best := proposal{node: uint32(view.Node), target: old, wid: int32(w.id)}
-	for _, kv := range w.outBuf {
+	best, bestD := old, 0.0
+	for _, kv := range s.outBuf {
 		if kv.Key == old {
 			continue
 		}
-		inFlow, _ := w.in.Lookup(kv.Key)
-		w.stats.Work.CandidatesEvaluated++
-		d := dep.Delta(kv.Key, kv.Value, inFlow)
-		if better(best, kv.Key, d, old) {
-			best = proposal{node: uint32(view.Node), target: kv.Key, wid: int32(w.id), delta: d}
+		inFlow, _ := s.in.Lookup(kv.Key)
+		s.stats.Work.CandidatesEvaluated++
+		if d := dep.Delta(kv.Key, kv.Value, inFlow); better(best, bestD, kv.Key, d, old) {
+			best, bestD = kv.Key, d
 		}
 	}
 	// Directed graphs can have candidate modules reachable only via
 	// in-links; Algorithm 1's line 14 surfaces them the same way.
-	w.inBuf = w.in.Gather(w.inBuf[:0])
-	for _, kv := range w.inBuf {
+	s.inBuf = s.in.Gather(s.inBuf[:0])
+	for _, kv := range s.inBuf {
 		if kv.Key == old {
 			continue
 		}
-		if _, seen := w.out.Lookup(kv.Key); seen {
+		if _, seen := s.out.Lookup(kv.Key); seen {
 			continue // already evaluated above
 		}
-		w.stats.Work.CandidatesEvaluated++
-		d := dep.Delta(kv.Key, 0, kv.Value)
-		if better(best, kv.Key, d, old) {
-			best = proposal{node: uint32(view.Node), target: kv.Key, wid: int32(w.id), delta: d}
+		s.stats.Work.CandidatesEvaluated++
+		if d := dep.Delta(kv.Key, 0, kv.Value); better(best, bestD, kv.Key, d, old) {
+			best, bestD = kv.Key, d
 		}
 	}
-	return best, best.target != old && best.delta < 0
+	return best, bestD
 }
 
 // candidatesMerged is the ASA candidate scan (Alg. 2 lines 9–14): gather both
 // CAMs (with sort_and_merge on overflow), sort the pair vectors, and walk
 // them with a two-pointer merge.
-func (w *worker) candidatesMerged(st *mapeq.State, view mapeq.NodeView, old uint32) (proposal, bool) {
-	w.outBuf = w.out.Gather(w.outBuf[:0])
-	w.inBuf = w.in.Gather(w.inBuf[:0])
-	sortKV(w.outBuf)
-	sortKV(w.inBuf)
+func (s *Scanner) candidatesMerged(st *mapeq.State, view mapeq.NodeView, old uint32) (uint32, float64) {
+	s.outBuf = s.out.Gather(s.outBuf[:0])
+	s.inBuf = s.in.Gather(s.inBuf[:0])
+	sortKV(s.outBuf)
+	sortKV(s.inBuf)
 
 	var outOld, inOld float64
-	if i := findKV(w.outBuf, old); i >= 0 {
-		outOld = w.outBuf[i].Value
+	if i := findKV(s.outBuf, old); i >= 0 {
+		outOld = s.outBuf[i].Value
 	}
-	if i := findKV(w.inBuf, old); i >= 0 {
-		inOld = w.inBuf[i].Value
+	if i := findKV(s.inBuf, old); i >= 0 {
+		inOld = s.inBuf[i].Value
 	}
 
 	dep := st.Prepare(view, outOld, inOld)
-	best := proposal{node: uint32(view.Node), target: old, wid: int32(w.id)}
+	best, bestD := old, 0.0
 	i, j := 0, 0
-	for i < len(w.outBuf) || j < len(w.inBuf) {
+	for i < len(s.outBuf) || j < len(s.inBuf) {
 		var m uint32
 		var of, nf float64
 		switch {
-		case j >= len(w.inBuf) || (i < len(w.outBuf) && w.outBuf[i].Key < w.inBuf[j].Key):
-			m, of = w.outBuf[i].Key, w.outBuf[i].Value
+		case j >= len(s.inBuf) || (i < len(s.outBuf) && s.outBuf[i].Key < s.inBuf[j].Key):
+			m, of = s.outBuf[i].Key, s.outBuf[i].Value
 			i++
-		case i >= len(w.outBuf) || w.inBuf[j].Key < w.outBuf[i].Key:
-			m, nf = w.inBuf[j].Key, w.inBuf[j].Value
+		case i >= len(s.outBuf) || s.inBuf[j].Key < s.outBuf[i].Key:
+			m, nf = s.inBuf[j].Key, s.inBuf[j].Value
 			j++
 		default:
-			m, of, nf = w.outBuf[i].Key, w.outBuf[i].Value, w.inBuf[j].Value
+			m, of, nf = s.outBuf[i].Key, s.outBuf[i].Value, s.inBuf[j].Value
 			i++
 			j++
 		}
 		if m == old {
 			continue
 		}
-		w.stats.Work.CandidatesEvaluated++
-		d := dep.Delta(m, of, nf)
-		if better(best, m, d, old) {
-			best = proposal{node: uint32(view.Node), target: m, wid: int32(w.id), delta: d}
+		s.stats.Work.CandidatesEvaluated++
+		if d := dep.Delta(m, of, nf); better(best, bestD, m, d, old) {
+			best, bestD = m, d
 		}
 	}
-	return best, best.target != old && best.delta < 0
+	return best, bestD
 }
 
 // sortKVThreshold is the length above which sortKV switches from insertion

@@ -43,14 +43,14 @@ func BenchmarkKernelFindBestCommunity(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			opt := DefaultOptions()
 			opt.Kind = kind
-			w, err := newWorker(0, opt, g.MaxDegree())
+			w, err := NewScanner(opt, g.MaxDegree())
 			if err != nil {
 				b.Fatal(err)
 			}
 			var props []proposal
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				props = w.evaluateBlock(st, flow, order, 0, len(order), props[:0])
+				props = w.evaluateBlock(st, flow, order, 0, len(order), 0, props[:0])
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(order)), "ns/vertex")
 		})
