@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test lint lint-json race fuzz-smoke bench-smoke bench-accum bench-sched chaos-smoke delta-replay perfbench-check all
+.PHONY: build test lint fmt-check lint-json race fuzz-smoke bench-smoke bench-accum bench-sched chaos-smoke delta-replay perfbench-check all
 
 all: build lint test
 
@@ -10,11 +11,19 @@ build:
 test:
 	$(GO) test ./...
 
-# lint runs the repository's own analyzer suite (determinism, entropy,
-# cancellation, goroutine-join, and fingerprint contracts) plus go vet.
-lint:
+# lint runs the gofmt check, the repository's own analyzer suite
+# (determinism, entropy, cancellation, goroutine-join, and fingerprint
+# contracts) and go vet.
+lint: fmt-check
 	$(GO) run ./cmd/asalint ./...
 	$(GO) vet ./...
+
+# fmt-check fails on any Go file gofmt would rewrite, over the directories
+# `go list ./...` reports: the analyzer's testdata fixtures are not packages
+# and keep the layout their expected diagnostics point at.
+fmt-check:
+	@unformatted=$$(for d in $$($(GO) list -f '{{.Dir}}' ./...); do $(GOFMT) -l $$d/*.go; done); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # lint-json writes the canonical machine-readable findings document
 # (asalint.json: sorted, module-relative paths, no timestamps — identical

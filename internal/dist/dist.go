@@ -177,11 +177,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	leafState, err := mapeq.NewState(baseFlow, make([]uint32, g.N()), 1)
-	if err != nil {
-		return nil, err
-	}
-	leafNodeTerm := leafState.NodeTerm()
+	leafNodeTerm := baseFlow.NodeTerm()
 	res.OneLevelCodelength = mapeq.OneLevelCodelength(baseFlow)
 
 	// Ranks evaluate one after another, so one Scanner on the Baseline

@@ -130,10 +130,22 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
-	root := &HierNode{}
 	groups := make([][]int, k)
 	for v, m := range mem {
 		groups[m] = append(groups[m], v)
+	}
+	// twoLevel builds the depth-2 tree of the flat partition: the root over
+	// one leaf module per top module.
+	twoLevel := func() *HierNode {
+		root := &HierNode{}
+		for m, members := range groups {
+			root.Children = append(root.Children, &HierNode{
+				Vertices: members,
+				Exit:     st.ModuleExit(uint32(m)),
+				Flow:     st.ModuleFlow(uint32(m)),
+			})
+		}
+		return root
 	}
 	// One Scanner, on the run's own backend, prices every submodule and
 	// super-level move.
@@ -142,14 +154,7 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 		return nil, err
 	}
 	r := rng.New(opt.Seed)
-	for m, members := range groups {
-		child := &HierNode{
-			Vertices: members,
-			Exit:     st.ModuleExit(uint32(m)),
-			Flow:     st.ModuleFlow(uint32(m)),
-		}
-		root.Children = append(root.Children, child)
-	}
+	root := twoLevel()
 	// Try to split each top module recursively (fine structure below)...
 	for _, child := range root.Children {
 		if err := splitRecursively(flow, child, sc, opt, r, opt.MaxLevels); err != nil {
@@ -165,8 +170,17 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 
 	res.Root = root
 	res.Codelength = HierCodelength(flow, root)
-	res.Depth = root.Depth()
-	res.Modules = countModules(root) - 1 // exclude the root itself
+	// The splits and super levels are priced on approximate flows (on
+	// directed input subFlow counts a module's teleportation as exit), so
+	// the tree they build can price worse than the flat partition it grew
+	// from. Like the flat run's one-level fallback, keep the depth-2 tree
+	// then.
+	t := twoLevel()
+	if l := HierCodelength(flow, t); l < res.Codelength {
+		res.Root, res.Codelength = t, l
+	}
+	res.Depth = res.Root.Depth()
+	res.Modules = countModules(res.Root) - 1 // exclude the root itself
 	return res, nil
 }
 
@@ -202,7 +216,7 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, sc *Scanner, opt Options
 	// Cost of keeping the module flat: its leaf codebook. Cost of the split:
 	// the module's index codebook plus the children's leaf codebooks. The
 	// shared −plogp(q) term cancels in the comparison.
-	leafCost := mapeq.Plogp(node.Exit+node.Flow) - sumPlogpNodeFlows(sf)
+	leafCost := mapeq.Plogp(node.Exit+node.Flow) - sf.NodeTerm()
 	splitCost := innerState.Codelength()
 	if splitCost >= leafCost-opt.MinImprovement {
 		return nil
@@ -295,14 +309,6 @@ func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, sc
 		curFlow = cf
 	}
 	return nil
-}
-
-func sumPlogpNodeFlows(f *mapeq.Flow) float64 {
-	s := 0.0
-	for _, p := range f.NodeFlow {
-		s += mapeq.Plogp(p)
-	}
-	return s
 }
 
 // subFlow builds the flow restricted to a module's members: internal arcs
@@ -424,11 +430,7 @@ func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, sc *Scanner, opt Opti
 func HierCodelength(f *mapeq.Flow, root *HierNode) float64 {
 	if len(root.Children) == 0 {
 		// Degenerate tree: one flat codebook over everything.
-		sum := 0.0
-		for _, p := range f.NodeFlow {
-			sum -= mapeq.Plogp(p)
-		}
-		return sum
+		return mapeq.OneLevelCodelength(f)
 	}
 	l := 0.0
 	// Root index codebook (the root has no exit).

@@ -168,18 +168,14 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 		return res, nil
 	}
 
-	// One State and one membership buffer serve the whole run: every level,
-	// every outer-iteration check and the final codelength Reset them in
-	// place, so they are allocated once, at the leaf level's size (no level
-	// is larger).
+	// One State and one membership buffer serve the whole run: every level
+	// and every outer-iteration check Reset them in place, so they are
+	// allocated once, at the leaf level's size (no level is larger).
 	st := new(mapeq.State)
 	mem := make([]uint32, g.N())
 	// Leaf-level node term is carried through all super-node levels so that
 	// codelengths remain those of the original vertices.
-	if _, err := st.Reset(baseFlow, mem, 1); err != nil {
-		return nil, err
-	}
-	leafNodeTerm := st.NodeTerm()
+	leafNodeTerm := baseFlow.NodeTerm()
 	res.OneLevelCodelength = mapeq.OneLevelCodelength(baseFlow)
 
 	r := rng.New(opt.Seed)
@@ -188,7 +184,10 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	// vertices from the current partition, rebuild the super-node hierarchy
 	// from the refined partition, and repeat while the codelength improves.
 	bestL := res.OneLevelCodelength
+	outerIters := 0
 	for outer := 0; outer < opt.OuterIters; outer++ {
+		outerIters++
+		movesBefore := res.Moves
 		flow := baseFlow
 		for level := 0; level < opt.MaxLevels; level++ {
 			if err := ctx.Err(); err != nil {
@@ -263,29 +262,26 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 		}
 
 		// Evaluate the outer iteration's result from scratch on the base
-		// flow; stop when it no longer improves.
+		// flow — the honest number, free of any incremental drift. Every
+		// exit from this loop leaves st reset on the compacted partition in
+		// mem, so this Reset also yields the run's final codelength.
 		copy(mem, res.Membership)
-		k := mapeq.CompactMembership(mem)
-		if _, err := st.Reset(baseFlow, mem, k); err != nil {
+		res.NumModules = mapeq.CompactMembership(mem)
+		if _, err := st.Reset(baseFlow, mem, res.NumModules); err != nil {
 			return nil, err
 		}
 		l := st.Codelength()
-		if bestL-l < opt.MinImprovement {
+		// An iteration that moved nothing on any level leaves the next one
+		// the same partition, frozen mask and State. Its sweeps would
+		// propose exactly the moves this one refused, whatever their order,
+		// so it would move nothing and return this same l: stop here.
+		if res.Moves == movesBefore || bestL-l < opt.MinImprovement {
 			break
 		}
 		bestL = l
 	}
-
-	// Recompute the final codelength from scratch on the base flow — the
-	// honest number, free of any incremental drift.
-	copy(mem, res.Membership)
-	k := mapeq.CompactMembership(mem)
 	copy(res.Membership, mem)
-	if _, err := st.Reset(baseFlow, mem, k); err != nil {
-		return nil, err
-	}
 	res.Codelength = st.Codelength()
-	res.NumModules = k
 
 	// A fragmented two-level code can price worse than the trivial
 	// one-module code on graphs with little community structure; like the
@@ -302,6 +298,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	res.Elapsed = clk.Since(start)
 	run.SetUint("modules", uint64(res.NumModules))
 	run.SetFloat("codelength", res.Codelength)
+	run.SetUint("outer_iters", uint64(outerIters))
 	run.SetUint("levels", uint64(res.Levels))
 	run.SetUint("sweeps", uint64(res.Sweeps))
 	run.SetUint("moves", res.Moves)
@@ -479,8 +476,12 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 			}
 		}
 		// Wash accumulated floating-point drift out of the incremental
-		// aggregates once per sweep.
-		st.Refresh()
+		// aggregates after every sweep that moved something. A sweep with
+		// no move left the state exactly as its last Reset or Refresh
+		// built it, so refreshing it again would change no bit.
+		if moves > 0 {
+			st.Refresh()
+		}
 		commitWall := clk.Since(umStart)
 		um.SetUint("moves", moves)
 		um.End()

@@ -38,11 +38,19 @@ func (f *Flow) View(u int) NodeView {
 // optimal two-level codelength and is the paper's reference point for
 // "compression achieved".
 func OneLevelCodelength(f *Flow) float64 {
-	h := 0.0
+	// 0 − t rather than −t: a zero-entropy flow (one vertex) prices +0.
+	return 0 - f.NodeTerm()
+}
+
+// NodeTerm returns the partition-independent Σ plogp(p_α) over the flow's
+// vertices, summed in vertex order: exactly the node term Reset gives a
+// State on f.
+func (f *Flow) NodeTerm() float64 {
+	t := 0.0
 	for _, p := range f.NodeFlow {
-		h -= Plogp(p)
+		t += Plogp(p)
 	}
-	return h
+	return t
 }
 
 // State is the incremental map-equation bookkeeping for one partition of one
@@ -113,7 +121,7 @@ func (s *State) Reset(f *Flow, membership []uint32, numModules int) (*State, err
 	s.plogpExit = resize(s.plogpExit, numModules)
 	s.plogpBoth = resize(s.plogpBoth, numModules)
 	s.size = resize(s.size, numModules)
-	s.teleTotal, s.nodeTerm, s.exitOffset = 0, 0, 0
+	s.teleTotal, s.exitOffset = 0, 0
 	for _, t := range f.TeleOut {
 		s.teleTotal += t
 	}
@@ -126,8 +134,8 @@ func (s *State) Reset(f *Flow, membership []uint32, numModules int) (*State, err
 		s.tele[m] += f.TeleOut[u]
 		s.land[m] += f.Land[u]
 		s.size[m]++
-		s.nodeTerm += Plogp(f.NodeFlow[u])
 	}
+	s.nodeTerm = f.NodeTerm()
 	s.recomputeExits()
 	return s, nil
 }
@@ -192,7 +200,8 @@ func (s *State) recomputeExits() {
 }
 
 // Refresh recomputes all aggregates from the current membership, washing out
-// incremental floating-point drift.
+// incremental floating-point drift. On a state no move has touched since its
+// last Reset or Refresh it changes no bit.
 func (s *State) Refresh() { s.recomputeExits() }
 
 // SetExitOffset adds a constant to the index-codebook rate: the codelength's

@@ -44,14 +44,14 @@ func TestParseRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"justonefield",
-		"0000000000000001-0000000000000002",      // two fields
-		"0000000000000001-0000000000000002-1-9",  // four fields
-		"0000000000000000-0000000000000002-1",    // zero trace
-		"0000000000000001-0000000000000000-1",    // zero parent
-		"0000000000000001-0000000000000002-0",    // hop below range
-		"0000000000000001-0000000000000002-17",   // hop above MaxHops
-		"0000000000000001-0000000000000002-x",    // non-numeric hop
-		"000000000000001-00000000000000002-1",    // wrong widths
+		"0000000000000001-0000000000000002",     // two fields
+		"0000000000000001-0000000000000002-1-9", // four fields
+		"0000000000000000-0000000000000002-1",   // zero trace
+		"0000000000000001-0000000000000000-1",   // zero parent
+		"0000000000000001-0000000000000002-0",   // hop below range
+		"0000000000000001-0000000000000002-17",  // hop above MaxHops
+		"0000000000000001-0000000000000002-x",   // non-numeric hop
+		"000000000000001-00000000000000002-1",   // wrong widths
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted garbage", bad)

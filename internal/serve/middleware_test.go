@@ -214,7 +214,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var payload struct {
-		Retained int                `json:"retained"`
+		Retained int           `json:"retained"`
 		Spans    []SpanPayload `json:"spans"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
