@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadEdgeList -fuzztime=15s ./internal/graph
 	$(GO) test -run=NONE -fuzz=FuzzDetectRequest -fuzztime=15s ./internal/serve/cluster
 	$(GO) test -run=NONE -fuzz=FuzzDeltaRequest -fuzztime=15s ./internal/serve/cluster
+	$(GO) test -run=NONE -fuzz=FuzzMapEquationOracle -fuzztime=15s ./internal/infomap
 
 bench-smoke:
 	$(GO) test -run=NONE -bench='Sched|AsalintRepo|Ingest|Kernel|WarmReplay|DistRun' -benchtime=1x ./...

@@ -30,9 +30,7 @@ import (
 	"github.com/asamap/asamap/internal/fault"
 	"github.com/asamap/asamap/internal/graph"
 	"github.com/asamap/asamap/internal/infomap"
-	"github.com/asamap/asamap/internal/mapeq"
 	"github.com/asamap/asamap/internal/obs"
-	"github.com/asamap/asamap/internal/pagerank"
 	"github.com/asamap/asamap/internal/perf"
 	"github.com/asamap/asamap/internal/trace"
 )
@@ -224,15 +222,11 @@ func main() {
 		}
 		fmt.Printf("hierarchy: %s\n", hres)
 		if *tree != "" {
-			flows, err := nodeFlows(g, opt)
-			if err != nil {
-				fatal(err)
-			}
 			f, err := os.Create(*tree)
 			if err != nil {
 				fatal(err)
 			}
-			if err := hres.WriteTree(f, flows, labels); err != nil {
+			if err := hres.WriteTree(f, labels); err != nil {
 				fatal(err)
 			}
 			if err := f.Close(); err != nil {
@@ -388,33 +382,6 @@ func warmSeed(parent []uint32, modules, childN int) []uint32 {
 		next++
 	}
 	return seed
-}
-
-// nodeFlows recomputes the base visit rates for the .tree output.
-func nodeFlows(g *graph.Graph, opt infomap.Options) ([]float64, error) {
-	if !g.Directed() {
-		f, err := mapeq.NewUndirectedFlow(g)
-		if err != nil {
-			return nil, err
-		}
-		return f.NodeFlow, nil
-	}
-	cfg := pagerank.DefaultConfig()
-	cfg.Damping = opt.Damping
-	pr, err := pagerank.Compute(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var f *mapeq.Flow
-	if opt.Teleport == infomap.TeleportUnrecorded {
-		f, err = mapeq.NewDirectedFlowUnrecorded(g, pr.Rank, opt.Damping)
-	} else {
-		f, err = mapeq.NewDirectedFlow(g, pr.Rank, opt.Damping)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return f.NodeFlow, nil
 }
 
 func direction(g *graph.Graph) string {

@@ -2,12 +2,21 @@ package asamap_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/asamap/asamap/internal/gen"
+	"github.com/asamap/asamap/internal/graph"
+	"github.com/asamap/asamap/internal/infomap"
+	"github.com/asamap/asamap/internal/rng"
 )
 
 // The golden e2e tests exec the real CLI binaries through `go run` against a
@@ -303,5 +312,75 @@ func TestE2EQualityGolden(t *testing.T) {
 	want := readGolden(t, "lfr_small.quality.golden")
 	if !bytes.Equal(out, want) {
 		t.Errorf("quality stdout drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", out, want)
+	}
+}
+
+// TestE2EHierarchicalTreeUnrecorded runs `cmd/infomap -directed -teleport
+// unrecorded -hierarchical -tree` on a generated R-MAT scale-10 edge list.
+// The hierarchical L must not exceed the two-level L, and the .tree file's
+// flows must be the base visit rates the run optimized on.
+func TestE2EHierarchicalTreeUnrecorded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs go run; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	in := filepath.Join(dir, "rmat10.txt")
+	raw, err := gen.RMAT(10, 16, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.WriteEdgeListFile(in); err != nil {
+		t.Fatal(err)
+	}
+	treePath := filepath.Join(dir, "rmat10.tree")
+	out := runCLI(t, "infomap", "-in", in, "-directed", "-teleport", "unrecorded",
+		"-hierarchical", "-tree", treePath)
+
+	m := regexp.MustCompile(`hierarchy: hierarchical L=(\S+) bits \(two-level (\S+)\)`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("no hierarchy line in stdout:\n%s", out)
+	}
+	hier, err1 := strconv.ParseFloat(string(m[1]), 64)
+	flat, err2 := strconv.ParseFloat(string(m[2]), 64)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("unparsable hierarchy line %q", m[0])
+	}
+	if hier > flat {
+		t.Errorf("hierarchical L %v above two-level L %v", hier, flat)
+	}
+
+	g, _, err := graph.ReadEdgeListFile(in, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := infomap.DefaultOptions()
+	opt.Workers = 1
+	opt.Teleport = infomap.TeleportUnrecorded
+	flow, err := infomap.BaseFlow(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(treePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		// path flow "name" id
+		f := strings.Fields(line)
+		v, err := strconv.Atoi(f[len(f)-1])
+		if err != nil || v < 0 || v >= g.N() {
+			t.Fatalf("bad vertex id in tree line %q", line)
+		}
+		if want := fmt.Sprintf("%.9f", flow.NodeFlow[v]); f[1] != want {
+			t.Fatalf("vertex %d: tree flow %s, base flow %s", v, f[1], want)
+		}
+		lines++
+	}
+	if lines != g.N() {
+		t.Fatalf("tree has %d vertex lines, want %d", lines, g.N())
 	}
 }

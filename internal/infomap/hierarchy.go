@@ -8,7 +8,6 @@ import (
 
 	"github.com/asamap/asamap/internal/graph"
 	"github.com/asamap/asamap/internal/mapeq"
-	"github.com/asamap/asamap/internal/pagerank"
 	"github.com/asamap/asamap/internal/rng"
 )
 
@@ -21,11 +20,14 @@ import (
 // system (listed as future-work scope in DESIGN.md).
 
 // HierNode is one module in the hierarchy tree. Leaf modules carry their
-// member vertices; internal modules carry children.
+// member vertices; internal modules carry children. Enter and Exit are the
+// base flow's rates into and out of the module's vertex set; they differ on
+// directed flow.
 type HierNode struct {
 	Children []*HierNode
 	Vertices []int   // leaf members (nil for internal nodes)
-	Exit     float64 // module enter/exit rate q
+	Enter    float64 // module enter rate: its codeword's rate in the parent's index codebook
+	Exit     float64 // module exit rate: the exit codeword's rate in its own codebook
 	Flow     float64 // Σ member visit rates
 }
 
@@ -64,8 +66,9 @@ type HierResult struct {
 	Codelength         float64 // hierarchical L in bits
 	TwoLevelCodelength float64 // the flat partition's L, for comparison
 	TopMembership      []uint32
-	Depth              int // tree height including the root
-	Modules            int // total module count across all levels
+	NodeFlow           []float64 // base visit rate of each vertex
+	Depth              int       // tree height including the root
+	Modules            int       // total module count across all levels
 	// Work is the scan work and accumulator events of the submodule and
 	// super-level searches (the flat run's are not included).
 	Work WorkerStats
@@ -87,37 +90,14 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 	if opt.Workers == 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	flat, err := RunContext(ctx, g, opt)
+	flat, flow, err := runContext(ctx, g, opt)
 	if err != nil {
 		return nil, err
-	}
-	// Rebuild the base flow (Run does not expose it).
-	var flow *mapeq.Flow
-	if g.Directed() {
-		cfg := pagerank.DefaultConfig()
-		cfg.Damping = opt.Damping
-		cfg.Workers = opt.Workers
-		pr, err := pagerank.ComputeContext(ctx, g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if opt.Teleport == TeleportUnrecorded {
-			flow, err = mapeq.NewDirectedFlowUnrecorded(g, pr.Rank, opt.Damping)
-		} else {
-			flow, err = mapeq.NewDirectedFlow(g, pr.Rank, opt.Damping)
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		flow, err = mapeq.NewUndirectedFlow(g)
-		if err != nil {
-			return nil, err
-		}
 	}
 	res := &HierResult{
 		TwoLevelCodelength: flat.Codelength,
 		TopMembership:      flat.Membership,
+		NodeFlow:           flow.NodeFlow,
 	}
 	if g.N() == 0 {
 		res.Root = &HierNode{}
@@ -130,23 +110,6 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
-	groups := make([][]int, k)
-	for v, m := range mem {
-		groups[m] = append(groups[m], v)
-	}
-	// twoLevel builds the depth-2 tree of the flat partition: the root over
-	// one leaf module per top module.
-	twoLevel := func() *HierNode {
-		root := &HierNode{}
-		for m, members := range groups {
-			root.Children = append(root.Children, &HierNode{
-				Vertices: members,
-				Exit:     st.ModuleExit(uint32(m)),
-				Flow:     st.ModuleFlow(uint32(m)),
-			})
-		}
-		return root
-	}
 	// One Scanner, on the run's own backend, prices every submodule and
 	// super-level move.
 	sc, err := NewScanner(opt, g.MaxDegree())
@@ -154,34 +117,44 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 		return nil, err
 	}
 	r := rng.New(opt.Seed)
-	root := twoLevel()
+	teleTotal := flow.TeleTotal()
+	root := twoLevelTree(st, mem, k)
 	// Try to split each top module recursively (fine structure below)...
 	for _, child := range root.Children {
-		if err := splitRecursively(flow, child, sc, opt, r, opt.MaxLevels); err != nil {
+		if err := splitRecursively(flow, teleTotal, child, sc, opt, r, opt.MaxLevels); err != nil {
 			return nil, err
 		}
 	}
 	// ...and to agglomerate top modules under super modules (coarse
-	// structure above), while either direction shortens the code.
+	// structure above), while either direction shortens the code. Each
+	// accepted step is priced on the exact tree L, so the tree never
+	// prices above the depth-2 tree it grew from.
 	if err := addSuperLevels(flow, root, mem, sc, opt, r); err != nil {
 		return nil, err
 	}
 	res.Work = sc.Stats()
-
 	res.Root = root
 	res.Codelength = HierCodelength(flow, root)
-	// The splits and super levels are priced on approximate flows (on
-	// directed input subFlow counts a module's teleportation as exit), so
-	// the tree they build can price worse than the flat partition it grew
-	// from. Like the flat run's one-level fallback, keep the depth-2 tree
-	// then.
-	t := twoLevel()
-	if l := HierCodelength(flow, t); l < res.Codelength {
-		res.Root, res.Codelength = t, l
-	}
-	res.Depth = res.Root.Depth()
-	res.Modules = countModules(res.Root) - 1 // exclude the root itself
+	res.Depth = root.Depth()
+	res.Modules = countModules(root) - 1 // exclude the root itself
 	return res, nil
+}
+
+// twoLevelTree returns the depth-2 tree of the partition st prices: the
+// root over one leaf module per module of mem (dense IDs in [0, k)).
+func twoLevelTree(st *mapeq.State, mem []uint32, k int) *HierNode {
+	root := &HierNode{Children: make([]*HierNode, k)}
+	for m := range root.Children {
+		root.Children[m] = &HierNode{
+			Enter: st.ModuleEnter(uint32(m)),
+			Exit:  st.ModuleExit(uint32(m)),
+			Flow:  st.ModuleFlow(uint32(m)),
+		}
+	}
+	for v, m := range mem {
+		root.Children[m].Vertices = append(root.Children[m].Vertices, v)
+	}
+	return root
 }
 
 func countModules(n *HierNode) int {
@@ -193,12 +166,13 @@ func countModules(n *HierNode) int {
 }
 
 // splitRecursively attempts to split a leaf module into submodules and, when
-// accepted, recurses into the new children.
-func splitRecursively(flow *mapeq.Flow, node *HierNode, sc *Scanner, opt Options, r *rng.RNG, depthBudget int) error {
+// accepted, recurses into the new children. teleTotal is the base flow's
+// total teleportation output.
+func splitRecursively(flow *mapeq.Flow, teleTotal float64, node *HierNode, sc *Scanner, opt Options, r *rng.RNG, depthBudget int) error {
 	if depthBudget <= 0 || !node.IsLeaf() || len(node.Vertices) < 4 {
 		return nil
 	}
-	sf, err := subFlow(flow, node.Vertices)
+	sf, err := subFlow(flow, teleTotal, node.Vertices)
 	if err != nil {
 		return err
 	}
@@ -214,10 +188,10 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, sc *Scanner, opt Options
 		return nil
 	}
 	// Cost of keeping the module flat: its leaf codebook. Cost of the split:
-	// the module's index codebook plus the children's leaf codebooks. The
-	// shared −plogp(q) term cancels in the comparison.
-	leafCost := mapeq.Plogp(node.Exit+node.Flow) - sf.NodeTerm()
-	splitCost := innerState.Codelength()
+	// the module's index codebook plus the children's leaf codebooks, which
+	// is innerState's L less the plogp(exit) its exit offset leaves out.
+	leafCost := mapeq.Codebook(node.Exit, sf.NodeFlow)
+	splitCost := innerState.Codelength() - mapeq.Plogp(node.Exit)
 	if splitCost >= leafCost-opt.MinImprovement {
 		return nil
 	}
@@ -226,8 +200,9 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, sc *Scanner, opt Options
 	for local, m := range membership {
 		if children[m] == nil {
 			children[m] = &HierNode{
-				Exit: innerState.ModuleExit(original[local]),
-				Flow: innerState.ModuleFlow(original[local]),
+				Enter: innerState.ModuleEnter(original[local]),
+				Exit:  innerState.ModuleExit(original[local]),
+				Flow:  innerState.ModuleFlow(original[local]),
 			}
 		}
 		children[m].Vertices = append(children[m].Vertices, node.Vertices[local])
@@ -235,7 +210,7 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, sc *Scanner, opt Options
 	node.Children = children
 	node.Vertices = nil
 	for _, c := range children {
-		if err := splitRecursively(flow, c, sc, opt, r, depthBudget-1); err != nil {
+		if err := splitRecursively(flow, teleTotal, c, sc, opt, r, depthBudget-1); err != nil {
 			return err
 		}
 	}
@@ -245,14 +220,15 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, sc *Scanner, opt Options
 // addSuperLevels repeatedly tries to group the root's children under a new
 // level of super modules. Choosing the grouping is *exactly* a two-level map
 // equation problem on the contracted flow with each module-node's visit rate
-// replaced by the module's enter rate q_c: the resulting L equals
+// replaced by the module's enter rate: with enter_c and exit_c the rates of
+// child c and enter_s and exit_s those of super module s, the State's L is
 //
-//	plogp(Σ_s q_s) − 2Σ_s plogp(q_s) + Σ_s plogp(q_s + Σ_{c∈s} q_c) − Σ_c plogp(q_c),
+//	Codebook(0, enter_s) + Σ_s Codebook(exit_s, {enter_c : c ∈ s}),
 //
-// which is the root index codebook plus the super-module codebooks of the
-// three-level map equation. A grouping is accepted when that beats the
-// current root index codebook, and the procedure repeats on the new top
-// level until no further coarsening pays.
+// the root index codebook plus the super-module codebooks of the deeper
+// map equation. A grouping is accepted when that beats the current root
+// index codebook, Codebook(0, enter_c), and the procedure repeats on the
+// new top level until no further coarsening pays.
 func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, sc *Scanner, opt Options, r *rng.RNG) error {
 	mem := append([]uint32(nil), topMembership...)
 	curFlow := flow
@@ -267,7 +243,7 @@ func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, sc
 		}
 		// The module-as-node visit rate is the module's enter rate.
 		for i, c := range root.Children {
-			cf.NodeFlow[i] = c.Exit
+			cf.NodeFlow[i] = c.Enter
 		}
 		grouping, st, err := optimizeSubmodule(cf, 0, sc, opt, r)
 		if err != nil {
@@ -278,15 +254,7 @@ func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, sc
 		if ks < 2 || ks >= k {
 			return nil
 		}
-		currentCost := 0.0
-		sumQ := 0.0
-		for _, c := range root.Children {
-			sumQ += c.Exit
-			currentCost -= mapeq.Plogp(c.Exit)
-		}
-		currentCost += mapeq.Plogp(sumQ)
-		proposedCost := st.Codelength()
-		if proposedCost >= currentCost-opt.MinImprovement {
+		if st.Codelength() >= mapeq.Codebook(0, cf.NodeFlow)-opt.MinImprovement {
 			return nil
 		}
 		// Restructure: wrap the children into super modules.
@@ -294,7 +262,10 @@ func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, sc
 		for i, c := range root.Children {
 			s := grouping[i]
 			if supers[s] == nil {
-				supers[s] = &HierNode{Exit: st.ModuleExit(originalIDs[i])}
+				supers[s] = &HierNode{
+					Enter: st.ModuleEnter(originalIDs[i]),
+					Exit:  st.ModuleExit(originalIDs[i]),
+				}
 			}
 			supers[s].Children = append(supers[s].Children, c)
 			supers[s].Flow += c.Flow
@@ -311,22 +282,34 @@ func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, sc
 	return nil
 }
 
-// subFlow builds the flow restricted to a module's members: internal arcs
-// keep their global flows; flow leaving the member set (boundary arcs plus
-// any teleportation) becomes pure exit mass (TeleOut with zero landing
-// share), so every submodule's exit rate stays globally exact. For directed
-// graphs the members' own teleportation is treated entirely as exit — a
-// small approximation for the fraction that would land back inside.
-func subFlow(f *mapeq.Flow, members []int) (*mapeq.Flow, error) {
-	local := make(map[int]int, len(members))
+// subFlow builds the flow restricted to a module's members so that a State
+// on it gives every set of members the exit and enter rates the base flow
+// gives that set. Internal arcs keep their flows; members keep their
+// teleportation output and global landing shares, so teleportation between
+// members prices as it does globally. Flow across the module boundary
+// becomes external: out-arcs leaving the module go to ExtOut, and in-arcs
+// from outside plus the teleportation landing from outside,
+// (teleTotal − Σ members' TeleOut)·Land, go to ExtIn.
+func subFlow(f *mapeq.Flow, teleTotal float64, members []int) (*mapeq.Flow, error) {
+	n := len(members)
+	local := make(map[int]int, n)
+	teleOutside := teleTotal
 	for i, v := range members {
 		local[v] = i
+		teleOutside -= f.TeleOut[v]
 	}
 	g := f.G
-	b := graph.NewBuilder(len(members), true)
-	external := make([]float64, len(members))
-	extIn := make([]float64, len(members))
+	b := graph.NewBuilder(n, true)
+	sf := &mapeq.Flow{
+		NodeFlow: make([]float64, n),
+		TeleOut:  make([]float64, n),
+		Land:     make([]float64, n),
+		ExtIn:    make([]float64, n),
+		ExtOut:   make([]float64, n),
+	}
 	for i, v := range members {
+		sf.NodeFlow[i], sf.TeleOut[i], sf.Land[i] = f.NodeFlow[v], f.TeleOut[v], f.Land[v]
+		sf.ExtIn[i] = teleOutside * f.Land[v]
 		lo, _ := g.OutRange(v)
 		nb := g.OutNeighbors(v)
 		for j := range nb {
@@ -339,40 +322,25 @@ func subFlow(f *mapeq.Flow, members []int) (*mapeq.Flow, error) {
 					return nil, err
 				}
 			} else {
-				external[i] += fl
+				sf.ExtOut[i] += fl
 			}
 		}
-		external[i] += f.TeleOut[v]
 		ilo, _ := g.InRange(v)
 		inn := g.InNeighbors(v)
 		for j := range inn {
-			fl := f.InFlow[ilo+j]
-			if fl <= 0 {
-				continue
-			}
-			if _, ok := local[int(inn[j])]; !ok {
-				extIn[i] += fl
+			if _, ok := local[int(inn[j])]; !ok && f.InFlow[ilo+j] > 0 {
+				sf.ExtIn[i] += f.InFlow[ilo+j]
 			}
 		}
 	}
-	sg := b.Build()
-	sf := &mapeq.Flow{
-		G:        sg,
-		NodeFlow: make([]float64, len(members)),
-		TeleOut:  external,
-		Land:     make([]float64, len(members)),
-		OutFlow:  make([]float64, sg.M()),
-		InFlow:   make([]float64, sg.M()),
-		ArcOut:   make([]float64, len(members)),
-		ArcIn:    make([]float64, len(members)),
-		ExtIn:    extIn,
-	}
-	for i, v := range members {
-		sf.NodeFlow[i] = f.NodeFlow[v]
-	}
+	sf.G = b.Build()
+	sf.OutFlow = make([]float64, sf.G.M())
+	sf.InFlow = make([]float64, sf.G.M())
+	sf.ArcOut = append([]float64(nil), sf.ExtOut...)
+	sf.ArcIn = append([]float64(nil), sf.ExtIn...)
 	idx := 0
-	for u := 0; u < sg.N(); u++ {
-		ws := sg.OutWeights(u)
+	for u := 0; u < n; u++ {
+		ws := sf.G.OutWeights(u)
 		for j := range ws {
 			sf.OutFlow[idx] = ws[j]
 			sf.ArcOut[u] += ws[j]
@@ -380,8 +348,8 @@ func subFlow(f *mapeq.Flow, members []int) (*mapeq.Flow, error) {
 		}
 	}
 	idx = 0
-	for v := 0; v < sg.N(); v++ {
-		ws := sg.InWeights(v)
+	for v := 0; v < n; v++ {
+		ws := sf.G.InWeights(v)
 		for j := range ws {
 			sf.InFlow[idx] = ws[j]
 			sf.ArcIn[v] += ws[j]
@@ -426,47 +394,33 @@ func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, sc *Scanner, opt Opti
 // given base flow: the root pays an index codebook over its children's
 // enter rates; every internal module pays an index codebook over its exit
 // and its children's enter rates; every leaf module pays a codebook over its
-// exit and its members' visit rates.
+// exit and its members' visit rates. Each is a mapeq.Codebook.
 func HierCodelength(f *mapeq.Flow, root *HierNode) float64 {
 	if len(root.Children) == 0 {
 		// Degenerate tree: one flat codebook over everything.
 		return mapeq.OneLevelCodelength(f)
 	}
-	l := 0.0
-	// Root index codebook (the root has no exit).
-	rate := 0.0
-	for _, c := range root.Children {
-		rate += c.Exit
-		l -= mapeq.Plogp(c.Exit)
-	}
-	l += mapeq.Plogp(rate)
-	for _, c := range root.Children {
-		l += nodeCodelength(f, c)
-	}
-	return l
-}
-
-func nodeCodelength(f *mapeq.Flow, n *HierNode) float64 {
-	if n.IsLeaf() {
-		rate := n.Exit
-		l := -mapeq.Plogp(n.Exit)
-		for _, v := range n.Vertices {
-			rate += f.NodeFlow[v]
-			l -= mapeq.Plogp(f.NodeFlow[v])
+	var rates []float64
+	var walk func(n *HierNode, exit float64) float64
+	walk = func(n *HierNode, exit float64) float64 {
+		rates = rates[:0]
+		if n.IsLeaf() {
+			for _, v := range n.Vertices {
+				rates = append(rates, f.NodeFlow[v])
+			}
+			return mapeq.Codebook(exit, rates)
 		}
-		return l + mapeq.Plogp(rate)
+		for _, c := range n.Children {
+			rates = append(rates, c.Enter)
+		}
+		l := mapeq.Codebook(exit, rates)
+		for _, c := range n.Children {
+			l += walk(c, c.Exit)
+		}
+		return l
 	}
-	rate := n.Exit
-	l := -mapeq.Plogp(n.Exit)
-	for _, c := range n.Children {
-		rate += c.Exit
-		l -= mapeq.Plogp(c.Exit)
-	}
-	l += mapeq.Plogp(rate)
-	for _, c := range n.Children {
-		l += nodeCodelength(f, c)
-	}
-	return l
+	// The root has no exit.
+	return walk(root, 0)
 }
 
 // String renders a summary of the hierarchy.

@@ -2,6 +2,8 @@ package infomap
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"regexp"
 	"strings"
@@ -146,8 +148,41 @@ func TestHierarchyTreeConsistency(t *testing.T) {
 	}
 }
 
-// TestHierarchicalDepth2MatchesTwoLevel: when no splits are accepted the
-// tree codelength must equal the flat two-level codelength exactly.
+// rmatRows are directed gen.RMAT(scale, 16, rng.New(1)) graphs, read back
+// from the edge list gengraph writes, under each teleportation model, with
+// the two-level L of a 1-worker run.
+var rmatRows = []struct {
+	scale    int
+	teleport Teleportation
+	twoLevel float64
+}{
+	{10, TeleportRecorded, 8.480458526563},
+	{10, TeleportUnrecorded, 7.897116508184},
+	{12, TeleportRecorded, 10.127836403272},
+	{12, TeleportUnrecorded, 9.451549353185},
+}
+
+func rmatGraph(t *testing.T, scale int) *graph.Graph {
+	t.Helper()
+	raw, err := gen.RMAT(scale, 16, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := raw.WriteEdgeList(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := graph.ReadEdgeList(&buf, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestHierarchicalDepth2MatchesTwoLevel: the depth-2 tree of a flat
+// partition prices exactly that partition's two-level L, on undirected
+// flow and on directed flow under either teleportation model (where module
+// enter and exit rates differ).
 func TestHierarchicalDepth2MatchesTwoLevel(t *testing.T) {
 	// Two triangles: no sub-structure to find inside 3-vertex modules.
 	b := graph.NewBuilder(6, false)
@@ -162,20 +197,44 @@ func TestHierarchicalDepth2MatchesTwoLevel(t *testing.T) {
 	if res.Depth != 2 {
 		t.Fatalf("depth = %d, want 2 (root + leaf modules)", res.Depth)
 	}
-	if math.Abs(res.Codelength-res.TwoLevelCodelength) > 1e-9 {
+	if math.Abs(res.Codelength-res.TwoLevelCodelength) > 1e-12 {
 		t.Fatalf("depth-2 tree L %g != two-level L %g", res.Codelength, res.TwoLevelCodelength)
+	}
+
+	for _, row := range rmatRows {
+		g := rmatGraph(t, row.scale)
+		opt := DefaultOptions()
+		opt.Workers = 1
+		opt.Teleport = row.teleport
+		flat, flow, err := runContext(context.Background(), g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(flat.Codelength-row.twoLevel) > 1e-9 {
+			t.Fatalf("scale %d %v: two-level L %.12f, want %.12f", row.scale, row.teleport, flat.Codelength, row.twoLevel)
+		}
+		mem := append([]uint32(nil), flat.Membership...)
+		k := mapeq.CompactMembership(mem)
+		st, err := mapeq.NewState(flow, mem, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := HierCodelength(flow, twoLevelTree(st, mem, k)); math.Abs(got-flat.Codelength) > 1e-12 {
+			t.Fatalf("scale %d %v: depth-2 tree L %.12f, two-level L %.12f", row.scale, row.teleport, got, flat.Codelength)
+		}
 	}
 }
 
+// TestHierCodelengthFormula checks the tree evaluation against the
+// two-level State on hand-sized graphs: two triangles (undirected), and a
+// directed graph under unrecorded teleportation, where the tree must price
+// the index codebook on enter rates and the module codebooks on exit rates.
 func TestHierCodelengthFormula(t *testing.T) {
-	// Hand-check the tree evaluation against the two-level State on the
-	// two-triangle graph with the natural partition.
 	b := graph.NewBuilder(6, false)
 	for _, e := range [][2]uint32{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}} {
 		_ = b.AddEdge(e[0], e[1], 1)
 	}
-	g := b.Build()
-	f, err := mapeq.NewUndirectedFlow(g)
+	f, err := mapeq.NewUndirectedFlow(b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +243,8 @@ func TestHierCodelengthFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := &HierNode{Children: []*HierNode{
-		{Vertices: []int{0, 1, 2}, Exit: st.ModuleExit(0), Flow: st.ModuleFlow(0)},
-		{Vertices: []int{3, 4, 5}, Exit: st.ModuleExit(1), Flow: st.ModuleFlow(1)},
+		{Vertices: []int{0, 1, 2}, Enter: st.ModuleEnter(0), Exit: st.ModuleExit(0), Flow: st.ModuleFlow(0)},
+		{Vertices: []int{3, 4, 5}, Enter: st.ModuleEnter(1), Exit: st.ModuleExit(1), Flow: st.ModuleFlow(1)},
 	}}
 	if got, want := HierCodelength(f, root), st.Codelength(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("tree L %g != state L %g", got, want)
@@ -193,6 +252,31 @@ func TestHierCodelengthFormula(t *testing.T) {
 	// Degenerate tree: one-level entropy.
 	if got, want := HierCodelength(f, &HierNode{}), mapeq.OneLevelCodelength(f); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("degenerate tree L %g != one-level %g", got, want)
+	}
+
+	// Directed, unrecorded: three 2-cycles in a one-way ring with a chord,
+	// so no module's enter rate equals any module's exit rate.
+	db := graph.NewBuilder(6, true)
+	for _, e := range [][3]float64{{0, 1, 2}, {1, 0, 2}, {2, 3, 2}, {3, 2, 2}, {4, 5, 2}, {5, 4, 2},
+		{1, 2, 1}, {3, 4, 1}, {5, 0, 1}, {0, 4, 0.5}} {
+		_ = db.AddEdge(uint32(e[0]), uint32(e[1]), e[2])
+	}
+	opt := DefaultOptions()
+	opt.Teleport = TeleportUnrecorded
+	df, err := BaseFlow(context.Background(), db.Build(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := []uint32{0, 0, 1, 1, 2, 2}
+	dst, err := mapeq.NewState(df, mem, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dst.ModuleEnter(0) == dst.ModuleExit(0) {
+		t.Fatal("enter and exit rates coincide; the case would not tell them apart")
+	}
+	if got, want := HierCodelength(df, twoLevelTree(dst, mem, 3)), dst.Codelength(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("directed unrecorded tree L %.15f != state L %.15f", got, want)
 	}
 }
 
@@ -322,12 +406,8 @@ func TestWriteTreeFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := mapeq.NewUndirectedFlow(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sb strings.Builder
-	if err := res.WriteTree(&sb, f.NodeFlow, nil); err != nil {
+	if err := res.WriteTree(&sb, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -357,35 +437,132 @@ func TestWriteTreeFormat(t *testing.T) {
 	}
 }
 
-// TestHierarchicalDirectedKeepsTwoLevelTree: on directed input the split and
-// super-level search prices submodules on a subFlow that counts a module's
-// teleportation as exit, so it can build a tree worse than the flat
-// partition it starts from. On this R-MAT instance (gengraph -kind rmat
-// -rmat-scale 12, read back as directed) it built a 10.92-bit tree over a
-// 10.13-bit two-level partition; the run must keep the depth-2 tree then.
+// TestHierarchicalDirectedKeepsTwoLevelTree: on directed R-MAT input, under
+// either teleportation model, the split and super-level search must not
+// end above the flat partition it starts from. Before the search priced
+// enter and exit rates and teleportation exactly, recorded scale 12 built a
+// 10.92-bit tree over a 10.13-bit two-level partition, and every
+// unrecorded tree priced above its own partition.
 func TestHierarchicalDirectedKeepsTwoLevelTree(t *testing.T) {
-	raw, err := gen.RMAT(12, 16, rng.New(1))
+	g := rmatGraph(t, 12)
+	for _, tp := range []Teleportation{TeleportRecorded, TeleportUnrecorded} {
+		opt := DefaultOptions()
+		opt.Workers = 1
+		opt.Teleport = tp
+		res, err := RunHierarchical(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Codelength > res.TwoLevelCodelength+1e-12 {
+			t.Fatalf("%v: hierarchical L %.12f worse than two-level %.12f", tp, res.Codelength, res.TwoLevelCodelength)
+		}
+		if res.Root.Size() != g.N() {
+			t.Fatalf("%v: tree covers %d of %d vertices", tp, res.Root.Size(), g.N())
+		}
+	}
+}
+
+// TestHierarchicalNeverAboveTwoLevel: every split and super level is
+// accepted only when it shortens the exact tree L, so the search tree never
+// prices above the depth-2 tree of the flat partition.
+func TestHierarchicalNeverAboveTwoLevel(t *testing.T) {
+	type input struct {
+		name string
+		g    *graph.Graph
+		opt  Options
+	}
+	var inputs []input
+	for _, row := range rmatRows {
+		opt := DefaultOptions()
+		opt.Workers = 1
+		opt.Teleport = row.teleport
+		inputs = append(inputs, input{fmt.Sprintf("rmat%d/%v", row.scale, row.teleport), rmatGraph(t, row.scale), opt})
+	}
+	nested, _, _ := nestedGraph(t, 4, 3, 6)
+	lfr, _, err := gen.LFR(gen.DefaultLFR(600, 0.2), rng.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := raw.WriteEdgeList(&buf); err != nil {
-		t.Fatal(err)
+	inputs = append(inputs, input{"nested", nested, DefaultOptions()}, input{"lfr", lfr, DefaultOptions()})
+	for _, in := range inputs {
+		res, err := RunHierarchical(in.g, in.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flow, err := BaseFlow(context.Background(), in.g, in.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := HierCodelength(flow, res.Root)
+		if l != res.Codelength {
+			t.Fatalf("%s: result L %.15f, tree prices %.15f", in.name, res.Codelength, l)
+		}
+		if l > res.TwoLevelCodelength+1e-12 {
+			t.Fatalf("%s: search tree L %.15f above two-level L %.15f", in.name, l, res.TwoLevelCodelength)
+		}
 	}
-	g, _, err := graph.ReadEdgeList(&buf, true)
+}
+
+// TestSubFlowExact: a State on a module's sub-flow gives every submodule the
+// exit and enter rates the base flow's State gives the same vertex set.
+func TestSubFlowExact(t *testing.T) {
+	und, _, err := gen.SBM(gen.SBMParams{Sizes: []int{20, 20, 20}, PIn: 0.3, POut: 0.05}, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.Workers = 1
-	res, err := RunHierarchical(g, opt)
+	dir, err := gen.RMAT(8, 8, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Codelength > res.TwoLevelCodelength+1e-9 {
-		t.Fatalf("hierarchical L %.6f worse than two-level %.6f", res.Codelength, res.TwoLevelCodelength)
-	}
-	if res.Root.Size() != g.N() {
-		t.Fatalf("tree covers %d of %d vertices", res.Root.Size(), g.N())
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		tp   Teleportation
+	}{{"undirected", und, TeleportRecorded}, {"recorded", dir, TeleportRecorded}, {"unrecorded", dir, TeleportUnrecorded}} {
+		opt := DefaultOptions()
+		opt.Teleport = c.tp
+		flow, err := BaseFlow(context.Background(), c.g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		teleTotal := flow.TeleTotal()
+		r := rng.New(10)
+		n := c.g.N()
+		for trial := 0; trial < 20; trial++ {
+			// Module 0 of a random 4-way partition is split 3 ways; the
+			// global partition gives its parts the IDs 4, 5 and 6.
+			mem := make([]uint32, n)
+			var members []int
+			for v := range mem {
+				if mem[v] = uint32(r.Intn(4)); mem[v] == 0 {
+					members = append(members, v)
+				}
+			}
+			local := make([]uint32, len(members))
+			for i, v := range members {
+				local[i] = uint32(r.Intn(3))
+				mem[v] = 4 + local[i]
+			}
+			sf, err := subFlow(flow, teleTotal, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := mapeq.NewState(sf, local, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			glob, err := mapeq.NewState(flow, mem, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := uint32(0); j < 3; j++ {
+				if d := math.Abs(sub.ModuleExit(j) - glob.ModuleExit(4+j)); d > 1e-12 {
+					t.Fatalf("%s: submodule %d exit %.15f, global %.15f", c.name, j, sub.ModuleExit(j), glob.ModuleExit(4+j))
+				}
+				if d := math.Abs(sub.ModuleEnter(j) - glob.ModuleEnter(4+j)); d > 1e-12 {
+					t.Fatalf("%s: submodule %d enter %.15f, global %.15f", c.name, j, sub.ModuleEnter(j), glob.ModuleEnter(4+j))
+				}
+			}
+		}
 	}
 }

@@ -40,14 +40,40 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 // promptly without leaking worker goroutines. Worker panics are recovered
 // and surfaced as errors instead of crashing the process.
 func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
+	res, _, err := runContext(ctx, g, opt)
+	return res, err
+}
+
+// BaseFlow builds the flow a run with opt optimizes on g: the closed-form
+// flow of an undirected graph, or PageRank (opt.Damping, opt.Workers) and
+// the teleportation model opt.Teleport on a directed one.
+func BaseFlow(ctx context.Context, g *graph.Graph, opt Options) (*mapeq.Flow, error) {
+	if !g.Directed() {
+		return mapeq.NewUndirectedFlow(g)
+	}
+	cfg := pagerank.DefaultConfig()
+	cfg.Damping = opt.Damping
+	cfg.Workers = opt.Workers
+	pr, err := pagerank.ComputeContext(ctx, g, cfg)
+	if err != nil {
 		return nil, err
+	}
+	if opt.Teleport == TeleportUnrecorded {
+		return mapeq.NewDirectedFlowUnrecorded(g, pr.Rank, opt.Damping)
+	}
+	return mapeq.NewDirectedFlow(g, pr.Rank, opt.Damping)
+}
+
+// runContext is RunContext that also returns the base flow it ran on.
+func runContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, *mapeq.Flow, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, nil, err
 	}
 	if opt.Workers == 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	clk := opt.clk()
 	start := clk.Now()
@@ -66,30 +92,10 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	defer run.End()
 
 	// --- Kernel 1: PageRank / flow construction. ---
-	var baseFlow *mapeq.Flow
 	prSpan := run.Child(trace.KernelPageRank)
-	if g.Directed() {
-		cfg := pagerank.DefaultConfig()
-		cfg.Damping = opt.Damping
-		cfg.Workers = opt.Workers
-		pr, err := pagerank.ComputeContext(ctx, g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if opt.Teleport == TeleportUnrecorded {
-			baseFlow, err = mapeq.NewDirectedFlowUnrecorded(g, pr.Rank, opt.Damping)
-		} else {
-			baseFlow, err = mapeq.NewDirectedFlow(g, pr.Rank, opt.Damping)
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		baseFlow, err = mapeq.NewUndirectedFlow(g)
-		if err != nil {
-			return nil, err
-		}
+	baseFlow, err := BaseFlow(ctx, g, opt)
+	if err != nil {
+		return nil, nil, err
 	}
 	prSpan.End()
 
@@ -105,7 +111,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	for i := range workers {
 		w, err := NewScanner(opt, accumHint)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		workers[i] = w
 	}
@@ -127,7 +133,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	run.SetBool("warm_start", opt.WarmStart != nil)
 	if opt.WarmStart != nil {
 		if len(opt.WarmStart) != g.N() {
-			return nil, fmt.Errorf("infomap: WarmStart length %d, want %d", len(opt.WarmStart), g.N())
+			return nil, nil, fmt.Errorf("infomap: WarmStart length %d, want %d", len(opt.WarmStart), g.N())
 		}
 		copy(res.Membership, opt.WarmStart)
 		seeded := make(map[uint32]struct{}, 64)
@@ -165,7 +171,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	if g.N() == 0 {
 		res.Elapsed = clk.Since(start)
 		res.PerWorker = collectWorkerStats(workers)
-		return res, nil
+		return res, baseFlow, nil
 	}
 
 	// One State and one membership buffer serve the whole run: every level
@@ -191,7 +197,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 		flow := baseFlow
 		for level := 0; level < opt.MaxLevels; level++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			n := flow.G.N()
 			membership := mem[:n]
@@ -207,7 +213,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 				}
 			}
 			if _, err := st.Reset(flow, membership, n); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			st.OverrideNodeTerm(leafNodeTerm)
 			res.Levels++
@@ -231,7 +237,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 			lv.SetUint("moves", moves)
 			if err != nil {
 				lv.End()
-				return nil, err
+				return nil, nil, err
 			}
 
 			// --- Kernel 3/4: contract modules to super nodes. ---
@@ -254,7 +260,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 			}
 			flow, err = flow.ContractParallel(membership, k, pool)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			cs.SetUint("modules", uint64(k))
 			cs.End()
@@ -268,7 +274,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 		copy(mem, res.Membership)
 		res.NumModules = mapeq.CompactMembership(mem)
 		if _, err := st.Reset(baseFlow, mem, res.NumModules); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		l := st.Codelength()
 		// An iteration that moved nothing on any level leaves the next one
@@ -302,7 +308,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	run.SetUint("levels", uint64(res.Levels))
 	run.SetUint("sweeps", uint64(res.Sweeps))
 	run.SetUint("moves", res.Moves)
-	return res, nil
+	return res, baseFlow, nil
 }
 
 func collectWorkerStats(workers []*Scanner) []WorkerStats {

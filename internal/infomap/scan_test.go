@@ -113,7 +113,7 @@ func checkAgainstOracle(t *testing.T, name string, f *mapeq.Flow, k int, exitOff
 }
 
 // TestScanMatchesMapOracle: on undirected, directed (recorded and
-// unrecorded teleportation) and ExtIn sub-flows under random memberships,
+// unrecorded teleportation) and module sub-flows under random memberships,
 // and on hand-built exact ΔL ties, every backend's Scanner returns the map
 // oracle's target.
 func TestScanMatchesMapOracle(t *testing.T) {
@@ -146,7 +146,7 @@ func TestScanMatchesMapOracle(t *testing.T) {
 	for v := 0; v < rmat.N(); v += 2 {
 		members = append(members, v)
 	}
-	sub, err := subFlow(recorded, members)
+	sub, err := subFlow(recorded, recorded.TeleTotal(), members)
 	if err != nil {
 		t.Fatal(err)
 	}

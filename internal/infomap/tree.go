@@ -14,19 +14,13 @@ import (
 //
 // where path is the colon-separated module path from the top level down to
 // the vertex's rank inside its leaf module (1-based, best-flow first), flow
-// is the vertex visit rate, name its label, and id the vertex ID. labels may
-// be nil, in which case the vertex ID doubles as the name. flows must be the
-// base visit rates (e.g. Flow.NodeFlow); nil writes zero flows.
-func (r *HierResult) WriteTree(w io.Writer, flows []float64, labels []uint64) error {
+// is the vertex's base visit rate (r.NodeFlow), name its label, and id the
+// vertex ID. labels may be nil, in which case the vertex ID doubles as the
+// name.
+func (r *HierResult) WriteTree(w io.Writer, labels []uint64) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# path flow name node_id\n")
 	fmt.Fprintf(bw, "# codelength %.6f bits (two-level %.6f)\n", r.Codelength, r.TwoLevelCodelength)
-	flowOf := func(v int) float64 {
-		if flows == nil {
-			return 0
-		}
-		return flows[v]
-	}
 	nameOf := func(v int) string {
 		if labels == nil {
 			return fmt.Sprintf("%d", v)
@@ -40,7 +34,7 @@ func (r *HierResult) WriteTree(w io.Writer, flows []float64, labels []uint64) er
 			// Order members by descending flow, the reference convention.
 			members := append([]int(nil), n.Vertices...)
 			sort.Slice(members, func(i, j int) bool {
-				fi, fj := flowOf(members[i]), flowOf(members[j])
+				fi, fj := r.NodeFlow[members[i]], r.NodeFlow[members[j]]
 				if fi != fj {
 					return fi > fj
 				}
@@ -50,7 +44,7 @@ func (r *HierResult) WriteTree(w io.Writer, flows []float64, labels []uint64) er
 				for _, p := range path {
 					fmt.Fprintf(bw, "%d:", p)
 				}
-				fmt.Fprintf(bw, "%d %.9f \"%s\" %d\n", rank+1, flowOf(v), nameOf(v), v)
+				fmt.Fprintf(bw, "%d %.9f \"%s\" %d\n", rank+1, r.NodeFlow[v], nameOf(v), v)
 			}
 			return nil
 		}

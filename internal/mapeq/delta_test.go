@@ -20,11 +20,11 @@ func referenceDeltaMove(s *State, v NodeView, newMod uint32, outOld, inOld, outN
 	}
 	dExitOld := -(v.ArcOut - outOld) - v.TeleOut*(1-s.land[old]) +
 		inOld + (s.tele[old]-v.TeleOut)*v.Land
-	dEnterOld := -(v.ArcIn - inOld) - v.ExtIn - (s.teleTotal-s.tele[old])*v.Land +
+	dEnterOld := -(v.ArcIn - inOld) - (s.teleTotal-s.tele[old])*v.Land +
 		outOld + v.TeleOut*(s.land[old]-v.Land)
 	dExitNew := (v.ArcOut - outNew) + v.TeleOut*(1-s.land[newMod]-v.Land) -
 		inNew - s.tele[newMod]*v.Land
-	dEnterNew := (v.ArcIn - inNew) + v.ExtIn + (s.teleTotal-s.tele[newMod]-v.TeleOut)*v.Land -
+	dEnterNew := (v.ArcIn - inNew) + (s.teleTotal-s.tele[newMod]-v.TeleOut)*v.Land -
 		outNew - v.TeleOut*s.land[newMod]
 	exitOld, exitNew := clampNonNeg(s.exit[old]+dExitOld), clampNonNeg(s.exit[newMod]+dExitNew)
 	enterOld, enterNew := clampNonNeg(s.enter[old]+dEnterOld), clampNonNeg(s.enter[newMod]+dEnterNew)
@@ -63,7 +63,8 @@ func checkCaches(t *testing.T, s *State, label string) {
 
 // deltaFlows returns the flow variants the exactness test runs over:
 // undirected, directed with recorded and with unrecorded teleportation, and
-// a directed flow carrying external in-flow (the shape of a submodule).
+// a directed flow carrying external in- and out-flow (the shape of a
+// submodule), folded into copies of ArcIn and ArcOut.
 func deltaFlows(t *testing.T) []namedFlow {
 	t.Helper()
 	ug, _, err := gen.SBM(gen.SBMParams{Sizes: []int{16, 16, 16, 16}, PIn: 0.3, POut: 0.04}, rng.New(71))
@@ -92,10 +93,18 @@ func deltaFlows(t *testing.T) []namedFlow {
 	}
 	extIn := *recorded
 	extIn.ExtIn = make([]float64, dg.N())
+	extIn.ExtOut = make([]float64, dg.N())
+	extIn.ArcIn = append([]float64(nil), recorded.ArcIn...)
+	extIn.ArcOut = append([]float64(nil), recorded.ArcOut...)
 	r := rng.New(73)
 	for u := range extIn.ExtIn {
 		if r.Intn(3) == 0 {
 			extIn.ExtIn[u] = 0.01 * r.Float64()
+			extIn.ArcIn[u] += extIn.ExtIn[u]
+		}
+		if r.Intn(3) == 0 {
+			extIn.ExtOut[u] = 0.01 * r.Float64()
+			extIn.ArcOut[u] += extIn.ExtOut[u]
 		}
 	}
 	return []namedFlow{

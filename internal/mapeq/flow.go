@@ -42,11 +42,14 @@ type Flow struct {
 	InFlow   []float64 // flow on each in-arc, parallel to G's in CSR
 	ArcOut   []float64 // per vertex: total non-self out-arc flow
 	ArcIn    []float64 // per vertex: total non-self in-arc flow
-	// ExtIn, when non-nil, is flow entering each vertex from outside the
-	// graph (the enter-side analogue of pure-exit TeleOut). The hierarchical
-	// driver uses it to represent boundary in-flow when optimizing inside a
-	// module.
-	ExtIn []float64
+	// ExtIn and ExtOut are flow entering each vertex from outside the graph
+	// and leaving it to outside the graph. Both are nil on every flow
+	// except the hierarchical driver's module sub-flows, where they carry
+	// the flow across the module boundary. ArcIn and ArcOut include them,
+	// so the ΔL kernel prices them like boundary arcs; only a State's
+	// from-scratch rate computation reads them.
+	ExtIn  []float64
+	ExtOut []float64
 }
 
 // NewUndirectedFlow builds the closed-form stationary flow of an unbiased

@@ -14,12 +14,11 @@ type NodeView struct {
 	Land    float64 // teleportation landing share of α
 	ArcOut  float64 // total non-self out-arc flow of α
 	ArcIn   float64 // total non-self in-arc flow of α
-	ExtIn   float64 // flow entering α from outside the graph (usually 0)
 }
 
 // View returns the NodeView of vertex u.
 func (f *Flow) View(u int) NodeView {
-	v := NodeView{
+	return NodeView{
 		Node:    u,
 		Flow:    f.NodeFlow[u],
 		TeleOut: f.TeleOut[u],
@@ -27,10 +26,6 @@ func (f *Flow) View(u int) NodeView {
 		ArcOut:  f.ArcOut[u],
 		ArcIn:   f.ArcIn[u],
 	}
-	if f.ExtIn != nil {
-		v.ExtIn = f.ExtIn[u]
-	}
-	return v
 }
 
 // OneLevelCodelength returns the codelength of the trivial one-module
@@ -42,6 +37,21 @@ func OneLevelCodelength(f *Flow) float64 {
 	return 0 - f.NodeTerm()
 }
 
+// Codebook returns the length in bits of one codebook of the map equation:
+// plogp(exit + Σ rates) − plogp(exit) − Σ plogp(rates), for a codebook that
+// codes leaving its module at rate exit and its codewords at rates. A
+// module's codebook takes its member visit rates; an index codebook takes
+// its submodules' enter rates, and the top one has exit 0. The two-level
+// L is Codebook(0, module enters) + Σ Codebook(module exit, member visits).
+func Codebook(exit float64, rates []float64) float64 {
+	total, l := exit, -Plogp(exit)
+	for _, r := range rates {
+		total += r
+		l -= Plogp(r)
+	}
+	return l + Plogp(total)
+}
+
 // NodeTerm returns the partition-independent Σ plogp(p_α) over the flow's
 // vertices, summed in vertex order: exactly the node term Reset gives a
 // State on f.
@@ -49,6 +59,16 @@ func (f *Flow) NodeTerm() float64 {
 	t := 0.0
 	for _, p := range f.NodeFlow {
 		t += Plogp(p)
+	}
+	return t
+}
+
+// TeleTotal returns Σ TeleOut over the flow's vertices, summed in vertex
+// order: exactly the total a State on f works with.
+func (f *Flow) TeleTotal() float64 {
+	t := 0.0
+	for _, x := range f.TeleOut {
+		t += x
 	}
 	return t
 }
@@ -121,10 +141,7 @@ func (s *State) Reset(f *Flow, membership []uint32, numModules int) (*State, err
 	s.plogpExit = resize(s.plogpExit, numModules)
 	s.plogpBoth = resize(s.plogpBoth, numModules)
 	s.size = resize(s.size, numModules)
-	s.teleTotal, s.exitOffset = 0, 0
-	for _, t := range f.TeleOut {
-		s.teleTotal += t
-	}
+	s.teleTotal, s.exitOffset = f.TeleTotal(), 0
 	for u := 0; u < n; u++ {
 		m := membership[u]
 		if int(m) >= numModules {
@@ -177,7 +194,9 @@ func (s *State) recomputeExits() {
 	}
 	if f.ExtIn != nil {
 		for u := 0; u < g.N(); u++ {
-			s.enter[s.membership[u]] += f.ExtIn[u]
+			m := s.membership[u]
+			s.exit[m] += f.ExtOut[u]
+			s.enter[m] += f.ExtIn[u]
 		}
 	}
 	for m := range s.exit {
@@ -218,6 +237,7 @@ func (s *State) SetExitOffset(offset float64) {
 // codebook by module *enter* rates and each module codebook by its *exit*
 // rate plus member visits; for undirected and stationary recorded flows the
 // two rates coincide and this reduces to the familiar symmetric formula.
+// It is Codebook priced from cached per-module terms in O(1).
 func (s *State) Codelength() float64 {
 	return s.plogpIndex - s.sumPlogpEnter - s.sumPlogpExit +
 		s.sumPlogpBoth - s.nodeTerm
@@ -273,7 +293,7 @@ func (s *State) leaveDeltas(v *NodeView, old uint32, outOld, inOld float64) (dEx
 	// become exits; symmetrically for enters.
 	dExitOld = -(v.ArcOut - outOld) - v.TeleOut*(1-s.land[old]) +
 		inOld + (s.tele[old]-v.TeleOut)*v.Land
-	dEnterOld = -(v.ArcIn - inOld) - v.ExtIn - (s.teleTotal-s.tele[old])*v.Land +
+	dEnterOld = -(v.ArcIn - inOld) - (s.teleTotal-s.tele[old])*v.Land +
 		outOld + v.TeleOut*(s.land[old]-v.Land)
 	return
 }
@@ -284,7 +304,7 @@ func (s *State) leaveDeltas(v *NodeView, old uint32, outOld, inOld float64) (dEx
 func (s *State) joinDeltas(v *NodeView, newMod uint32, outNew, inNew float64) (dExitNew, dEnterNew float64) {
 	dExitNew = (v.ArcOut - outNew) + v.TeleOut*(1-s.land[newMod]-v.Land) -
 		inNew - s.tele[newMod]*v.Land
-	dEnterNew = (v.ArcIn - inNew) + v.ExtIn + (s.teleTotal-s.tele[newMod]-v.TeleOut)*v.Land -
+	dEnterNew = (v.ArcIn - inNew) + (s.teleTotal-s.tele[newMod]-v.TeleOut)*v.Land -
 		outNew - v.TeleOut*s.land[newMod]
 	return
 }
