@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test lint fmt-check lint-json race fuzz-smoke bench-smoke bench-accum bench-sched chaos-smoke delta-replay perfbench-check all
+.PHONY: build test lint fmt-check lint-json race fuzz-smoke bench-smoke bench-accum bench-sched chaos-smoke delta-replay perfbench-check loc all
 
 all: build lint test
 
@@ -88,3 +88,11 @@ chaos-smoke:
 # offline: the module's only dependency is this repository, by replace.
 perfbench-check:
 	cd perfbench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
+
+# loc prints the Go line counts, non-test and test, over the package
+# directories `go list ./...` reports plus the perfbench module. Change
+# reports quote its difference between two commits.
+loc:
+	@files=$$(for d in $$($(GO) list -f '{{.Dir}}' ./...) perfbench; do ls $$d/*.go; done); \
+	echo "non-test $$(cat $$(echo "$$files" | grep -v '_test\.go$$') | wc -l)"; \
+	echo "test     $$(cat $$(echo "$$files" | grep '_test\.go$$') | wc -l)"

@@ -110,26 +110,14 @@ func main() {
 	opt := infomap.DefaultOptions()
 	opt.Workers = *workers
 	opt.Seed = *seed
-	switch *teleport {
-	case "recorded":
-		opt.Teleport = infomap.TeleportRecorded
-	case "unrecorded":
-		opt.Teleport = infomap.TeleportUnrecorded
-	default:
-		fatal(fmt.Errorf("unknown -teleport %q", *teleport))
+	if opt.Teleport, err = infomap.ParseTeleportation(*teleport); err != nil {
+		fatal(err)
 	}
-	switch *accumKind {
-	case "baseline":
-		opt.Kind = infomap.Baseline
-	case "asa":
-		opt.Kind = infomap.ASA
+	if opt.Kind, err = infomap.ParseAccumKind(*accumKind); err != nil {
+		fatal(err)
+	}
+	if opt.Kind == infomap.ASA {
 		opt.ASAConfig = asa.Config{CapacityBytes: *camKB * 1024, EntryBytes: 16, Policy: asa.LRU}
-	case "gomap":
-		opt.Kind = infomap.GoMap
-	case "hashgraph":
-		opt.Kind = infomap.HashGraph
-	default:
-		fatal(fmt.Errorf("unknown -accum %q", *accumKind))
 	}
 
 	if *distRanks > 0 {
@@ -154,7 +142,7 @@ func main() {
 				fatal(err)
 			}
 			fmt.Printf("parent: %d modules, codelength %.6f\n", pres.NumModules, pres.Codelength)
-			dopt.WarmStart = warmSeed(pres.Membership, pres.NumModules, g.N())
+			dopt.WarmStart = infomap.WarmSeed(pres.Membership, pres.NumModules, g.N())
 		}
 		runDistributed(ctx, g, labels, dopt, *out)
 		return
@@ -169,7 +157,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("parent: %s\n", pres)
-		opt.WarmStart = warmSeed(pres.Membership, pres.NumModules, g.N())
+		opt.WarmStart = infomap.WarmSeed(pres.Membership, pres.NumModules, g.N())
 		opt.FrontierSeeds = touched
 		opt.FrontierHops = *frontierHops
 	}
@@ -185,12 +173,22 @@ func main() {
 		opt.Trace = rootSpan
 	}
 
-	res, err := infomap.RunContext(ctx, g, opt)
+	// A hierarchy grows from the flat run, so -hierarchical runs the flat
+	// search once, inside RunHierarchicalContext, and reports its result.
+	var res *infomap.Result
+	var hres *infomap.HierResult
+	if *hierarchical || *tree != "" {
+		hres, err = infomap.RunHierarchicalContext(ctx, g, opt)
+		if hres != nil {
+			res = hres.Flat
+		}
+	} else {
+		res, err = infomap.RunContext(ctx, g, opt)
+	}
 	if err != nil {
 		fatal(err)
 	}
 	rootSpan.End()
-	// Taken before -hierarchical reruns the flat pass under the same root.
 	kernelTotals := tracer.Totals()
 
 	fmt.Printf("graph: %d vertices, %d arcs (%s)\n", g.N(), g.M(), direction(g))
@@ -215,11 +213,7 @@ func main() {
 		fmt.Printf("wrote Chrome trace to %s\n", *traceOut)
 	}
 
-	if *hierarchical || *tree != "" {
-		hres, err := infomap.RunHierarchicalContext(ctx, g, opt)
-		if err != nil {
-			fatal(err)
-		}
+	if hres != nil {
 		fmt.Printf("hierarchy: %s\n", hres)
 		if *tree != "" {
 			f, err := os.Create(*tree)
@@ -263,15 +257,7 @@ func main() {
 			res.Steals, res.MeanImbalance())
 		machine := perf.Baseline()
 		model := perf.DefaultModel(machine)
-		name := "softhash"
-		switch opt.Kind {
-		case infomap.ASA:
-			name = "asa"
-		case infomap.GoMap:
-			name = "gomap"
-		case infomap.HashGraph:
-			name = "hashgraph"
-		}
+		name := opt.Kind.ModelName()
 		hash, err := model.AccumCost(name, res.TotalStats())
 		if err != nil {
 			fatal(err)
@@ -368,20 +354,6 @@ func remapDelta(d *graph.Delta, labels []uint64) (*graph.Delta, []uint64) {
 		out.Ops[i] = graph.DeltaEdge{Op: op.Op, From: lookup(op.From), To: lookup(op.To), Weight: op.Weight}
 	}
 	return out, labels
-}
-
-// warmSeed extends a parent partition to the child graph's vertex count:
-// vertices the delta created start as fresh singleton modules, mirroring the
-// serve API's lineage walk.
-func warmSeed(parent []uint32, modules, childN int) []uint32 {
-	seed := make([]uint32, childN)
-	copy(seed, parent)
-	next := uint32(modules)
-	for j := len(parent); j < childN; j++ {
-		seed[j] = next
-		next++
-	}
-	return seed
 }
 
 func direction(g *graph.Graph) string {

@@ -40,7 +40,7 @@ func main() {
 		hash perf.Counters
 		all  perf.Counters
 	}
-	run := func(kind infomap.AccumKind, name string) outcome {
+	run := func(kind infomap.AccumKind) outcome {
 		opt := infomap.DefaultOptions()
 		opt.Kind = kind
 		opt.Workers = 2
@@ -48,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		hash, err := model.AccumCost(name, res.TotalStats())
+		hash, err := model.AccumCost(kind.ModelName(), res.TotalStats())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,8 +57,8 @@ func main() {
 		return outcome{res: res, hash: hash, all: all}
 	}
 
-	base := run(infomap.Baseline, "softhash")
-	acc := run(infomap.ASA, "asa")
+	base := run(infomap.Baseline)
+	acc := run(infomap.ASA)
 
 	fmt.Printf("Baseline: %s\n", base.res)
 	fmt.Printf("ASA:      %s\n\n", acc.res)

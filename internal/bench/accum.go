@@ -117,7 +117,7 @@ func runAccum(cfg Config, w io.Writer) error {
 			}
 			row := accumRow{
 				Network:           name,
-				Backend:           accumName(kind),
+				Backend:           kind.ModelName(),
 				Vertices:          g.N(),
 				Arcs:              g.M(),
 				MaxDegree:         g.MaxDegree(),

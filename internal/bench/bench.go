@@ -188,23 +188,10 @@ type modeled struct {
 	Total  perf.Counters
 }
 
-func accumName(kind infomap.AccumKind) string {
-	switch kind {
-	case infomap.Baseline:
-		return "softhash"
-	case infomap.ASA:
-		return "asa"
-	case infomap.HashGraph:
-		return "hashgraph"
-	default:
-		return "gomap"
-	}
-}
-
 // modelRun converts a run's event counts into modeled hardware counters.
 func modelRun(res *infomap.Result, kind infomap.AccumKind, machine perf.Machine) (modeled, error) {
 	model := perf.DefaultModel(machine)
-	hash, err := model.AccumCost(accumName(kind), res.TotalStats())
+	hash, err := model.AccumCost(kind.ModelName(), res.TotalStats())
 	if err != nil {
 		return modeled{}, err
 	}
@@ -219,7 +206,7 @@ func perWorkerCounters(res *infomap.Result, kind infomap.AccumKind, machine perf
 	model := perf.DefaultModel(machine)
 	out := make([]perf.Counters, len(res.PerWorker))
 	for i, ws := range res.PerWorker {
-		hash, err := model.AccumCost(accumName(kind), ws.Accum)
+		hash, err := model.AccumCost(kind.ModelName(), ws.Accum)
 		if err != nil {
 			return nil, err
 		}

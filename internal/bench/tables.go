@@ -80,7 +80,7 @@ func nativeVsBaseline(cfg Config, w io.Writer, workers, maxRows int) error {
 		if s.Level != 0 || len(rows) >= maxRows {
 			break
 		}
-		hc, err := model.AccumCost(accumName(infomap.Baseline), s.Stats)
+		hc, err := model.AccumCost(infomap.Baseline.ModelName(), s.Stats)
 		if err != nil {
 			return err
 		}

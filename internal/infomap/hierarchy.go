@@ -62,7 +62,10 @@ func (n *HierNode) Depth() int {
 
 // HierResult is the outcome of RunHierarchical.
 type HierResult struct {
-	Root               *HierNode
+	Root *HierNode
+	// Flat is the two-level run the hierarchy grew from; TwoLevelCodelength
+	// and TopMembership are its Codelength and Membership.
+	Flat               *Result
 	Codelength         float64 // hierarchical L in bits
 	TwoLevelCodelength float64 // the flat partition's L, for comparison
 	TopMembership      []uint32
@@ -95,6 +98,7 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 		return nil, err
 	}
 	res := &HierResult{
+		Flat:               flat,
 		TwoLevelCodelength: flat.Codelength,
 		TopMembership:      flat.Membership,
 		NodeFlow:           flow.NodeFlow,

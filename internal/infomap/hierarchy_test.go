@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/asamap/asamap/internal/gen"
 	"github.com/asamap/asamap/internal/graph"
 	"github.com/asamap/asamap/internal/mapeq"
+	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/rng"
+	"github.com/asamap/asamap/internal/trace"
 )
 
 // nestedGraph builds a graph with two hierarchy levels: `super` groups, each
@@ -222,6 +225,39 @@ func TestHierarchicalDepth2MatchesTwoLevel(t *testing.T) {
 		if got := HierCodelength(flow, twoLevelTree(st, mem, k)); math.Abs(got-flat.Codelength) > 1e-12 {
 			t.Fatalf("scale %d %v: depth-2 tree L %.12f, two-level L %.12f", row.scale, row.teleport, got, flat.Codelength)
 		}
+	}
+}
+
+// TestHierarchicalFlatIsTheRun: HierResult.Flat is the flat run itself —
+// the same partition and codelength RunContext finds — and a hierarchical
+// run traces exactly one run span and one PageRank.
+func TestHierarchicalFlatIsTheRun(t *testing.T) {
+	g := rmatGraph(t, 10)
+	opt := DefaultOptions()
+	opt.Workers = 1
+	flat, err := RunContext(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.New(obs.Config{Seed: opt.Seed})
+	opt.Trace = tracer.Begin("test")
+	res, err := RunHierarchicalContext(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Trace.End()
+	if res.Flat.Codelength != flat.Codelength || !slices.Equal(res.Flat.Membership, flat.Membership) {
+		t.Fatalf("Flat L %.12f, RunContext L %.12f (or memberships differ)", res.Flat.Codelength, flat.Codelength)
+	}
+	if res.TwoLevelCodelength != res.Flat.Codelength || !slices.Equal(res.TopMembership, res.Flat.Membership) {
+		t.Fatal("TwoLevelCodelength/TopMembership disagree with Flat")
+	}
+	totals := tracer.Totals()
+	if n := totals["run"].Count; n != 1 {
+		t.Fatalf("%d run spans, want 1", n)
+	}
+	if n := totals[trace.KernelPageRank].Count; n != 1 {
+		t.Fatalf("%d PageRank spans, want 1", n)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"github.com/asamap/asamap/internal/accum"
 	"github.com/asamap/asamap/internal/asa"
 	"github.com/asamap/asamap/internal/gen"
 	"github.com/asamap/asamap/internal/graph"
 	"github.com/asamap/asamap/internal/obs"
+	"github.com/asamap/asamap/internal/perf"
 	"github.com/asamap/asamap/internal/trace"
 )
 
@@ -412,5 +414,31 @@ func TestUnrecordedTeleportation(t *testing.T) {
 	}
 	if TeleportRecorded.String() != "recorded" || TeleportUnrecorded.String() != "unrecorded" {
 		t.Fatal("teleportation names wrong")
+	}
+}
+
+// TestParseNamesInvertString: the parse functions accept exactly the names
+// String prints, the perf model prices every backend under its ModelName,
+// and anything else is an error naming the accepted values.
+func TestParseNamesInvertString(t *testing.T) {
+	model := perf.DefaultModel(perf.Baseline())
+	for k := Baseline; k <= HashGraph; k++ {
+		if got, err := ParseAccumKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseAccumKind(%q) = %v, %v", k.String(), got, err)
+		}
+		if _, err := model.AccumCost(k.ModelName(), accum.Stats{}); err != nil {
+			t.Errorf("%v: %v", k, err)
+		}
+	}
+	for _, tp := range []Teleportation{TeleportRecorded, TeleportUnrecorded} {
+		if got, err := ParseTeleportation(tp.String()); err != nil || got != tp {
+			t.Errorf("ParseTeleportation(%q) = %v, %v", tp.String(), got, err)
+		}
+	}
+	if _, err := ParseAccumKind("softhash"); err == nil || err.Error() != `unknown accum "softhash" (want baseline|asa|gomap|hashgraph)` {
+		t.Errorf("ParseAccumKind(softhash) error %v", err)
+	}
+	if _, err := ParseTeleportation(""); err == nil || err.Error() != `unknown teleport "" (want recorded|unrecorded)` {
+		t.Errorf("ParseTeleportation(\"\") error %v", err)
 	}
 }

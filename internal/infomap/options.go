@@ -40,6 +40,16 @@ func (t Teleportation) String() string {
 	return "recorded"
 }
 
+// ParseTeleportation inverts Teleportation.String.
+func ParseTeleportation(s string) (Teleportation, error) {
+	for _, t := range []Teleportation{TeleportRecorded, TeleportUnrecorded} {
+		if t.String() == s {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown teleport %q (want recorded|unrecorded)", s)
+}
+
 // AccumKind selects the sparse-accumulation backend of the
 // FindBestCommunity kernel.
 type AccumKind int
@@ -73,6 +83,26 @@ func (k AccumKind) String() string {
 		return "hashgraph"
 	}
 	return fmt.Sprintf("AccumKind(%d)", int(k))
+}
+
+// ParseAccumKind inverts AccumKind.String.
+func ParseAccumKind(s string) (AccumKind, error) {
+	for k := Baseline; k <= HashGraph; k++ {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown accum %q (want baseline|asa|gomap|hashgraph)", s)
+}
+
+// ModelName names the backend as perf.Model.AccumCost prices it: the
+// Baseline is the modeled software hash table "softhash", every other
+// backend is priced under its String name.
+func (k AccumKind) ModelName() string {
+	if k == Baseline {
+		return "softhash"
+	}
+	return k.String()
 }
 
 // Options configures a run. The zero value is not valid; start from
@@ -159,6 +189,20 @@ func DefaultOptions() Options {
 		Seed:           1,
 		Damping:        0.85,
 	}
+}
+
+// WarmSeed extends a parent partition of modules modules to a warm seed over
+// n vertices: the vertices a delta added (versions never shrink the vertex
+// set) each start as a fresh singleton module.
+func WarmSeed(parent []uint32, modules, n int) []uint32 {
+	seed := make([]uint32, n)
+	copy(seed, parent)
+	next := uint32(modules)
+	for j := len(parent); j < n; j++ {
+		seed[j] = next
+		next++
+	}
+	return seed
 }
 
 // clk returns the configured clock, defaulting to the real one.

@@ -19,10 +19,10 @@
 // caps at MaxHops — a routing loop degrades to an untraced request, never to
 // an unbounded header chain.
 //
-// The header is cluster-internal addressing, not protocol: serve.Client
-// strips it from any request leaving for a non-cluster destination, and the
-// request middleware consumes (deletes) it at ingress so handlers never
-// re-forward a stale context.
+// The header is cluster-internal addressing, not protocol. cluster.PeerClient
+// is the only sender: it injects a fresh context on each attempt under that
+// attempt's peer.attempt span. The request middleware consumes (deletes) it
+// at ingress, so handlers never re-forward a stale context.
 package propagate
 
 import (

@@ -65,20 +65,6 @@ type partition struct {
 	modules    int
 }
 
-// extend returns a fresh warm seed over n vertices: the partition, plus a
-// new singleton module for each vertex a version added (versions never
-// shrink the vertex set).
-func (p *partition) extend(n int) []uint32 {
-	seed := make([]uint32, n)
-	copy(seed, p.membership)
-	next := uint32(p.modules)
-	for j := len(p.membership); j < n; j++ {
-		seed[j] = next
-		next++
-	}
-	return seed
-}
-
 // cacheEntry is one cached result: the response bytes, replayed verbatim,
 // and the partition they encode. part is nil for entries stored as plain
 // bytes (cold detects, bodies adopted from a sibling) until partitionOf

@@ -10,21 +10,15 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"github.com/asamap/asamap/internal/clock"
-	"github.com/asamap/asamap/internal/obs"
-	"github.com/asamap/asamap/internal/obs/propagate"
-	"github.com/asamap/asamap/internal/rng"
 )
 
 // Client is a typed HTTP client for an asamapd server. The zero value is not
-// usable; construct with NewClient. A plain NewClient client is single-shot;
-// WithRetry returns a copy that retries transient failures with capped
-// exponential backoff.
+// usable; construct with NewClient. Every call is a single HTTP exchange: a
+// 429 surfaces as ServerBusyError with the server's Retry-After estimate,
+// and the caller decides whether to try again.
 type Client struct {
-	base  string
-	hc    *http.Client
-	retry *RetryPolicy // nil = single-shot
+	base string
+	hc   *http.Client
 }
 
 // NewClient returns a client for the server at baseURL (e.g.
@@ -34,73 +28,6 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 		hc = http.DefaultClient
 	}
 	return &Client{base: strings.TrimRight(baseURL, "/"), hc: hc}
-}
-
-// RetryPolicy configures WithRetry: capped exponential backoff with
-// deterministic jitter, applied to transient failures (transport errors,
-// 429, 502/503/504). Every asamapd endpoint is idempotent by construction —
-// uploads are content-addressed and detects are bit-deterministic — so
-// retrying a request that may already have executed is always safe.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries including the first
-	// (minimum 1; 0 takes the default 4).
-	MaxAttempts int
-	// BaseBackoff is the wait before the first retry; attempt k waits
-	// BaseBackoff << k, capped at MaxBackoff (defaults 100ms / 5s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// JitterSeed drives the deterministic jitter stream added to each wait
-	// (up to half the backoff), decorrelating clients that fail together.
-	JitterSeed uint64
-	// Clock times the waits; nil means the real clock.
-	Clock clock.Clock
-}
-
-// DefaultRetryPolicy returns the production-shaped policy: 4 attempts,
-// 100ms base, 5s cap.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 5 * time.Second}
-}
-
-// normalize fills zero fields with their defaults.
-func (p RetryPolicy) normalize() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 100 * time.Millisecond
-	}
-	if p.MaxBackoff < p.BaseBackoff {
-		p.MaxBackoff = 5 * time.Second
-	}
-	if p.Clock == nil {
-		p.Clock = clock.Real{}
-	}
-	return p
-}
-
-// wait returns the backoff before retry number attempt (1-based): capped
-// exponential growth plus a deterministic jitter in [0, wait/2).
-func (p RetryPolicy) wait(key uint64, attempt int) time.Duration {
-	shift := attempt - 1
-	if shift > 30 {
-		shift = 30
-	}
-	d := p.BaseBackoff << uint(shift)
-	if d > p.MaxBackoff || d <= 0 {
-		d = p.MaxBackoff
-	}
-	u := float64(rng.Hash64(p.JitterSeed^key^uint64(attempt))>>11) / (1 << 53)
-	return d + time.Duration(u*float64(d)/2)
-}
-
-// WithRetry returns a copy of the client that retries transient failures
-// under the given policy. The original client is unchanged.
-func (c *Client) WithRetry(p RetryPolicy) *Client {
-	np := p.normalize()
-	out := *c
-	out.retry = &np
-	return &out
 }
 
 // ServerBusyError reports a 429 rejection with the server's Retry-After
@@ -279,104 +206,20 @@ func (c *Client) do(req *http.Request, out any) error {
 	return json.Unmarshal(raw, out)
 }
 
-// send executes req — re-issuing it under the retry policy when one is set —
-// and returns the final response with its fully read body.
+// send executes req once and returns the response with its fully read body.
+// Retries, backoff and trace propagation on outbound peer calls belong to
+// cluster.PeerClient; this client makes exactly one exchange per call.
 func (c *Client) send(req *http.Request) (*http.Response, []byte, error) {
-	// Never forward a caller-supplied trace context: the header is cluster
-	// addressing, and anything already on the request is stale by definition.
-	// A fresh context is injected per attempt below, and only when this call
-	// runs inside a traced server request (the cluster fetch paths) — a
-	// standalone client never emits the header at all.
-	propagate.Strip(req.Header)
-	tid, hop := RequestTrace(req.Context())
-	var call *obs.Span
-	if sp := requestSpan(req.Context()); sp != nil {
-		call = sp.Child("client.call")
-		call.SetAttr("target", req.Method+" "+req.URL.Path)
-		defer call.End()
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, nil, err
 	}
-	for attempt := 1; ; attempt++ {
-		r := req
-		if attempt > 1 {
-			r = req.Clone(req.Context())
-			if req.GetBody != nil {
-				body, err := req.GetBody()
-				if err != nil {
-					return nil, nil, err
-				}
-				r.Body = body
-			}
-		}
-		var att *obs.Span
-		if call != nil {
-			// One child span per attempt; remote request spans root under its
-			// ID, so each retry stitches to its own attempt while duplicate
-			// deliveries of one attempt collapse to one remote tree.
-			att = call.Child("client.attempt")
-			att.SetUint("attempt", uint64(attempt))
-			if tid != 0 && hop < propagate.MaxHops {
-				propagate.Inject(r.Header, propagate.Context{TraceID: tid, Parent: att.ID(), Hop: hop + 1})
-			}
-		}
-		resp, err := c.hc.Do(r)
-		if att != nil {
-			if err != nil {
-				att.SetAttr("outcome", "transport")
-			} else {
-				att.SetUint("status", uint64(resp.StatusCode))
-			}
-			att.End()
-		}
-		var raw []byte
-		if err == nil {
-			raw, err = io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				resp = nil // a torn body is a transport failure
-			}
-		}
-		wait, retryable := c.retryWait(resp, err, attempt, req)
-		if !retryable {
-			return resp, raw, err
-		}
-		select {
-		case <-c.retry.Clock.After(wait):
-		case <-req.Context().Done():
-			return nil, nil, req.Context().Err()
-		}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, nil, err
 	}
-}
-
-// retryWait decides whether the attempt's outcome is transient and how long
-// to wait before the next try. A request with a non-replayable streaming
-// body is never retried — the bytes are gone.
-func (c *Client) retryWait(resp *http.Response, err error, attempt int, req *http.Request) (time.Duration, bool) {
-	if c.retry == nil || attempt >= c.retry.MaxAttempts {
-		return 0, false
-	}
-	if req.Body != nil && req.GetBody == nil {
-		return 0, false
-	}
-	key := rng.HashString(req.Method + " " + req.URL.Path)
-	switch {
-	case err != nil:
-		return c.retry.wait(key, attempt), true
-	case resp.StatusCode == http.StatusTooManyRequests:
-		// Back off at least as long as the server's own estimate: the queue
-		// knows its depth better than our exponential schedule does.
-		w := c.retry.wait(key, attempt)
-		if v, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && v > 0 {
-			if sw := time.Duration(v) * time.Second; sw > w {
-				w = sw
-			}
-		}
-		return w, true
-	case resp.StatusCode == http.StatusBadGateway,
-		resp.StatusCode == http.StatusServiceUnavailable,
-		resp.StatusCode == http.StatusGatewayTimeout:
-		return c.retry.wait(key, attempt), true
-	}
-	return 0, false
+	return resp, raw, nil
 }
 
 // responseError converts a non-2xx response into the matching typed error,

@@ -73,6 +73,34 @@ func TestPeerClientRetriesTransient5xx(t *testing.T) {
 	}
 }
 
+// TestPeerClientRetries429: a 429 is a transient answer, not an
+// authoritative one — the client backs off, retries once, and returns the
+// 200 that follows.
+func TestPeerClientRetries429(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		w.Write([]byte("ok"))
+	}))
+	defer srv.Close()
+
+	p := NewPeerClient(0, srv.URL, nil, fastCfg())
+	resp, err := p.Do(context.Background(), http.MethodGet, "/x", nil, nil, "k")
+	if err != nil || resp.Status != http.StatusOK || string(resp.Body) != "ok" {
+		t.Fatalf("Do: %+v, %v", resp, err)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("server saw %d calls, want 2 (one 429 + success)", calls.Load())
+	}
+	if st := p.Stats(); st.Retries != 1 || st.Failures != 1 {
+		t.Fatalf("stats %+v, want 1 retry / 1 failure", st)
+	}
+}
+
 // TestPeerClientReturnsFinal5xx: a persistent 503 comes back as the final
 // response (not an error) after exhausting retries — the caller decides what
 // a definitive 5xx means.

@@ -96,7 +96,7 @@ func attemptSpanIDs(mt mergedTrace) (router, all map[string]bool) {
 	router, all = map[string]bool{}, map[string]bool{}
 	for _, seg := range mt.Nodes {
 		for _, sp := range seg.Spans {
-			if sp.Name != "peer.attempt" && sp.Name != "client.attempt" {
+			if sp.Name != "peer.attempt" {
 				continue
 			}
 			all[sp.ID] = true
@@ -285,7 +285,7 @@ func runTraceChaosScenario(t *testing.T, ref map[string][]byte, workers int) ([]
 		routerAttempts, allAttempts := attemptSpanIDs(mt)
 		for _, seg := range mt.Nodes {
 			for _, sp := range seg.Spans {
-				if sp.Name == "peer.attempt" || sp.Name == "client.attempt" {
+				if sp.Name == "peer.attempt" {
 					if v, ok := attrValue(sp, "attempt"); ok {
 						if n, err := strconv.Atoi(v); err == nil && n > 1 {
 							retries++

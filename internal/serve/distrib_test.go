@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/asamap/asamap/internal/obs/propagate"
@@ -260,67 +259,6 @@ func TestProfileEndpoint(t *testing.T) {
 	}
 }
 
-// TestClientStripsStaleTraceHeader: a caller-supplied trace header never
-// reaches the wire — outside a traced server request the client emits no
-// trace context at all.
-func TestClientStripsStaleTraceHeader(t *testing.T) {
-	var got atomicHeader
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got.set(r.Header.Get(propagate.Header))
-		w.Write([]byte("{}"))
-	}))
-	defer backend.Close()
-
-	c := NewClient(backend.URL, backend.Client())
-	req, _ := http.NewRequest("GET", backend.URL+"/healthz", nil)
-	propagate.Inject(req.Header, propagate.Context{TraceID: 0x57a1e, Parent: 2, Hop: 1})
-	if _, _, err := c.send(req); err != nil {
-		t.Fatal(err)
-	}
-	if v := got.get(); v != "" {
-		t.Errorf("stale trace header reached the backend: %q", v)
-	}
-}
-
-// TestClientInjectsInsideTracedRequest: when a client call runs inside a
-// middleware-wrapped server request, every attempt carries a fresh trace
-// context — same trace, the attempt span as parent, hop+1.
-func TestClientInjectsInsideTracedRequest(t *testing.T) {
-	var got atomicHeader
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got.set(r.Header.Get(propagate.Header))
-		w.Write([]byte("{}"))
-	}))
-	defer backend.Close()
-
-	s := New(DefaultConfig())
-	defer s.Close()
-	var wantTrace uint64
-	h := s.middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		wantTrace, _ = RequestTrace(r.Context())
-		c := NewClient(backend.URL, backend.Client())
-		req, _ := http.NewRequestWithContext(r.Context(), "GET", backend.URL+"/healthz", nil)
-		if _, _, err := c.send(req); err != nil {
-			t.Error(err)
-		}
-	}))
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
-
-	pc, ok := propagate.Extract(http.Header{propagate.Header: []string{got.get()}})
-	if !ok {
-		t.Fatalf("backend saw no valid trace context, header=%q", got.get())
-	}
-	if pc.TraceID != wantTrace {
-		t.Errorf("propagated trace %x, want %x", pc.TraceID, wantTrace)
-	}
-	if pc.Hop != 1 {
-		t.Errorf("propagated hop %d, want 1", pc.Hop)
-	}
-	if pc.Parent == 0 || pc.Parent == wantTrace {
-		t.Errorf("parent %x should be the attempt span, not the request root", pc.Parent)
-	}
-}
-
 // TestClientErrorsCarryRequestID: non-2xx responses surface the server's
 // X-Request-Id in both typed errors for cross-node log correlation.
 func TestClientErrorsCarryRequestID(t *testing.T) {
@@ -358,12 +296,3 @@ func TestClientErrorsCarryRequestID(t *testing.T) {
 		t.Errorf("api error text omits the request id: %q", api.Error())
 	}
 }
-
-// atomicHeader is a tiny mutex-guarded string for handler → test handoff.
-type atomicHeader struct {
-	mu sync.Mutex
-	v  string
-}
-
-func (a *atomicHeader) set(v string) { a.mu.Lock(); a.v = v; a.mu.Unlock() }
-func (a *atomicHeader) get() string  { a.mu.Lock(); defer a.mu.Unlock(); return a.v }

@@ -137,139 +137,37 @@ func TestColdStart429HeaderPinned(t *testing.T) {
 	}
 }
 
-// TestClientRetryTransient5xx: a retrying client absorbs transient 503s and
-// succeeds; the single-shot client surfaces them.
-func TestClientRetryTransient5xx(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			httpError(w, http.StatusServiceUnavailable, "warming up")
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
-	}))
-	defer srv.Close()
-
-	single := NewClient(srv.URL, srv.Client())
-	if _, err := single.Health(context.Background()); err == nil {
-		t.Fatal("single-shot client absorbed a 503")
-	}
-	calls.Store(0)
-	c := NewClient(srv.URL, srv.Client()).WithRetry(RetryPolicy{
-		MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
-	})
-	if _, err := c.Health(context.Background()); err != nil {
-		t.Fatalf("retrying client failed: %v", err)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("server saw %d calls, want 3 (two 503s + success)", calls.Load())
-	}
-}
-
-// TestClientRetryHonorsRetryAfterOn429: the wait before retrying a 429 is
-// the server's Retry-After estimate, observed on the injected clock.
-func TestClientRetryHonorsRetryAfterOn429(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "2")
-			httpError(w, http.StatusTooManyRequests, "busy")
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
-	}))
-	defer srv.Close()
-
-	fake := clock.NewFake(time.Unix(0, 0))
-	c := NewClient(srv.URL, srv.Client()).WithRetry(RetryPolicy{
-		MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond, Clock: fake,
-	})
-	done := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err := c.Health(context.Background())
-		done <- err
-	}()
-	for fake.Pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	// One second in: still parked — the 2s server estimate governs, not the
-	// millisecond backoff schedule.
-	fake.Advance(time.Second)
-	select {
-	case err := <-done:
-		t.Fatalf("retry fired before Retry-After elapsed: %v", err)
-	case <-time.After(10 * time.Millisecond):
-	}
-	fake.Advance(time.Second + 2*time.Millisecond) // past 2s plus jitter margin
-	if err := <-done; err != nil {
-		t.Fatalf("retry after 429 failed: %v", err)
-	}
-	wg.Wait()
-	if calls.Load() != 2 {
-		t.Fatalf("server saw %d calls, want 2", calls.Load())
-	}
-}
-
-// TestClientRetryExhaustsAttempts: a persistent failure surfaces after
-// exactly MaxAttempts tries.
-func TestClientRetryExhaustsAttempts(t *testing.T) {
+// TestClientMakesOneExchange: every client call is one HTTP exchange. A 503
+// surfaces as an APIError and a 429 as a ServerBusyError carrying the
+// server's Retry-After; neither is re-sent.
+func TestClientMakesOneExchange(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		httpError(w, http.StatusServiceUnavailable, "down")
+		if r.URL.Path == "/healthz" {
+			httpError(w, http.StatusServiceUnavailable, "warming up")
+			return
+		}
+		w.Header().Set("Retry-After", "2")
+		httpError(w, http.StatusTooManyRequests, "busy")
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL, srv.Client()).WithRetry(RetryPolicy{
-		MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond,
-	})
+	c := NewClient(srv.URL, srv.Client())
 	var apiErr *APIError
 	if _, err := c.Health(context.Background()); !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
-		t.Fatalf("want APIError 503 after exhaustion, got %v", err)
+		t.Fatalf("Health = %v, want APIError 503", err)
 	}
-	if calls.Load() != 2 {
-		t.Fatalf("server saw %d calls, want exactly MaxAttempts=2", calls.Load())
+	if n := calls.Swap(0); n != 1 {
+		t.Fatalf("server saw %d calls for one Health, want 1", n)
 	}
-}
-
-// TestClientRetryTransportError: connection-level failures are retried too.
-func TestClientRetryTransportError(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
-	}))
-	defer srv.Close()
-
-	hc := &http.Client{Transport: &failFirstTransport{inner: http.DefaultTransport, failures: 2, calls: &calls}}
-	c := NewClient(srv.URL, hc).WithRetry(RetryPolicy{
-		MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond,
-	})
-	if _, err := c.Health(context.Background()); err != nil {
-		t.Fatalf("retrying client failed: %v", err)
+	var busy *ServerBusyError
+	if _, err := c.GraphInfo(context.Background(), "h"); !errors.As(err, &busy) || busy.RetryAfter != 2*time.Second {
+		t.Fatalf("GraphInfo = %v, want ServerBusyError retry after 2s", err)
 	}
-	if calls.Load() != 3 {
-		t.Fatalf("transport saw %d calls, want 3", calls.Load())
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("server saw %d calls for one GraphInfo, want 1", n)
 	}
-}
-
-// failFirstTransport fails the first N round trips at the connection level.
-type failFirstTransport struct {
-	inner    http.RoundTripper
-	failures int64
-	calls    *atomic.Int64
-}
-
-func (t *failFirstTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if t.calls.Add(1) <= t.failures {
-		if req.Body != nil {
-			req.Body.Close()
-		}
-		return nil, errors.New("synthetic connection reset")
-	}
-	return t.inner.RoundTrip(req)
 }
 
 // TestCacheEvictionRaceSingleflight is the satellite acceptance test: a

@@ -289,30 +289,26 @@ func (d DetectOptions) toOptions() (infomap.Options, error) {
 	if d.CamKB > maxCamKB {
 		return opt, fmt.Errorf("cam_kb %d exceeds %d", d.CamKB, maxCamKB)
 	}
-	switch d.Accum {
-	case "", "baseline":
-		opt.Kind = infomap.Baseline
-	case "asa":
-		opt.Kind = infomap.ASA
+	if d.Accum != "" {
+		kind, err := infomap.ParseAccumKind(d.Accum)
+		if err != nil {
+			return opt, err
+		}
+		opt.Kind = kind
+	}
+	if opt.Kind == infomap.ASA {
 		camKB := d.CamKB
 		if camKB <= 0 {
 			camKB = 8
 		}
 		opt.ASAConfig = asa.Config{CapacityBytes: camKB * 1024, EntryBytes: 16, Policy: asa.LRU}
-	case "gomap":
-		opt.Kind = infomap.GoMap
-	case "hashgraph":
-		opt.Kind = infomap.HashGraph
-	default:
-		return opt, fmt.Errorf("unknown accum %q (want baseline|asa|gomap|hashgraph)", d.Accum)
 	}
-	switch d.Teleport {
-	case "", "recorded":
-		opt.Teleport = infomap.TeleportRecorded
-	case "unrecorded":
-		opt.Teleport = infomap.TeleportUnrecorded
-	default:
-		return opt, fmt.Errorf("unknown teleport %q (want recorded|unrecorded)", d.Teleport)
+	if d.Teleport != "" {
+		tp, err := infomap.ParseTeleportation(d.Teleport)
+		if err != nil {
+			return opt, err
+		}
+		opt.Teleport = tp
 	}
 	if d.Workers != 0 {
 		opt.Workers = min(d.Workers, runtime.GOMAXPROCS(0))
@@ -795,7 +791,7 @@ func (s *Server) warmDetect(ctx context.Context, target string, opt infomap.Opti
 				return cacheEntry{}, err
 			}
 			stepOpt := opt
-			stepOpt.WarmStart = parent.extend(vg.N())
+			stepOpt.WarmStart = infomap.WarmSeed(parent.membership, parent.modules, vg.N())
 			stepOpt.FrontierSeeds = touched
 			stepOpt.FrontierHops = hops
 			res, err := s.computeDetect(ctx, vg, stepOpt)
