@@ -19,10 +19,11 @@ lint: fmt-check
 	$(GO) vet ./...
 
 # fmt-check fails on any Go file gofmt would rewrite, over the directories
-# `go list ./...` reports: the analyzer's testdata fixtures are not packages
-# and keep the layout their expected diagnostics point at.
+# `go list ./...` reports plus the perfbench module: the analyzer's testdata
+# fixtures are not packages and keep the layout their expected diagnostics
+# point at.
 fmt-check:
-	@unformatted=$$(for d in $$($(GO) list -f '{{.Dir}}' ./...); do $(GOFMT) -l $$d/*.go; done); \
+	@unformatted=$$(for d in $$($(GO) list -f '{{.Dir}}' ./...) perfbench; do $(GOFMT) -l $$d/*.go; done); \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # lint-json writes the canonical machine-readable findings document

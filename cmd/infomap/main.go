@@ -24,7 +24,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/asamap/asamap/internal/asa"
 	"github.com/asamap/asamap/internal/dist"
 	"github.com/asamap/asamap/internal/export"
 	"github.com/asamap/asamap/internal/fault"
@@ -116,8 +115,9 @@ func main() {
 	if opt.Kind, err = infomap.ParseAccumKind(*accumKind); err != nil {
 		fatal(err)
 	}
+	// opt.ASAConfig is asa.DefaultConfig(); -cam-kb sizes only the CAM.
 	if opt.Kind == infomap.ASA {
-		opt.ASAConfig = asa.Config{CapacityBytes: *camKB * 1024, EntryBytes: 16, Policy: asa.LRU}
+		opt.ASAConfig.CapacityBytes = *camKB * 1024
 	}
 
 	if *distRanks > 0 {

@@ -133,7 +133,7 @@ func runCAMSweep(cfg Config, w io.Writer) error {
 		opt := infomap.DefaultOptions()
 		opt.Kind = infomap.ASA
 		opt.Seed = cfg.Seed
-		opt.ASAConfig = asa.Config{CapacityBytes: bytes, EntryBytes: 16, Policy: asa.LRU}
+		opt.ASAConfig.CapacityBytes = bytes
 		res, err := infomap.Run(g, opt)
 		if err != nil {
 			return err
@@ -171,7 +171,7 @@ func runEvict(cfg Config, w io.Writer) error {
 		opt := infomap.DefaultOptions()
 		opt.Kind = infomap.ASA
 		opt.Seed = cfg.Seed
-		opt.ASAConfig = asa.Config{CapacityBytes: 1024, EntryBytes: 16, Policy: pol}
+		opt.ASAConfig.CapacityBytes, opt.ASAConfig.Policy = 1024, pol
 		res, err := infomap.Run(g, opt)
 		if err != nil {
 			return err

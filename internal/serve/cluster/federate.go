@@ -4,10 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
-	"slices"
 	"time"
 
+	"github.com/asamap/asamap/internal/graph"
 	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/obs/propagate"
 	"github.com/asamap/asamap/internal/serve"
@@ -50,7 +51,7 @@ func (n *Node) gatherClusterMetrics(r *http.Request) ClusterMetrics {
 		Merged: serve.MetricsSnapshot{
 			Counters:   map[string]uint64{},
 			Gauges:     map[string]float64{},
-			Histograms: map[string]serve.HistWire{},
+			Histograms: map[string]trace.HistogramSnapshot{},
 		},
 		ScrapeErrors: map[string]string{},
 	}
@@ -91,19 +92,18 @@ func (n *Node) gatherClusterMetrics(r *http.Request) ClusterMetrics {
 	return out
 }
 
-// mergeSnapshot adds snap into m: counters and gauges sum, histograms add
-// bucket by bucket. It first checks every histogram of snap — well-formed,
-// and over the same bounds as m's histogram of that name — and merges
-// nothing when one fails.
+// mergeSnapshot adds snap into m: counters and gauges sum, histograms merge
+// bucket by bucket through trace.HistogramSnapshot.Merge. Every histogram of
+// snap must be well-formed and over the same bounds as m's of that name;
+// when one is not, mergeSnapshot changes nothing of m.
 func mergeSnapshot(m, snap serve.MetricsSnapshot) error {
-	for _, name := range sortedKeys(snap.Histograms) {
-		hw := snap.Histograms[name]
-		if _, err := trace.NewHistogramFromSnapshot(hw.Snapshot()); err != nil {
+	merged := make(map[string]trace.HistogramSnapshot, len(snap.Histograms))
+	for _, name := range graph.SortedKeys(snap.Histograms) {
+		h, err := m.Histograms[name].Merge(snap.Histograms[name])
+		if err != nil {
 			return fmt.Errorf("histogram %s: %w", name, err)
 		}
-		if prev, ok := m.Histograms[name]; ok && !slices.Equal(prev.BoundsNS, hw.BoundsNS) {
-			return fmt.Errorf("histogram %s: bounds differ from the merge's", name)
-		}
+		merged[name] = h
 	}
 	for name, v := range snap.Counters {
 		m.Counters[name] += v
@@ -111,23 +111,7 @@ func mergeSnapshot(m, snap serve.MetricsSnapshot) error {
 	for name, v := range snap.Gauges {
 		m.Gauges[name] += v
 	}
-	for name, hw := range snap.Histograms {
-		prev, ok := m.Histograms[name]
-		if !ok {
-			m.Histograms[name] = hw
-			continue
-		}
-		counts := slices.Clone(prev.Counts)
-		for i, c := range hw.Counts {
-			counts[i] += c
-		}
-		m.Histograms[name] = serve.HistWire{
-			BoundsNS: prev.BoundsNS,
-			Counts:   counts,
-			SumNS:    prev.SumNS + hw.SumNS,
-			Count:    prev.Count + hw.Count,
-		}
-	}
+	maps.Copy(m.Histograms, merged)
 	return nil
 }
 
@@ -281,14 +265,4 @@ func (n *Node) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		out["errors"] = scrapeErrors
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// sortedKeys returns m's keys in sorted order, for deterministic rendering.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/asamap/asamap/internal/fault"
+	"github.com/asamap/asamap/internal/graph"
 	"github.com/asamap/asamap/internal/trace"
 )
 
@@ -49,7 +50,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 	}
 	for _, node := range []string{"-1", "0", "1"} {
 		if _, ok := cm.Nodes[node]; !ok {
-			t.Errorf("node %s missing from the scrape (have %v)", node, sortedKeys(cm.Nodes))
+			t.Errorf("node %s missing from the scrape (have %v)", node, graph.SortedKeys(cm.Nodes))
 		}
 	}
 	if len(cm.ScrapeErrors) != 0 {
@@ -73,26 +74,20 @@ func TestClusterMetricsFederation(t *testing.T) {
 	// Histograms: recompute the merge independently and require exact
 	// equality — counts, sum, and therefore every quantile.
 	for _, name := range []string{"request_seconds", "queue_wait_seconds", "go_gc_pause_seconds"} {
-		var manual *trace.Histogram
-		for _, node := range sortedKeys(cm.Nodes) {
-			hw, ok := cm.Nodes[node].Histograms[name]
+		var want trace.HistogramSnapshot
+		for _, node := range graph.SortedKeys(cm.Nodes) {
+			h, ok := cm.Nodes[node].Histograms[name]
 			if !ok {
 				t.Fatalf("node %s snapshot lacks histogram %s", node, name)
 			}
-			h, err := trace.NewHistogramFromSnapshot(hw.Snapshot())
-			if err != nil {
+			var err error
+			if want, err = want.Merge(h); err != nil {
 				t.Fatalf("node %s histogram %s: %v", node, name, err)
 			}
-			if manual == nil {
-				manual = h
-			} else if err := manual.Merge(h); err != nil {
-				t.Fatalf("merging %s: %v", name, err)
-			}
 		}
-		want := manual.Snapshot()
-		got := cm.Merged.Histograms[name].Snapshot()
-		if got.Count != want.Count || got.Sum != want.Sum {
-			t.Errorf("merged %s: count/sum (%d, %v), want (%d, %v)", name, got.Count, got.Sum, want.Count, want.Sum)
+		got := cm.Merged.Histograms[name]
+		if got.Count != want.Count || got.SumNS != want.SumNS {
+			t.Errorf("merged %s: count/sum (%d, %v), want (%d, %v)", name, got.Count, got.SumNS, want.Count, want.SumNS)
 		}
 		for i := range want.Counts {
 			if got.Counts[i] != want.Counts[i] {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/asamap/asamap/internal/fault"
+	"github.com/asamap/asamap/internal/graph"
 	"github.com/asamap/asamap/internal/serve"
 	"github.com/asamap/asamap/internal/serve/promtest"
 )
@@ -161,7 +162,7 @@ func TestClusterMetricsMergedSums(t *testing.T) {
 	cm := fetchClusterMetrics(t, tc.baseURL)
 	order := []string{"-1", "0", "1"}
 	if len(cm.Nodes) != len(order) {
-		t.Fatalf("scraped nodes %v, want %v", sortedKeys(cm.Nodes), order)
+		t.Fatalf("scraped nodes %v, want %v", graph.SortedKeys(cm.Nodes), order)
 	}
 	const kernel = `kernel_seconds_total{kernel="FindBestCommunity"}`
 	var seconds float64
@@ -186,16 +187,19 @@ func TestClusterMetricsMergedSums(t *testing.T) {
 // that cannot merge — malformed, or over other bounds than the rest — drops
 // out of the scrape whole, like an unreachable peer: none of its counters
 // reach the merge, it is absent from the nodes, and its failure is counted.
+// The malformed ones use a name no other node exports, so only their own
+// shape can reject them.
 func TestClusterMetricsMalformedPeer(t *testing.T) {
 	for name, hist := range map[string]string{
-		"unsorted bounds": `{"bounds_ns":[2000,1000],"counts":[1,2,3],"sum_ns":1,"count":6}`,
-		"other bounds":    `{"bounds_ns":[1000],"counts":[0,6],"sum_ns":1,"count":6}`,
+		"unsorted bounds": `"bad_seconds":{"bounds_ns":[2000,1000],"counts":[1,2,3],"sum_ns":1,"count":6}`,
+		"other bounds":    `"request_seconds":{"bounds_ns":[1000],"counts":[0,6],"sum_ns":1,"count":6}`,
+		"counts length":   `"bad_seconds":{"bounds_ns":[1000],"counts":[6],"sum_ns":1,"count":6}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "application/json")
 				io.WriteString(w, `{"counters":{"runs_total":1000},"gauges":{"go_goroutines":7},`+
-					`"histograms":{"request_seconds":`+hist+`}}`)
+					`"histograms":{`+hist+`}}`)
 			}))
 			t.Cleanup(bad.Close)
 			router := NewNode(serve.New(serve.DefaultConfig()), Config{Self: -1, Peers: []string{bad.URL}})

@@ -287,7 +287,7 @@ func runTraceChaosScenario(t *testing.T, ref map[string][]byte, workers int) ([]
 			for _, sp := range seg.Spans {
 				if sp.Name == "peer.attempt" {
 					if v, ok := attrValue(sp, "attempt"); ok {
-						if n, err := strconv.Atoi(v); err == nil && n > 1 {
+						if n, err := strconv.Atoi(v); err == nil && n > 0 {
 							retries++
 						}
 					}

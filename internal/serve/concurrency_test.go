@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,36 +19,25 @@ import (
 // byte-identical.
 func TestParallelIdenticalRequestsSingleflight(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := DetectRequest{Graph: c.upload(twoTriangles).Hash, Options: DetectOptions{Seed: 11}}
 
 	const n = 16
 	var wg sync.WaitGroup
-	raws := make([][]byte, n)
+	replies := make([]reply, n)
 	errs := make([]error, n)
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 11})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			raws[i] = res.Raw
+			replies[i], errs[i] = c.call(context.Background(), http.MethodPost, "/v1/detect", req)
 		}(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+	for i, r := range replies {
+		if errs[i] != nil || r.status != http.StatusOK {
+			t.Fatalf("request %d: status %d, %v", i, r.status, errs[i])
 		}
-	}
-	for i := 1; i < n; i++ {
-		if !bytes.Equal(raws[0], raws[i]) {
+		if !bytes.Equal(replies[0].body, r.body) {
 			t.Fatalf("request %d returned different bytes", i)
 		}
 	}
@@ -61,26 +53,25 @@ func TestParallelIdenticalRequestsSingleflight(t *testing.T) {
 // parse once and agree on the content address.
 func TestParallelIdenticalUploadsSingleflight(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
 	const n = 12
 	var wg sync.WaitGroup
-	hashes := make([]string, n)
+	replies := make([]reply, n)
 	errs := make([]error, n)
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-			hashes[i], errs[i] = info.Hash, err
+			replies[i], errs[i] = c.call(context.Background(), http.MethodPost, "/v1/graphs", twoTriangles)
 		}(i)
 	}
 	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("upload %d: %v", i, errs[i])
+	infos := make([]GraphInfo, n)
+	for i, r := range replies {
+		if errs[i] != nil || r.status/100 != 2 || json.Unmarshal(r.body, &infos[i]) != nil {
+			t.Fatalf("upload %d: status %d, %v", i, r.status, errs[i])
 		}
-		if hashes[i] != hashes[0] {
-			t.Fatalf("upload %d hash %s != %s", i, hashes[i], hashes[0])
+		if infos[i].Hash != infos[0].Hash {
+			t.Fatalf("upload %d hash %s != %s", i, infos[i].Hash, infos[0].Hash)
 		}
 	}
 	if got := s.registry.Stats().Parses; got != 1 {
@@ -99,11 +90,7 @@ func TestQueueSaturationExactlyOne429(t *testing.T) {
 	cfg.QueueCapacity = k
 	cfg.Workers = 2
 	s, _, c := newTestServer(t, cfg)
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := c.upload(twoTriangles)
 
 	// Gate: jobs block until released, so all K admission tokens stay held
 	// while the K+1st request arrives — saturation is exact by construction.
@@ -112,19 +99,15 @@ func TestQueueSaturationExactlyOne429(t *testing.T) {
 
 	// K+1 requests with distinct seeds (identical seeds would coalesce in
 	// the cache, never reaching the queue).
-	results := make([]error, k+1)
-	raws := make([][]byte, k+1)
+	replies := make([]reply, k+1)
+	errs := make([]error, k+1)
 	var wg sync.WaitGroup
 	wg.Add(k + 1)
 	for i := 0; i <= k; i++ {
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: uint64(100 + i)})
-			if err != nil {
-				results[i] = err
-				return
-			}
-			raws[i] = res.Raw
+			req := DetectRequest{Graph: info.Hash, Options: DetectOptions{Seed: uint64(100 + i)}}
+			replies[i], errs[i] = c.call(context.Background(), http.MethodPost, "/v1/detect", req)
 		}(i)
 	}
 
@@ -143,23 +126,28 @@ func TestQueueSaturationExactlyOne429(t *testing.T) {
 	close(release)
 	wg.Wait()
 
+	// The rejection names a whole number of seconds, at least one, and
+	// carries its X-Request-Id like every reply.
 	var busy, ok int
-	for i, err := range results {
+	for i, r := range replies {
 		switch {
-		case err == nil:
+		case errs[i] != nil:
+			t.Fatalf("request %d: %v", i, errs[i])
+		case r.status == http.StatusOK:
 			ok++
-			if len(raws[i]) == 0 {
+			if len(r.body) == 0 {
 				t.Fatalf("request %d succeeded with empty body", i)
 			}
-		default:
-			var b *ServerBusyError
-			if !errors.As(err, &b) {
-				t.Fatalf("request %d failed with %v, want ServerBusyError", i, err)
+		case r.status == http.StatusTooManyRequests:
+			if secs, err := strconv.Atoi(r.header.Get("Retry-After")); err != nil || secs < 1 {
+				t.Fatalf("Retry-After %q is not a whole number of seconds >= 1", r.header.Get("Retry-After"))
 			}
-			if b.RetryAfter < time.Second {
-				t.Fatalf("Retry-After %v below the 1s floor", b.RetryAfter)
+			if r.header.Get("X-Request-Id") == "" {
+				t.Fatal("429 reply carries no X-Request-Id")
 			}
 			busy++
+		default:
+			t.Fatalf("request %d: status %d, want 200 or 429", i, r.status)
 		}
 	}
 	if busy != 1 || ok != k {
@@ -168,15 +156,11 @@ func TestQueueSaturationExactlyOne429(t *testing.T) {
 
 	// The K successes are deterministic: re-running each seed must
 	// reproduce its bytes (now from cache).
-	for i := 0; i <= k; i++ {
-		if results[i] != nil {
+	for i, r := range replies {
+		if r.status != http.StatusOK {
 			continue
 		}
-		res, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: uint64(100 + i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(res.Raw, raws[i]) {
+		if res := c.detect(info.Hash, DetectOptions{Seed: uint64(100 + i)}); !bytes.Equal(res.Raw, r.body) {
 			t.Fatalf("seed %d replay differs from first run", 100+i)
 		}
 	}
@@ -190,7 +174,6 @@ func TestClientDisconnectCancelsInFlightJob(t *testing.T) {
 	cfg.Workers = 1
 	cfg.QueueCapacity = 2
 	s, _, c := newTestServer(t, cfg)
-	ctx := context.Background()
 
 	// A graph big enough that a run takes long enough to straddle the
 	// cancellation (hundreds of sweeps on ~2k vertices).
@@ -199,10 +182,7 @@ func TestClientDisconnectCancelsInFlightJob(t *testing.T) {
 		fmt.Fprintf(&sb, "%d %d\n", i, (i+1)%2000)
 		fmt.Fprintf(&sb, "%d %d\n", i, (i+7)%2000)
 	}
-	info, err := c.UploadGraph(ctx, strings.NewReader(sb.String()), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := c.upload(sb.String())
 
 	var startedOnce sync.Once
 	started := make(chan struct{})
@@ -216,10 +196,11 @@ func TestClientDisconnectCancelsInFlightJob(t *testing.T) {
 		<-j.ctx.Done()
 	})
 
-	reqCtx, cancel := context.WithCancel(ctx)
+	reqCtx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Detect(reqCtx, info.Hash, DetectOptions{Seed: 5, MaxSweeps: 1000, OuterIters: 100})
+		req := DetectRequest{Graph: info.Hash, Options: DetectOptions{Seed: 5, MaxSweeps: 1000, OuterIters: 100}}
+		_, err := c.call(reqCtx, http.MethodPost, "/v1/detect", req)
 		done <- err
 	}()
 	<-started
@@ -306,12 +287,9 @@ func TestQueueCloseRejectsNewJobs(t *testing.T) {
 // TestConcurrentMixedTraffic hammers every endpoint at once; under -race
 // this is the serve package's data-race canary.
 func TestConcurrentMixedTraffic(t *testing.T) {
-	s, hs, c := newTestServer(t, DefaultConfig())
+	s, _, c := newTestServer(t, DefaultConfig())
+	info := c.upload(twoTriangles)
 	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -320,16 +298,13 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 			for j := 0; j < 5; j++ {
 				switch i % 4 {
 				case 0:
-					c.Detect(ctx, info.Hash, DetectOptions{Seed: uint64(j%3 + 1)})
+					c.call(ctx, http.MethodPost, "/v1/detect", DetectRequest{Graph: info.Hash, Options: DetectOptions{Seed: uint64(j%3 + 1)}})
 				case 1:
-					c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
+					c.call(ctx, http.MethodPost, "/v1/graphs", twoTriangles)
 				case 2:
-					c.Health(ctx)
+					c.call(ctx, http.MethodGet, "/healthz", nil)
 				case 3:
-					resp, err := hs.Client().Get(hs.URL + "/metrics")
-					if err == nil {
-						resp.Body.Close()
-					}
+					c.call(ctx, http.MethodGet, "/metrics", nil)
 				}
 			}
 		}(i)

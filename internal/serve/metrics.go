@@ -4,49 +4,10 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"time"
 
 	"github.com/asamap/asamap/internal/infomap"
 	"github.com/asamap/asamap/internal/trace"
 )
-
-// HistWire is a trace.HistogramSnapshot in integer-nanosecond JSON form, the
-// shape /metrics/snapshot ships between nodes. Integer fields (rather than
-// Go duration strings or float seconds) keep cluster merges exact.
-type HistWire struct {
-	BoundsNS []int64  `json:"bounds_ns"`
-	Counts   []uint64 `json:"counts"`
-	SumNS    int64    `json:"sum_ns"`
-	Count    uint64   `json:"count"`
-}
-
-// NewHistWire converts a snapshot to wire form.
-func NewHistWire(s trace.HistogramSnapshot) HistWire {
-	out := HistWire{
-		BoundsNS: make([]int64, len(s.Bounds)),
-		Counts:   s.Counts,
-		SumNS:    s.Sum.Nanoseconds(),
-		Count:    s.Count,
-	}
-	for i, b := range s.Bounds {
-		out.BoundsNS[i] = b.Nanoseconds()
-	}
-	return out
-}
-
-// Snapshot converts back to the exact snapshot the sender held.
-func (hw HistWire) Snapshot() trace.HistogramSnapshot {
-	out := trace.HistogramSnapshot{
-		Bounds: make([]time.Duration, len(hw.BoundsNS)),
-		Counts: hw.Counts,
-		Sum:    time.Duration(hw.SumNS),
-		Count:  hw.Count,
-	}
-	for i, b := range hw.BoundsNS {
-		out.Bounds[i] = time.Duration(b)
-	}
-	return out
-}
 
 // MetricsSnapshot is every metric a node exports: /metrics renders it as
 // Prometheus text, /metrics/snapshot ships it as JSON, and cluster
@@ -56,19 +17,15 @@ func (hw HistWire) Snapshot() trace.HistogramSnapshot {
 // summation (they are all extensive quantities — queue depths, heap bytes,
 // kernel seconds — whose cluster-wide total is the meaningful number).
 type MetricsSnapshot struct {
-	Counters   map[string]uint64   `json:"counters"`
-	Gauges     map[string]float64  `json:"gauges"`
-	Histograms map[string]HistWire `json:"histograms"`
+	Counters   map[string]uint64                  `json:"counters"`
+	Gauges     map[string]float64                 `json:"gauges"`
+	Histograms map[string]trace.HistogramSnapshot `json:"histograms"`
 }
 
 // WritePrometheus renders the snapshot in Prometheus text exposition format
 // under the asamap_ prefix through trace.WritePrometheus.
 func (m MetricsSnapshot) WritePrometheus(w io.Writer) error {
-	hists := make(map[string]trace.HistogramSnapshot, len(m.Histograms))
-	for k, h := range m.Histograms {
-		hists[k] = h.Snapshot()
-	}
-	return trace.WritePrometheus(w, "asamap", m.Counters, m.Gauges, hists)
+	return trace.WritePrometheus(w, "asamap", m.Counters, m.Gauges, m.Histograms)
 }
 
 // MetricsSnapshot captures the server's current metric state, with the
@@ -108,10 +65,10 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 			"go_heap_alloc_bytes": float64(ms.HeapAlloc),
 			"go_heap_objects":     float64(ms.HeapObjects),
 		},
-		Histograms: map[string]HistWire{
-			"request_seconds":     NewHistWire(s.reqHist.Snapshot()),
-			"queue_wait_seconds":  NewHistWire(s.waitHist.Snapshot()),
-			"go_gc_pause_seconds": NewHistWire(s.rt.pauseHist.Snapshot()),
+		Histograms: map[string]trace.HistogramSnapshot{
+			"request_seconds":     s.reqHist.Snapshot(),
+			"queue_wait_seconds":  s.waitHist.Snapshot(),
+			"go_gc_pause_seconds": s.rt.pauseHist.Snapshot(),
 		},
 	}
 	// Kernel wall time comes from the tracer's span totals, which count every

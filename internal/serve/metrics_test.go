@@ -5,10 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strconv"
@@ -28,7 +26,7 @@ import (
 
 // emptySnapshot is a snapshot with nothing in it yet.
 func emptySnapshot() MetricsSnapshot {
-	return MetricsSnapshot{Counters: map[string]uint64{}, Gauges: map[string]float64{}, Histograms: map[string]HistWire{}}
+	return MetricsSnapshot{Counters: map[string]uint64{}, Gauges: map[string]float64{}, Histograms: map[string]trace.HistogramSnapshot{}}
 }
 
 // eventKey is the snapshot key of an events_total series.
@@ -140,6 +138,33 @@ func TestRunFoldAddsRuns(t *testing.T) {
 	}
 }
 
+// TestMetricsSnapshotHistogramWire pins the bytes a histogram ships in on
+// /metrics/snapshot: integer nanoseconds under bounds_ns and sum_ns, so
+// federation merges stay exact; decoding them gives back the same snapshot.
+func TestMetricsSnapshotHistogramWire(t *testing.T) {
+	h := trace.NewHistogram([]time.Duration{time.Millisecond, time.Second})
+	for _, d := range []time.Duration{500 * time.Microsecond, 2 * time.Millisecond, 3 * time.Second} {
+		h.Observe(d)
+	}
+	snap := MetricsSnapshot{Histograms: map[string]trace.HistogramSnapshot{"request_seconds": h.Snapshot()}}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"counters":null,"gauges":null,"histograms":{"request_seconds":` +
+		`{"bounds_ns":[1000000,1000000000],"counts":[1,1,1],"sum_ns":3002500000,"count":3}}}`
+	if string(raw) != want {
+		t.Fatalf("wire bytes\n%s\nwant\n%s", raw, want)
+	}
+	var back MetricsSnapshot
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(back); string(again) != want {
+		t.Fatalf("decoded snapshot re-encodes as\n%s", again)
+	}
+}
+
 // TestMetricsWritePrometheus pins the writer's bytes: keys in order (so
 // x_open_total{...} before x_open{...}), one # TYPE per family, _total and _sum families typed as counters and the
 // rest as gauges, counters as integers, gauges as the shortest decimal, and
@@ -161,7 +186,7 @@ func TestMetricsWritePrometheus(t *testing.T) {
 			`kernel_seconds_total{kernel="PageRank"}`: 1.5e-05,
 			`x_open{peer="0"}`:                        1,
 		},
-		Histograms: map[string]HistWire{"request_seconds": NewHistWire(h.Snapshot())},
+		Histograms: map[string]trace.HistogramSnapshot{"request_seconds": h.Snapshot()},
 	}
 	var sb strings.Builder
 	if err := snap.WritePrometheus(&sb); err != nil {
@@ -199,17 +224,9 @@ asamap_x_total{peer="0"} 4
 }
 
 // fetchMetrics scrapes /metrics, checks its shape, and returns its families.
-func fetchMetrics(t *testing.T, hs *httptest.Server) []promtest.Family {
+func fetchMetrics(t *testing.T, c testClient) []promtest.Family {
 	t.Helper()
-	resp, err := hs.Client().Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := c.must(http.MethodGet, "/metrics", nil, nil).body
 	fams, err := promtest.Parse(string(raw))
 	if err != nil {
 		t.Fatalf("/metrics: %v\n%s", err, raw)
@@ -237,26 +254,11 @@ func exposedSeries(fams []promtest.Family) []string {
 // detect, /metrics and /metrics/snapshot taken back to back list the same
 // series — kernel seconds, accumulator events and sweep gauges included.
 func TestMetricsMatchSnapshot(t *testing.T) {
-	_, hs, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Detect(ctx, info.Hash, DetectOptions{Accum: "asa", Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	exposed := exposedSeries(fetchMetrics(t, hs))
-	resp, err := hs.Client().Get(hs.URL + "/metrics/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, c := newTestServer(t, DefaultConfig())
+	c.detect(c.upload(twoTriangles).Hash, DetectOptions{Accum: "asa", Seed: 3})
+	exposed := exposedSeries(fetchMetrics(t, c))
 	var snap MetricsSnapshot
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.must(http.MethodGet, "/metrics/snapshot", nil, &snap)
 	keys := slices.Concat(graph.SortedKeys(snap.Counters), graph.SortedKeys(snap.Gauges), graph.SortedKeys(snap.Histograms))
 	slices.Sort(keys)
 	if !slices.Equal(exposed, keys) {
@@ -277,21 +279,18 @@ func TestMetricsMatchSnapshot(t *testing.T) {
 // scraped; every scrape is well-formed and sorted, and once they finish no
 // event of any run is missing from the totals.
 func TestMetricsConcurrentDetects(t *testing.T) {
-	s, hs, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _, c := newTestServer(t, DefaultConfig())
+	info := c.upload(twoTriangles)
 	const detects = 8
-	results := make([]*DetectResult, detects)
+	replies := make([]reply, detects)
 	errs := make([]error, detects)
 	var wg sync.WaitGroup
-	for i := range results {
+	for i := range replies {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Detect(ctx, info.Hash, DetectOptions{Accum: "asa", Seed: uint64(i + 1)})
+			req := DetectRequest{Graph: info.Hash, Options: DetectOptions{Accum: "asa", Seed: uint64(i + 1)}}
+			replies[i], errs[i] = c.call(context.Background(), http.MethodPost, "/v1/detect", req)
 		}(i)
 	}
 	done := make(chan struct{})
@@ -302,7 +301,7 @@ func TestMetricsConcurrentDetects(t *testing.T) {
 			scraping = false
 		default:
 		}
-		series := exposedSeries(fetchMetrics(t, hs))
+		series := exposedSeries(fetchMetrics(t, c))
 		for i := 1; i < len(series); i++ {
 			if series[i-1] >= series[i] {
 				t.Fatalf("/metrics lists %s after %s", series[i], series[i-1])
@@ -311,9 +310,10 @@ func TestMetricsConcurrentDetects(t *testing.T) {
 	}
 	var hits, misses uint64
 	var sweeps int
-	for i, r := range results {
-		if errs[i] != nil {
-			t.Fatalf("detect %d: %v", i, errs[i])
+	for i, rep := range replies {
+		var r DetectResponse
+		if errs[i] != nil || rep.status != http.StatusOK || json.Unmarshal(rep.body, &r) != nil {
+			t.Fatalf("detect %d: status %d, %v", i, rep.status, errs[i])
 		}
 		hits += r.Accum.Hits
 		misses += r.Accum.Misses
@@ -343,8 +343,8 @@ func TestGCPauseFold(t *testing.T) {
 	check := func(count uint64, sum time.Duration) {
 		t.Helper()
 		s := rt.pauseHist.Snapshot()
-		if s.Count != count || s.Sum != sum {
-			t.Fatalf("pause histogram count %d sum %v, want %d and %v", s.Count, s.Sum, count, sum)
+		if s.Count != count || s.SumNS != sum {
+			t.Fatalf("pause histogram count %d sum %v, want %d and %v", s.Count, s.SumNS, count, sum)
 		}
 	}
 	ms.NumGC = 2
@@ -432,42 +432,21 @@ func TestKernelMetricsEqualRequestSpans(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Clock = &stepClock{now: time.Unix(0, 0), step: time.Millisecond}
 			cfg.TraceRing = tc.ring
-			_, hs, c := newTestServer(t, cfg)
-			info, err := c.UploadGraph(context.Background(), strings.NewReader(twoTriangles), false)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, _, c := newTestServer(t, cfg)
+			info := c.upload(twoTriangles)
 			wantCalls := map[string]uint64{}
 			var traceID string
 			for _, seed := range tc.seeds {
-				resp, err := hs.Client().Post(hs.URL+"/v1/detect", "application/json",
-					strings.NewReader(`{"graph":"`+info.Hash+`","options":{"seed":`+strconv.FormatUint(seed, 10)+`}}`))
-				if err != nil {
-					t.Fatal(err)
-				}
 				var dr DetectResponse
-				err = json.NewDecoder(resp.Body).Decode(&dr)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK {
-					t.Fatalf("detect seed %d: status %d, %v", seed, resp.StatusCode, err)
-				}
-				traceID = resp.Header.Get(propagate.ResponseHeader)
+				r := c.must(http.MethodPost, "/v1/detect", DetectRequest{Graph: info.Hash, Options: DetectOptions{Seed: seed}}, &dr)
+				traceID = r.header.Get(propagate.ResponseHeader)
 				wantCalls[trace.KernelPageRank]++
 				wantCalls[trace.KernelConvert2SuperNode] += uint64(dr.Levels)
 				wantCalls[trace.KernelFindBestCommunity] += uint64(dr.Sweeps)
 				wantCalls[trace.KernelUpdateMembers] += uint64(dr.Sweeps)
 			}
 
-			resp, err := hs.Client().Get(hs.URL + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			seconds, calls := kernelSeries(t, string(raw))
+			seconds, calls := kernelSeries(t, string(c.must(http.MethodGet, "/metrics", nil, nil).body))
 			for _, k := range trace.Kernels() {
 				if calls[k] != wantCalls[k] {
 					t.Errorf("%s invocations = %d, want %d", k, calls[k], wantCalls[k])
@@ -480,18 +459,10 @@ func TestKernelMetricsEqualRequestSpans(t *testing.T) {
 				return
 			}
 
-			resp, err = hs.Client().Get(hs.URL + "/debug/trace/" + traceID)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var payload struct {
 				Spans []SpanPayload `json:"spans"`
 			}
-			err = json.NewDecoder(resp.Body).Decode(&payload)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
+			c.must(http.MethodGet, "/debug/trace/"+traceID, nil, &payload)
 			spanUS, spanCalls := map[string]int64{}, map[string]uint64{}
 			for _, sp := range payload.Spans {
 				spanUS[sp.Name] += sp.DurUS

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -110,16 +108,9 @@ func TestRequestLogLine(t *testing.T) {
 
 // TestHealthzBuildInfo: /healthz carries the embedded build info and uptime.
 func TestHealthzBuildInfo(t *testing.T) {
-	_, hs, _ := newTestServer(t, DefaultConfig())
-	resp, err := hs.Client().Get(hs.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	_, _, c := newTestServer(t, DefaultConfig())
 	var payload healthPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
+	c.must(http.MethodGet, "/healthz", nil, &payload)
 	if payload.Build.GoVersion == "" {
 		t.Errorf("healthz build info missing go_version: %+v", payload.Build)
 	}
@@ -131,23 +122,9 @@ func TestHealthzBuildInfo(t *testing.T) {
 // TestMetricsObservability: after one detection, /metrics exposes the request
 // and queue-wait latency histograms and the accumulator event counters.
 func TestMetricsObservability(t *testing.T) {
-	_, hs, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Detect(ctx, info.Hash, DetectOptions{Accum: "asa", Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := hs.Client().Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	body := string(data)
+	_, _, c := newTestServer(t, DefaultConfig())
+	c.detect(c.upload(twoTriangles).Hash, DetectOptions{Accum: "asa", Seed: 3})
+	body := string(c.must(http.MethodGet, "/metrics", nil, nil).body)
 	for _, want := range []string{
 		"# TYPE asamap_request_seconds histogram",
 		"asamap_request_seconds_count",
@@ -172,25 +149,14 @@ func TestMetricsObservability(t *testing.T) {
 // cache.
 func TestDetectResponseAccumCounters(t *testing.T) {
 	_, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := c.Detect(ctx, info.Hash, DetectOptions{Accum: "asa", Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := c.upload(twoTriangles)
+	r1 := c.detect(info.Hash, DetectOptions{Accum: "asa", Seed: 5, Workers: 1})
 	if r1.Accum.Hits == 0 && r1.Accum.Misses == 0 {
 		t.Errorf("response accum counters all zero: %+v", r1.Accum)
 	}
 	// Different worker count, same seed: cache key identical (workers are
 	// excluded from the fingerprint), so the counters must replay exactly.
-	r2, err := c.Detect(ctx, info.Hash, DetectOptions{Accum: "asa", Seed: 5, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r1.Raw, r2.Raw) {
+	if r2 := c.detect(info.Hash, DetectOptions{Accum: "asa", Seed: 5, Workers: 3}); !bytes.Equal(r1.Raw, r2.Raw) {
 		t.Errorf("accum counters broke byte replay:\n%s\n%s", r1.Raw, r2.Raw)
 	}
 }
@@ -198,28 +164,13 @@ func TestDetectResponseAccumCounters(t *testing.T) {
 // TestDebugTraceEndpoint: /debug/trace returns the retained spans with the
 // request → run → level → sweep nesting reachable through parent links.
 func TestDebugTraceEndpoint(t *testing.T) {
-	_, hs, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := hs.Client().Get(hs.URL + "/debug/trace?n=512")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	_, _, c := newTestServer(t, DefaultConfig())
+	c.detect(c.upload(twoTriangles).Hash, DetectOptions{Seed: 2})
 	var payload struct {
 		Retained int           `json:"retained"`
 		Spans    []SpanPayload `json:"spans"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
+	c.must(http.MethodGet, "/debug/trace?n=512", nil, &payload)
 	if payload.Retained == 0 || len(payload.Spans) == 0 {
 		t.Fatalf("no spans retained: %+v", payload)
 	}
@@ -259,12 +210,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 
 	// Bad n is rejected.
-	bad, err := hs.Client().Get(hs.URL + "/debug/trace?n=zero")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad n: status %d, want 400", bad.StatusCode)
+	if r := c.send(http.MethodGet, "/debug/trace?n=zero", nil); r.status != http.StatusBadRequest {
+		t.Errorf("bad n: status %d, want 400", r.status)
 	}
 }

@@ -2,11 +2,10 @@ package serve
 
 import (
 	"bytes"
-	"context"
+	"net/http"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestDetectRejectsInvalidOptions: every out-of-range option value is the
@@ -14,11 +13,7 @@ import (
 // is unknown, since options are validated first.
 func TestDetectRejectsInvalidOptions(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := c.upload(twoTriangles)
 	unknown := strings.Repeat("ab", 32)
 	for _, tc := range []struct {
 		name  string
@@ -32,18 +27,14 @@ func TestDetectRejectsInvalidOptions(t *testing.T) {
 		{"cam_kb", info.Hash, DetectOptions{Accum: "asa", CamKB: maxCamKB + 1}},
 		{"unknown graph", unknown, DetectOptions{Damping: 1.5}},
 	} {
-		_, err := c.Detect(ctx, tc.graph, tc.opts)
-		var apiErr *APIError
-		if !asAPIError(err, &apiErr) || apiErr.Status != 400 {
-			t.Errorf("%s: got %v, want 400", tc.name, err)
+		if r := c.send(http.MethodPost, "/v1/detect", DetectRequest{Graph: tc.graph, Options: tc.opts}); r.status != 400 {
+			t.Errorf("%s: status %d, want 400", tc.name, r.status)
 		}
 	}
 	if s.Runs() != 0 {
 		t.Fatalf("%d runs for invalid requests, want 0", s.Runs())
 	}
-	if _, err := c.Detect(ctx, info.Hash, DetectOptions{Accum: "asa", CamKB: maxCamKB}); err != nil {
-		t.Fatalf("cam_kb at the bound: %v", err)
-	}
+	c.detect(info.Hash, DetectOptions{Accum: "asa", CamKB: maxCamKB})
 }
 
 // TestDetectClampsWorkers: a request for far more workers than cores runs
@@ -58,20 +49,9 @@ func TestDetectClampsWorkers(t *testing.T) {
 	}
 
 	_, _, c := newTestServer(t, DefaultConfig())
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 11, Workers: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 11, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := c.upload(twoTriangles)
+	many := c.detect(info.Hash, DetectOptions{Seed: 11, Workers: 10000})
+	one := c.detect(info.Hash, DetectOptions{Seed: 11, Workers: 1})
 	if one.Cache != CacheHit || !bytes.Equal(many.Raw, one.Raw) {
 		t.Fatalf("clamped run and one-worker run differ (outcome %q)", one.Cache)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -134,39 +133,6 @@ func TestColdStart429HeaderPinned(t *testing.T) {
 	// 6 outstanding / 2 workers = 3 rounds × 1s prior.
 	if got := resp.Header.Get("Retry-After"); got != "3" {
 		t.Fatalf("cold-start Retry-After header %q, want \"3\"", got)
-	}
-}
-
-// TestClientMakesOneExchange: every client call is one HTTP exchange. A 503
-// surfaces as an APIError and a 429 as a ServerBusyError carrying the
-// server's Retry-After; neither is re-sent.
-func TestClientMakesOneExchange(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		if r.URL.Path == "/healthz" {
-			httpError(w, http.StatusServiceUnavailable, "warming up")
-			return
-		}
-		w.Header().Set("Retry-After", "2")
-		httpError(w, http.StatusTooManyRequests, "busy")
-	}))
-	defer srv.Close()
-
-	c := NewClient(srv.URL, srv.Client())
-	var apiErr *APIError
-	if _, err := c.Health(context.Background()); !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
-		t.Fatalf("Health = %v, want APIError 503", err)
-	}
-	if n := calls.Swap(0); n != 1 {
-		t.Fatalf("server saw %d calls for one Health, want 1", n)
-	}
-	var busy *ServerBusyError
-	if _, err := c.GraphInfo(context.Background(), "h"); !errors.As(err, &busy) || busy.RetryAfter != 2*time.Second {
-		t.Fatalf("GraphInfo = %v, want ServerBusyError retry after 2s", err)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("server saw %d calls for one GraphInfo, want 1", n)
 	}
 }
 

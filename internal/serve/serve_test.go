@@ -3,7 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -24,7 +24,7 @@ const twoTriangles = "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n"
 // canonicalize to the same content address.
 const shuffledTriangles = "# same graph, edges reversed/reordered\n0 1\n2 1\n0 2\n3 4\n5 4\n3 5\n3 0\n"
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *Client) {
+func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, testClient) {
 	t.Helper()
 	s := New(cfg)
 	hs := httptest.NewServer(s.Handler())
@@ -32,17 +32,107 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *Client
 		hs.Close()
 		s.Close()
 	})
-	return s, hs, NewClient(hs.URL, hs.Client())
+	return s, hs, testClient{t, hs}
+}
+
+// testClient speaks plain net/http to a test server, one exchange per call.
+type testClient struct {
+	tb testing.TB
+	hs *httptest.Server
+}
+
+// reply is one exchange's status, headers and fully read body.
+type reply struct {
+	status int
+	header http.Header
+	body   []byte
+}
+
+// call makes one exchange under ctx, sending a string body as is and any
+// other non-nil body as JSON. Only a transport failure is an error.
+func (c testClient) call(ctx context.Context, method, path string, body any) (reply, error) {
+	var rd io.Reader
+	if text, ok := body.(string); ok {
+		rd = strings.NewReader(text)
+	} else if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return reply{}, err
+		}
+		rd = bytes.NewReader(raw)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.hs.URL+path, rd)
+	if err != nil {
+		return reply{}, err
+	}
+	resp, err := c.hs.Client().Do(req)
+	if err != nil {
+		return reply{}, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return reply{resp.StatusCode, resp.Header, raw}, err
+}
+
+// send is call without a deadline; a transport failure fails the test.
+func (c testClient) send(method, path string, body any) reply {
+	c.tb.Helper()
+	r, err := c.call(context.Background(), method, path, body)
+	if err != nil {
+		c.tb.Fatalf("%s %s: %v", method, path, err)
+	}
+	return r
+}
+
+// must sends one exchange that has to answer 2xx and decodes its JSON body
+// into out when out is non-nil.
+func (c testClient) must(method, path string, body, out any) reply {
+	c.tb.Helper()
+	r := c.send(method, path, body)
+	if r.status/100 != 2 {
+		c.tb.Fatalf("%s %s: HTTP %d: %s", method, path, r.status, r.body)
+	}
+	if out != nil {
+		if err := json.Unmarshal(r.body, out); err != nil {
+			c.tb.Fatalf("%s %s: %v", method, path, err)
+		}
+	}
+	return r
+}
+
+// upload registers an edge list.
+func (c testClient) upload(edges string) (info GraphInfo) {
+	c.tb.Helper()
+	c.must(http.MethodPost, "/v1/graphs", edges, &info)
+	return info
+}
+
+// uploadDelta registers a delta on parent.
+func (c testClient) uploadDelta(parent, delta string) (info VersionInfo) {
+	c.tb.Helper()
+	c.must(http.MethodPost, "/v1/graphs/"+parent+"/delta", delta, &info)
+	return info
+}
+
+// detected is a 200 detect reply: the decoded body, the X-Asamap-Cache
+// disposition and the exact response bytes.
+type detected struct {
+	DetectResponse
+	Cache CacheOutcome
+	Raw   []byte
+}
+
+// detect posts a detect request that has to answer 200.
+func (c testClient) detect(graph string, opts DetectOptions) (d detected) {
+	c.tb.Helper()
+	r := c.must(http.MethodPost, "/v1/detect", DetectRequest{Graph: graph, Options: opts}, &d.DetectResponse)
+	d.Cache, d.Raw = CacheOutcome(r.header.Get("X-Asamap-Cache")), r.body
+	return d
 }
 
 func TestUploadAndDetectRoundTrip(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := c.upload(twoTriangles)
 	if info.Vertices != 6 || info.Edges != 7 || info.Directed || info.Reused {
 		t.Fatalf("upload info: %+v", info)
 	}
@@ -50,10 +140,7 @@ func TestUploadAndDetectRoundTrip(t *testing.T) {
 		t.Fatalf("hash %q not a sha256 hex digest", info.Hash)
 	}
 
-	res, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := c.detect(info.Hash, DetectOptions{Seed: 1})
 	if res.NumModules != 2 {
 		t.Fatalf("detected %d modules on two triangles, want 2", res.NumModules)
 	}
@@ -78,29 +165,13 @@ func TestUploadAndDetectRoundTrip(t *testing.T) {
 // and one run.
 func TestIdenticalRequestsAreByteIdenticalAndCached(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-
-	up1, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up2, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	up1, up2 := c.upload(twoTriangles), c.upload(twoTriangles)
 	if up2.Hash != up1.Hash || !up2.Reused {
 		t.Fatalf("re-upload not deduplicated: %+v vs %+v", up1, up2)
 	}
 
 	opts := DetectOptions{Seed: 7, Workers: 2}
-	r1, err := c.Detect(ctx, up1.Hash, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.Detect(ctx, up1.Hash, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r2 := c.detect(up1.Hash, opts), c.detect(up1.Hash, opts)
 	if !bytes.Equal(r1.Raw, r2.Raw) {
 		t.Fatalf("identical requests returned different bytes:\n%s\n%s", r1.Raw, r2.Raw)
 	}
@@ -117,15 +188,7 @@ func TestIdenticalRequestsAreByteIdenticalAndCached(t *testing.T) {
 
 func TestCanonicalDedupAcrossTextualVariants(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	a, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.UploadGraph(ctx, strings.NewReader(shuffledTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := c.upload(twoTriangles), c.upload(shuffledTriangles)
 	if a.Hash != b.Hash {
 		t.Fatalf("textual variants got different content addresses: %s vs %s", a.Hash, b.Hash)
 	}
@@ -141,22 +204,12 @@ func TestCanonicalDedupAcrossTextualVariants(t *testing.T) {
 
 func TestWorkerCountDoesNotFragmentCache(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := c.upload(twoTriangles)
+	r1 := c.detect(info.Hash, DetectOptions{Seed: 3, Workers: 1})
 	// Same seed, different worker count: the fingerprint excludes Workers
 	// because results are bit-identical across it, so this must be a cache
 	// hit with the same bytes.
-	r2, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 3, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := c.detect(info.Hash, DetectOptions{Seed: 3, Workers: 4})
 	if r2.Cache != CacheHit || !bytes.Equal(r1.Raw, r2.Raw) {
 		t.Fatalf("worker-count variant missed the cache (outcome %q)", r2.Cache)
 	}
@@ -167,17 +220,9 @@ func TestWorkerCountDoesNotFragmentCache(t *testing.T) {
 
 func TestDifferentSeedsAreDifferentCacheEntries(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Detect(ctx, info.Hash, DetectOptions{Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
+	info := c.upload(twoTriangles)
+	c.detect(info.Hash, DetectOptions{Seed: 1})
+	c.detect(info.Hash, DetectOptions{Seed: 2})
 	if s.Runs() != 2 {
 		t.Fatalf("%d runs for two seeds, want 2", s.Runs())
 	}
@@ -189,19 +234,9 @@ func TestDifferentSeedsAreDifferentCacheEntries(t *testing.T) {
 // never alias across backends).
 func TestDetectHashGraphBackend(t *testing.T) {
 	_, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hg, err := c.Detect(ctx, info.Hash, DetectOptions{Accum: "hashgraph", Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := c.Detect(ctx, info.Hash, DetectOptions{Accum: "baseline", Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := c.upload(twoTriangles)
+	hg := c.detect(info.Hash, DetectOptions{Accum: "hashgraph", Seed: 2})
+	base := c.detect(info.Hash, DetectOptions{Accum: "baseline", Seed: 2})
 	if hg.Codelength != base.Codelength {
 		t.Errorf("hashgraph codelength %v != baseline %v", hg.Codelength, base.Codelength)
 	}
@@ -215,45 +250,36 @@ func TestDetectHashGraphBackend(t *testing.T) {
 	}
 }
 
+// TestDetectErrors: bad requests answer their status, and an error reply
+// echoes the client's X-Request-Id so it correlates with the server's log.
 func TestDetectErrors(t *testing.T) {
 	_, hs, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-
-	// Unknown graph hash -> 404.
-	_, err := c.Detect(ctx, strings.Repeat("ab", 32), DetectOptions{})
-	var apiErr *APIError
-	if err == nil || !asAPIError(err, &apiErr) || apiErr.Status != http.StatusNotFound {
-		t.Fatalf("unknown hash: got %v, want 404", err)
+	info := c.upload(twoTriangles)
+	for _, tc := range []struct {
+		name, path string
+		body       any
+		want       int
+	}{
+		{"unknown hash", "/v1/detect", DetectRequest{Graph: strings.Repeat("ab", 32)}, http.StatusNotFound},
+		{"bad accum", "/v1/detect", DetectRequest{Graph: info.Hash, Options: DetectOptions{Accum: "quantum"}}, http.StatusBadRequest},
+		{"unknown field", "/v1/detect", `{"graph":"` + info.Hash + `","optionz":{}}`, http.StatusBadRequest},
+		{"malformed upload", "/v1/graphs", "0 1\nnot an edge\n", http.StatusBadRequest},
+		{"inf weight", "/v1/graphs", "0 1 +Inf\n", http.StatusBadRequest},
+	} {
+		if r := c.send(http.MethodPost, tc.path, tc.body); r.status != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, r.status, r.body, tc.want)
+		}
 	}
-
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bad option value -> 400.
-	_, err = c.Detect(ctx, info.Hash, DetectOptions{Accum: "quantum"})
-	if err == nil || !asAPIError(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("bad accum: got %v, want 400", err)
-	}
-	// Unknown JSON field -> 400.
-	resp, err := hs.Client().Post(hs.URL+"/v1/detect", "application/json",
-		strings.NewReader(`{"graph":"`+info.Hash+`","optionz":{}}`))
+	req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/graphs/deadbeef", nil)
+	req.Header.Set("X-Request-Id", "corr-42")
+	resp, err := hs.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
-	}
-	// Malformed edge list -> 400.
-	_, err = c.UploadGraph(ctx, strings.NewReader("0 1\nnot an edge\n"), false)
-	if err == nil || !asAPIError(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("malformed upload: got %v, want 400", err)
-	}
-	// Non-finite weight -> 400.
-	_, err = c.UploadGraph(ctx, strings.NewReader("0 1 +Inf\n"), false)
-	if err == nil || !asAPIError(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("inf weight: got %v, want 400", err)
+	if resp.StatusCode != http.StatusNotFound || resp.Header.Get("X-Request-Id") != "corr-42" {
+		t.Fatalf("unknown graph: status %d, X-Request-Id %q; want 404 echoing corr-42",
+			resp.StatusCode, resp.Header.Get("X-Request-Id"))
 	}
 }
 
@@ -261,43 +287,23 @@ func TestUploadSizeLimit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxUploadBytes = 64
 	_, _, c := newTestServer(t, cfg)
-	big := strings.Repeat("0 1\n", 100)
-	_, err := c.UploadGraph(context.Background(), strings.NewReader(big), false)
-	var apiErr *APIError
-	if err == nil || !asAPIError(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized upload: got %v, want 413", err)
+	if r := c.send(http.MethodPost, "/v1/graphs", strings.Repeat("0 1\n", 100)); r.status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized upload: status %d, want 413", r.status)
 	}
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	_, hs, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	info, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Detect(ctx, info.Hash, DetectOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	_, _, c := newTestServer(t, DefaultConfig())
+	info := c.upload(twoTriangles)
+	c.detect(info.Hash, DetectOptions{})
 
-	health, err := c.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var health map[string]any
+	c.must(http.MethodGet, "/healthz", nil, &health)
 	if health["status"] != "ok" {
 		t.Fatalf("health status %v", health["status"])
 	}
 
-	resp, err := hs.Client().Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
+	body := string(c.must(http.MethodGet, "/metrics", nil, nil).body)
 	for _, want := range []string{
 		"asamap_queue_capacity 16",
 		"asamap_registry_graphs 1",
@@ -326,20 +332,14 @@ func TestPprofExposed(t *testing.T) {
 
 func TestGraphInfoEndpoint(t *testing.T) {
 	_, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	up, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := c.GraphInfo(ctx, up.Hash)
-	if err != nil {
-		t.Fatal(err)
-	}
+	up := c.upload(twoTriangles)
+	var info GraphInfo
+	c.must(http.MethodGet, "/v1/graphs/"+up.Hash, nil, &info)
 	if info.Hash != up.Hash || info.Vertices != 6 {
 		t.Fatalf("graph info mismatch: %+v vs %+v", info, up)
 	}
-	if _, err := c.GraphInfo(ctx, "deadbeef"); err == nil {
-		t.Fatal("unknown hash did not error")
+	if r := c.send(http.MethodGet, "/v1/graphs/deadbeef", nil); r.status != http.StatusNotFound {
+		t.Fatalf("unknown hash: status %d, want 404", r.status)
 	}
 }
 
@@ -390,8 +390,4 @@ func TestQueueRetryAfterUsesInjectedClock(t *testing.T) {
 	if got := q.RetryAfter(); got != 8*time.Second {
 		t.Fatalf("RetryAfter %v after one 8s job, want 8s", got)
 	}
-}
-
-func asAPIError(err error, target **APIError) bool {
-	return errors.As(err, target)
 }

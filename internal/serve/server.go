@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/asamap/asamap/internal/asa"
 	"github.com/asamap/asamap/internal/clock"
 	"github.com/asamap/asamap/internal/graph"
 	"github.com/asamap/asamap/internal/infomap"
@@ -296,12 +295,9 @@ func (d DetectOptions) toOptions() (infomap.Options, error) {
 		}
 		opt.Kind = kind
 	}
-	if opt.Kind == infomap.ASA {
-		camKB := d.CamKB
-		if camKB <= 0 {
-			camKB = 8
-		}
-		opt.ASAConfig = asa.Config{CapacityBytes: camKB * 1024, EntryBytes: 16, Policy: asa.LRU}
+	// opt.ASAConfig is asa.DefaultConfig(); a request sizes only the CAM.
+	if opt.Kind == infomap.ASA && d.CamKB > 0 {
+		opt.ASAConfig.CapacityBytes = d.CamKB * 1024
 	}
 	if d.Teleport != "" {
 		tp, err := infomap.ParseTeleportation(d.Teleport)

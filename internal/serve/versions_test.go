@@ -2,8 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"context"
-	"errors"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -15,23 +14,14 @@ const triangleDelta = "# rewire the bridge through a new vertex\n- 0 3\n+ 0 6 1\
 // secondDelta stacks on triangleDelta's version: strengthen the new bridge.
 const secondDelta = "= 0 6 3\n"
 
-func uploadBaseAndDelta(t *testing.T, c *Client) (GraphInfo, VersionInfo) {
+func uploadBaseAndDelta(t *testing.T, c testClient) (GraphInfo, VersionInfo) {
 	t.Helper()
-	ctx := context.Background()
-	base, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := c.UploadDelta(ctx, base.Hash, strings.NewReader(triangleDelta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return base, v1
+	base := c.upload(twoTriangles)
+	return base, c.uploadDelta(base.Hash, triangleDelta)
 }
 
 func TestDeltaUploadLineage(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
 	base, v1 := uploadBaseAndDelta(t, c)
 
 	if len(v1.ID) != 64 || v1.ID == base.Hash {
@@ -50,19 +40,12 @@ func TestDeltaUploadLineage(t *testing.T) {
 	}
 
 	// Identical delta on the same parent deduplicates by chained hash.
-	again, err := c.UploadDelta(ctx, base.Hash, strings.NewReader(triangleDelta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.ID != v1.ID || !again.Reused {
+	if again := c.uploadDelta(base.Hash, triangleDelta); again.ID != v1.ID || !again.Reused {
 		t.Fatalf("re-upload not deduplicated: %+v", again)
 	}
 
 	// Stacking a second delta extends the lineage.
-	v2, err := c.UploadDelta(ctx, v1.ID, strings.NewReader(secondDelta))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2 := c.uploadDelta(v1.ID, secondDelta)
 	if v2.Parent != v1.ID || v2.Base != base.Hash || v2.Depth != 2 {
 		t.Fatalf("v2 lineage: %+v", v2)
 	}
@@ -72,19 +55,14 @@ func TestDeltaUploadLineage(t *testing.T) {
 	}
 
 	// The version endpoints round-trip metadata and exact delta bytes.
-	got, err := c.Version(ctx, v1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var got VersionInfo
+	c.must(http.MethodGet, "/v1/versions/"+v1.ID, nil, &got)
 	got.Reused = false
 	if got != v1 {
 		t.Fatalf("version endpoint %+v, want %+v", got, v1)
 	}
-	raw, parent, err := c.VersionDelta(ctx, v1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != triangleDelta || parent != base.Hash {
+	r := c.must(http.MethodGet, "/v1/versions/"+v1.ID+"/delta", nil, nil)
+	if raw, parent := r.body, r.header.Get("X-Asamap-Parent"); string(raw) != triangleDelta || parent != base.Hash {
 		t.Fatalf("delta endpoint returned %q (parent %q)", raw, parent)
 	}
 
@@ -96,31 +74,21 @@ func TestDeltaUploadLineage(t *testing.T) {
 
 func TestDeltaUploadErrors(t *testing.T) {
 	_, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	base, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var apiErr *APIError
-	// Unknown parent is 404.
-	if _, err := c.UploadDelta(ctx, strings.Repeat("ab", 32), strings.NewReader("+ 0 1 1\n")); !errors.As(err, &apiErr) || apiErr.Status != 404 {
-		t.Fatalf("unknown parent: %v", err)
-	}
-	// Malformed delta text is 400.
-	if _, err := c.UploadDelta(ctx, base.Hash, strings.NewReader("+ 0\n")); !errors.As(err, &apiErr) || apiErr.Status != 400 {
-		t.Fatalf("malformed delta: %v", err)
-	}
-	// Invalid semantics (add with negative weight) is 400.
-	if _, err := c.UploadDelta(ctx, base.Hash, strings.NewReader("+ 0 1 -2\n")); !errors.As(err, &apiErr) || apiErr.Status != 400 {
-		t.Fatalf("invalid delta: %v", err)
-	}
-	// Unknown version id on the read endpoints is 404.
-	if _, err := c.Version(ctx, strings.Repeat("cd", 32)); !errors.As(err, &apiErr) || apiErr.Status != 404 {
-		t.Fatalf("unknown version info: %v", err)
-	}
-	if _, _, err := c.VersionDelta(ctx, strings.Repeat("cd", 32)); !errors.As(err, &apiErr) || apiErr.Status != 404 {
-		t.Fatalf("unknown version delta: %v", err)
+	base := c.upload(twoTriangles)
+	for _, tc := range []struct {
+		name, method, path, body string
+		want                     int
+	}{
+		{"unknown parent", http.MethodPost, "/v1/graphs/" + strings.Repeat("ab", 32) + "/delta", "+ 0 1 1\n", 404},
+		{"malformed delta", http.MethodPost, "/v1/graphs/" + base.Hash + "/delta", "+ 0\n", 400},
+		// Invalid semantics: an add with negative weight.
+		{"invalid delta", http.MethodPost, "/v1/graphs/" + base.Hash + "/delta", "+ 0 1 -2\n", 400},
+		{"unknown version info", http.MethodGet, "/v1/versions/" + strings.Repeat("cd", 32), "", 404},
+		{"unknown version delta", http.MethodGet, "/v1/versions/" + strings.Repeat("cd", 32) + "/delta", "", 404},
+	} {
+		if r := c.send(tc.method, tc.path, tc.body); r.status != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.name, r.status, tc.want)
+		}
 	}
 }
 
@@ -130,25 +98,17 @@ func TestDeltaUploadErrors(t *testing.T) {
 // upload is a 400 and registers nothing.
 func TestDeltaUploadRejectsOutOfRangeVertex(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	base, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var apiErr *APIError
+	base := c.upload(twoTriangles)
 	for _, delta := range []string{"+ 4294967295 0\n", "+ 0 1 1\n- 0 10\n"} {
-		_, err := c.UploadDelta(ctx, base.Hash, strings.NewReader(delta))
-		if !errors.As(err, &apiErr) || apiErr.Status != 400 || !strings.Contains(apiErr.Error(), "out of range") {
-			t.Fatalf("delta %q: got %v, want a 400 naming the range", delta, err)
+		if r := c.send(http.MethodPost, "/v1/graphs/"+base.Hash+"/delta", delta); r.status != 400 || !bytes.Contains(r.body, []byte("out of range")) {
+			t.Fatalf("delta %q: status %d %s, want a 400 naming the range", delta, r.status, r.body)
 		}
 	}
 	if st := s.registry.Stats(); st.Versions != 0 || st.DeltaApplies != 0 {
 		t.Fatalf("rejected deltas registered state: %+v", st)
 	}
 	// The bound admits the most vertices a batch can add: 6 + 2·2.
-	if _, err := c.UploadDelta(ctx, base.Hash, strings.NewReader("+ 0 1 1\n- 0 9\n")); err != nil {
-		t.Fatalf("delta at the bound rejected: %v", err)
-	}
+	c.uploadDelta(base.Hash, "+ 0 1 1\n- 0 9\n")
 }
 
 // TestColdDetectOnVersion verifies a version id is detectable exactly like a
@@ -156,13 +116,9 @@ func TestDeltaUploadRejectsOutOfRangeVertex(t *testing.T) {
 // and the body carries no warm block.
 func TestColdDetectOnVersion(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
 	_, v1 := uploadBaseAndDelta(t, c)
 
-	r1, err := c.Detect(ctx, v1.ID, DetectOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := c.detect(v1.ID, DetectOptions{Seed: 3})
 	if len(r1.Membership) != v1.Vertices {
 		t.Fatalf("membership covers %d vertices, want %d", len(r1.Membership), v1.Vertices)
 	}
@@ -172,10 +128,7 @@ func TestColdDetectOnVersion(t *testing.T) {
 	if bytes.Contains(r1.Raw, []byte(`"warm"`)) {
 		t.Fatalf("cold body mentions warm: %s", r1.Raw)
 	}
-	r2, err := c.Detect(ctx, v1.ID, DetectOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := c.detect(v1.ID, DetectOptions{Seed: 3})
 	if r2.Cache != CacheHit || !bytes.Equal(r1.Raw, r2.Raw) {
 		t.Fatalf("cold version detect not cached byte-identically (outcome %q)", r2.Cache)
 	}
@@ -191,18 +144,11 @@ func TestColdDetectOnVersion(t *testing.T) {
 // lineage with different worker counts and schedulers.
 func TestWarmDetectLineageReplay(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
 	base, v1 := uploadBaseAndDelta(t, c)
-	v2, err := c.UploadDelta(ctx, v1.ID, strings.NewReader(secondDelta))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2 := c.uploadDelta(v1.ID, secondDelta)
 
 	opts := DetectOptions{Seed: 5, WarmStart: true}
-	r1, err := c.Detect(ctx, v2.ID, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := c.detect(v2.ID, opts)
 	if s.Runs() != 3 {
 		t.Fatalf("%d runs for depth-2 warm detect, want 3 (base + 2 warm steps)", s.Runs())
 	}
@@ -218,10 +164,7 @@ func TestWarmDetectLineageReplay(t *testing.T) {
 	}
 
 	// Replay: everything is cached, nothing recomputes.
-	r2, err := c.Detect(ctx, v2.ID, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := c.detect(v2.ID, opts)
 	if r2.Cache != CacheHit || !bytes.Equal(r1.Raw, r2.Raw) {
 		t.Fatalf("warm replay not byte-identical from cache (outcome %q)", r2.Cache)
 	}
@@ -231,11 +174,7 @@ func TestWarmDetectLineageReplay(t *testing.T) {
 
 	// A warm detect on v1 is already a cache hit: the lineage walk for v2
 	// cached the intermediate step under v1's own warm key.
-	rv1, err := c.Detect(ctx, v1.ID, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rv1.Cache != CacheHit || s.Runs() != 3 {
+	if rv1 := c.detect(v1.ID, opts); rv1.Cache != CacheHit || s.Runs() != 3 {
 		t.Fatalf("intermediate step not reused (outcome %q, runs %d)", rv1.Cache, s.Runs())
 	}
 
@@ -246,25 +185,12 @@ func TestWarmDetectLineageReplay(t *testing.T) {
 		{Seed: 5, WarmStart: true, Workers: 2},
 	} {
 		_, _, c2 := newTestServer(t, DefaultConfig())
-		if _, err := c2.UploadGraph(ctx, strings.NewReader(twoTriangles), false); err != nil {
-			t.Fatal(err)
-		}
-		w1, err := c2.UploadDelta(ctx, base.Hash, strings.NewReader(triangleDelta))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w2, err := c2.UploadDelta(ctx, w1.ID, strings.NewReader(secondDelta))
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, w1 := uploadBaseAndDelta(t, c2)
+		w2 := c2.uploadDelta(w1.ID, secondDelta)
 		if w2.ID != v2.ID {
 			t.Fatalf("replica derived version %q, want %q", w2.ID, v2.ID)
 		}
-		ra, err := c2.Detect(ctx, w2.ID, alt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ra.Raw, r1.Raw) {
+		if ra := c2.detect(w2.ID, alt); !bytes.Equal(ra.Raw, r1.Raw) {
 			t.Fatalf("opts %+v: replica bytes differ:\n%s\n%s", alt, ra.Raw, r1.Raw)
 		}
 	}
@@ -274,17 +200,10 @@ func TestWarmDetectLineageReplay(t *testing.T) {
 // results on the same version never alias, and prepare predicts both.
 func TestWarmAndColdKeysAreSeparate(t *testing.T) {
 	s, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
 	_, v1 := uploadBaseAndDelta(t, c)
 
-	cold, err := c.Detect(ctx, v1.ID, DetectOptions{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := c.Detect(ctx, v1.ID, DetectOptions{Seed: 9, WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := c.detect(v1.ID, DetectOptions{Seed: 9})
+	warm := c.detect(v1.ID, DetectOptions{Seed: 9, WarmStart: true})
 	if warm.Cache == CacheHit {
 		t.Fatal("warm detect aliased the cold cache entry")
 	}
@@ -325,23 +244,14 @@ func TestWarmAndColdKeysAreSeparate(t *testing.T) {
 
 func TestWarmDetectErrors(t *testing.T) {
 	_, _, c := newTestServer(t, DefaultConfig())
-	ctx := context.Background()
-	base, err := c.UploadGraph(ctx, strings.NewReader(twoTriangles), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var apiErr *APIError
-	// warm_start on a base graph: no lineage to replay.
-	if _, err := c.Detect(ctx, base.Hash, DetectOptions{WarmStart: true}); !errors.As(err, &apiErr) || apiErr.Status != 400 {
-		t.Fatalf("warm on base: %v", err)
-	}
-	// frontier_hops without warm_start.
-	if _, err := c.Detect(ctx, base.Hash, DetectOptions{FrontierHops: 2}); !errors.As(err, &apiErr) || apiErr.Status != 400 {
-		t.Fatalf("hops without warm: %v", err)
-	}
-	// Negative frontier_hops.
-	if _, err := c.Detect(ctx, base.Hash, DetectOptions{WarmStart: true, FrontierHops: -1}); !errors.As(err, &apiErr) || apiErr.Status != 400 {
-		t.Fatalf("negative hops: %v", err)
+	base := c.upload(twoTriangles)
+	for name, opts := range map[string]DetectOptions{
+		"warm on base":      {WarmStart: true}, // no lineage to replay
+		"hops without warm": {FrontierHops: 2},
+		"negative hops":     {WarmStart: true, FrontierHops: -1},
+	} {
+		if r := c.send(http.MethodPost, "/v1/detect", DetectRequest{Graph: base.Hash, Options: opts}); r.status != 400 {
+			t.Fatalf("%s: status %d, want 400", name, r.status)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -39,21 +40,14 @@ func growDelta(n int, r *rng.RNG) string {
 
 // uploadLineage uploads the LFR graph and a depth-long chain of growDelta
 // versions on it, returning the base and the versions in lineage order.
-func uploadLineage(tb testing.TB, c *Client, n, depth int) (GraphInfo, []VersionInfo) {
+func uploadLineage(tb testing.TB, c testClient, n, depth int) (GraphInfo, []VersionInfo) {
 	tb.Helper()
-	ctx := context.Background()
-	base, err := c.UploadGraph(ctx, strings.NewReader(lfrText(tb, n)), false)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	base := c.upload(lfrText(tb, n))
 	r := rng.New(19)
 	parent, vertices := base.Hash, base.Vertices
 	versions := make([]VersionInfo, 0, depth)
 	for i := 0; i < depth; i++ {
-		v, err := c.UploadDelta(ctx, parent, strings.NewReader(growDelta(vertices, r)))
-		if err != nil {
-			tb.Fatal(err)
-		}
+		v := c.uploadDelta(parent, growDelta(vertices, r))
 		versions = append(versions, v)
 		parent, vertices = v.ID, v.Vertices
 	}
@@ -80,17 +74,11 @@ func TestWarmReplayDecodesOnce(t *testing.T) {
 	ctx := context.Background()
 	base, versions := uploadLineage(t, c, n, depth)
 
-	cold := DetectOptions{Seed: 3}
-	if _, err := c.Detect(ctx, base.Hash, cold); err != nil {
-		t.Fatal(err)
-	}
+	c.detect(base.Hash, DetectOptions{Seed: 3})
 	warm := DetectOptions{Seed: 3, WarmStart: true}
-	var tip *DetectResult
+	var tip detected
 	for _, v := range versions {
-		res, err := c.Detect(ctx, v.ID, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := c.detect(v.ID, warm)
 		if res.Cache != CacheMiss {
 			t.Fatalf("first warm detect of depth %d: outcome %q, want miss", v.Depth, res.Cache)
 		}
@@ -101,11 +89,7 @@ func TestWarmReplayDecodesOnce(t *testing.T) {
 	}
 	runs := s.Runs()
 
-	again, err := c.Detect(ctx, versions[depth-1].ID, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Cache != CacheHit || !bytes.Equal(again.Raw, tip.Raw) {
+	if again := c.detect(versions[depth-1].ID, warm); again.Cache != CacheHit || !bytes.Equal(again.Raw, tip.Raw) {
 		t.Fatalf("tip replay: outcome %q, bytes equal %v", again.Cache, bytes.Equal(again.Raw, tip.Raw))
 	}
 	if s.Runs() != runs {
@@ -142,18 +126,11 @@ func TestWarmReplayAdoptedParentAndCoalesced(t *testing.T) {
 	_, versions := uploadLineage(t, ca, n, depth)
 	parent := versions[depth-2]
 	sibDelta := growDelta(parent.Vertices, rng.New(23))
-	sibling, err := ca.UploadDelta(ctx, parent.ID, strings.NewReader(sibDelta))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sibling := ca.uploadDelta(parent.ID, sibDelta)
 	tips := []string{versions[depth-1].ID, sibling.ID}
 	want := map[string][]byte{}
 	for _, id := range append([]string{parent.ID}, tips...) {
-		res, err := ca.Detect(ctx, id, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[id] = res.Raw
+		want[id] = ca.detect(id, warm).Raw
 	}
 
 	// Server B: the parent step arrives as bytes through the Adopt path.
@@ -161,11 +138,7 @@ func TestWarmReplayAdoptedParentAndCoalesced(t *testing.T) {
 	uploadLineage(t, cb, n, depth)
 	_, _, parentKey, _ := warmArgs(t, parent.ID, warm)
 	sb.cache.put(parentKey, want[parent.ID])
-	res, err := cb.Detect(ctx, tips[0], warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Raw, want[tips[0]]) {
+	if res := cb.detect(tips[0], warm); !bytes.Equal(res.Raw, want[tips[0]]) {
 		t.Fatal("child of an adopted parent differs from the serial bytes")
 	}
 	if st := sb.cache.Stats(); st.ParentDecodes != 1 {
@@ -180,23 +153,19 @@ func TestWarmReplayAdoptedParentAndCoalesced(t *testing.T) {
 	// a cold detect cached the base as bytes.
 	_, _, cc := newTestServer(t, DefaultConfig())
 	base, _ := uploadLineage(t, cc, n, depth)
-	if _, err := cc.UploadDelta(ctx, parent.ID, strings.NewReader(sibDelta)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cc.Detect(ctx, base.Hash, DetectOptions{Seed: warm.Seed}); err != nil {
-		t.Fatal(err)
-	}
+	cc.uploadDelta(parent.ID, sibDelta)
+	cc.detect(base.Hash, DetectOptions{Seed: warm.Seed})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
-			res, err := cc.Detect(ctx, id, warm)
-			if err != nil {
-				t.Error(err)
+			r, err := cc.call(ctx, http.MethodPost, "/v1/detect", DetectRequest{Graph: id, Options: warm})
+			if err != nil || r.status != http.StatusOK {
+				t.Errorf("warm detect of %s: status %d, %v", id, r.status, err)
 				return
 			}
-			if !bytes.Equal(res.Raw, want[id]) {
+			if !bytes.Equal(r.body, want[id]) {
 				t.Errorf("concurrent warm detect of %s differs from the serial bytes", id)
 			}
 		}(tips[i%2])
@@ -215,13 +184,11 @@ func BenchmarkWarmReplay(b *testing.B) {
 		hs.Close()
 		s.Close()
 	}()
-	c := NewClient(hs.URL, hs.Client())
+	c := testClient{b, hs}
 	ctx := context.Background()
 	_, versions := uploadLineage(b, c, n, depth)
 	warm := DetectOptions{Seed: 3, WarmStart: true}
-	if _, err := c.Detect(ctx, versions[depth-1].ID, warm); err != nil {
-		b.Fatal(err)
-	}
+	c.detect(versions[depth-1].ID, warm)
 
 	b.Run("hit", func(b *testing.B) {
 		tip := versions[depth-1].ID
@@ -245,10 +212,7 @@ func BenchmarkWarmReplay(b *testing.B) {
 			k, w := seq%(nv-2), seq/(nv-2)+1
 			seq++
 			delta := fmt.Sprintf("+ %d %d %d\n+ %d %d 1\n+ %d %d 1\n", k, nv, w, nv, k+1, nv, k+2)
-			tip, err := c.UploadDelta(ctx, parent.ID, strings.NewReader(delta))
-			if err != nil {
-				b.Fatal(err)
-			}
+			tip := testClient{b, hs}.uploadDelta(parent.ID, delta)
 			opt, fp, _, hops := warmArgs(b, tip.ID, warm)
 			b.StartTimer()
 			if _, outcome, err := s.warmDetect(ctx, tip.ID, opt, fp, hops); err != nil || outcome != CacheMiss {

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -73,7 +74,7 @@ func NewLatencyHistogram() *Histogram { return NewHistogram(DefaultLatencyBounds
 // DefaultGCPauseBounds returns the fixed bucket upper bounds for GC
 // stop-the-world pause histograms: a finer exponential ladder from 10µs to
 // 1s, matched to the sub-millisecond pauses of Go's collector. All nodes use
-// the same bounds so cluster federation can Merge them exactly.
+// the same bounds so cluster federation can merge their snapshots exactly.
 func DefaultGCPauseBounds() []time.Duration {
 	return []time.Duration{
 		10 * time.Microsecond,
@@ -95,33 +96,6 @@ func DefaultGCPauseBounds() []time.Duration {
 	}
 }
 
-// NewHistogramFromSnapshot reconstructs a live histogram from a snapshot
-// that crossed the wire (the /metrics/snapshot federation path). Unlike
-// NewHistogram it validates with errors rather than panics — remote data is
-// input, not programmer error.
-func NewHistogramFromSnapshot(s HistogramSnapshot) (*Histogram, error) {
-	if len(s.Bounds) == 0 {
-		return nil, fmt.Errorf("trace: snapshot has no bucket bounds")
-	}
-	for i := 1; i < len(s.Bounds); i++ {
-		if s.Bounds[i] <= s.Bounds[i-1] {
-			return nil, fmt.Errorf("trace: snapshot bounds not strictly increasing at %d (%v <= %v)",
-				i, s.Bounds[i], s.Bounds[i-1])
-		}
-	}
-	if len(s.Counts) != len(s.Bounds)+1 {
-		return nil, fmt.Errorf("trace: snapshot has %d counts for %d bounds (want %d)",
-			len(s.Counts), len(s.Bounds), len(s.Bounds)+1)
-	}
-	h := &Histogram{
-		bounds: append([]time.Duration(nil), s.Bounds...),
-		counts: append([]uint64(nil), s.Counts...),
-		sum:    s.Sum,
-		total:  s.Count,
-	}
-	return h, nil
-}
-
 // Observe records one duration sample. Negative durations clamp to zero.
 func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
@@ -138,35 +112,58 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Unlock()
 }
 
-// Merge adds other's counts into h. The bucket bounds must be identical;
-// merging is then exact integer addition, so any merge order yields the same
-// histogram — the determinism property the tests pin.
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("trace: histogram bounds differ (%d vs %d buckets)", len(h.bounds), len(other.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != other.bounds[i] {
-			return fmt.Errorf("trace: histogram bound %d differs (%v vs %v)", i, h.bounds[i], other.bounds[i])
-		}
-	}
-	snap := other.Snapshot()
-	h.mu.Lock()
-	for i, c := range snap.Counts {
-		h.counts[i] += c
-	}
-	h.sum += snap.Sum
-	h.total += snap.Count
-	h.mu.Unlock()
-	return nil
+// HistogramSnapshot is a consistent point-in-time copy of a Histogram, and
+// its wire form between nodes: a time.Duration encodes as integer
+// nanoseconds, so a snapshot crosses JSON exactly and merges stay integer
+// addition.
+type HistogramSnapshot struct {
+	Bounds []time.Duration `json:"bounds_ns"` // bucket upper bounds
+	Counts []uint64        `json:"counts"`    // len(Bounds)+1; last bucket is the overflow
+	SumNS  time.Duration   `json:"sum_ns"`
+	Count  uint64          `json:"count"`
 }
 
-// HistogramSnapshot is a consistent point-in-time copy of a Histogram.
-type HistogramSnapshot struct {
-	Bounds []time.Duration // bucket upper bounds
-	Counts []uint64        // len(Bounds)+1; last bucket is the overflow
-	Sum    time.Duration
-	Count  uint64
+// Merge returns the bucket-by-bucket sum of s and o. A snapshot may have
+// crossed the wire, so one that is malformed — no bounds, bounds not strictly
+// increasing, or other than len(Bounds)+1 counts — is an error rather than a
+// panic, and so are differing bounds. A zero receiver merges as the
+// identity, so a fold over snapshots can start from it. Merging is exact
+// integer addition: any merge order yields the same snapshot.
+func (s HistogramSnapshot) Merge(o HistogramSnapshot) (HistogramSnapshot, error) {
+	if err := o.check(); err != nil {
+		return HistogramSnapshot{}, err
+	}
+	if len(s.Bounds) == 0 && len(s.Counts) == 0 && s.SumNS == 0 && s.Count == 0 {
+		s = HistogramSnapshot{Bounds: o.Bounds, Counts: make([]uint64, len(o.Counts))}
+	} else if err := s.check(); err != nil {
+		return HistogramSnapshot{}, err
+	}
+	if !slices.Equal(s.Bounds, o.Bounds) {
+		return HistogramSnapshot{}, fmt.Errorf("trace: histogram bounds differ (%v vs %v)", s.Bounds, o.Bounds)
+	}
+	out := HistogramSnapshot{Bounds: s.Bounds, Counts: slices.Clone(s.Counts), SumNS: s.SumNS + o.SumNS, Count: s.Count + o.Count}
+	for i, c := range o.Counts {
+		out.Counts[i] += c
+	}
+	return out, nil
+}
+
+// check reports why s is not a well-formed snapshot, or nil.
+func (s HistogramSnapshot) check() error {
+	if len(s.Bounds) == 0 {
+		return fmt.Errorf("trace: snapshot has no bucket bounds")
+	}
+	for i := 1; i < len(s.Bounds); i++ {
+		if s.Bounds[i] <= s.Bounds[i-1] {
+			return fmt.Errorf("trace: snapshot bounds not strictly increasing at %d (%v <= %v)",
+				i, s.Bounds[i], s.Bounds[i-1])
+		}
+	}
+	if len(s.Counts) != len(s.Bounds)+1 {
+		return fmt.Errorf("trace: snapshot has %d counts for %d bounds (want %d)",
+			len(s.Counts), len(s.Bounds), len(s.Bounds)+1)
+	}
+	return nil
 }
 
 // Snapshot copies the histogram state under one lock acquisition.
@@ -175,7 +172,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.counts)),
-		Sum:    h.sum,
+		SumNS:  h.sum,
 		Count:  h.total,
 	}
 	copy(s.Counts, h.counts)
@@ -239,7 +236,7 @@ func (s HistogramSnapshot) WritePrometheus(w io.Writer, name string) error {
 	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum %g\n", name, s.Sum.Seconds()); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum %g\n", name, s.SumNS.Seconds()); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "%s_count %d\n", name, s.Count)

@@ -71,54 +71,59 @@ func TestHistogramOverflowAndEmpty(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeDeterminism: merging in either order, or observing
-// everything directly into one histogram, yields byte-identical snapshots —
-// the fixed-bucket exactness the serving layer's aggregation relies on.
+// TestHistogramMergeDeterminism: merging snapshots in either order, or
+// observing everything directly into one histogram, yields byte-identical
+// snapshots — the fixed-bucket exactness the serving layer's aggregation
+// relies on.
 func TestHistogramMergeDeterminism(t *testing.T) {
 	obsA := []time.Duration{200 * time.Microsecond, 3 * time.Millisecond, 70 * time.Second}
 	obsB := []time.Duration{800 * time.Microsecond, 40 * time.Millisecond, 40 * time.Millisecond}
 
-	fill := func(ds []time.Duration) *Histogram {
+	fill := func(ds []time.Duration) HistogramSnapshot {
 		h := NewLatencyHistogram()
 		for _, d := range ds {
 			h.Observe(d)
 		}
-		return h
+		return h.Snapshot()
 	}
-	ab := fill(obsA)
-	if err := ab.Merge(fill(obsB)); err != nil {
-		t.Fatal(err)
-	}
-	ba := fill(obsB)
-	if err := ba.Merge(fill(obsA)); err != nil {
-		t.Fatal(err)
-	}
-	direct := fill(append(append([]time.Duration{}, obsA...), obsB...))
-
-	render := func(h *Histogram) string {
+	render := func(parts ...HistogramSnapshot) string {
+		var s HistogramSnapshot
+		for _, p := range parts {
+			var err error
+			if s, err = s.Merge(p); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var buf bytes.Buffer
-		if err := h.Snapshot().WritePrometheus(&buf, "t_seconds"); err != nil {
+		if err := s.WritePrometheus(&buf, "t_seconds"); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
 	}
-	if render(ab) != render(ba) || render(ab) != render(direct) {
-		t.Errorf("merge order changed the histogram:\nA+B:\n%s\nB+A:\n%s\ndirect:\n%s",
-			render(ab), render(ba), render(direct))
+	ab, ba := render(fill(obsA), fill(obsB)), render(fill(obsB), fill(obsA))
+	direct := render(fill(append(append([]time.Duration{}, obsA...), obsB...)))
+	if ab != ba || ab != direct {
+		t.Errorf("merge order changed the histogram:\nA+B:\n%s\nB+A:\n%s\ndirect:\n%s", ab, ba, direct)
 	}
 }
 
-// TestHistogramMergeMismatch: merging across different bucket ladders is an
-// error, not a silent approximation.
+// TestHistogramMergeMismatch: merging across different bucket ladders, or a
+// malformed snapshot, is an error, not a silent approximation or a panic.
 func TestHistogramMergeMismatch(t *testing.T) {
-	a := NewHistogram([]time.Duration{time.Millisecond})
-	b := NewHistogram([]time.Duration{time.Millisecond, time.Second})
-	if err := a.Merge(b); err == nil {
-		t.Error("bucket-count mismatch not rejected")
-	}
-	c := NewHistogram([]time.Duration{2 * time.Millisecond})
-	if err := a.Merge(c); err == nil {
-		t.Error("bound-value mismatch not rejected")
+	a := NewHistogram([]time.Duration{time.Millisecond}).Snapshot()
+	for name, o := range map[string]HistogramSnapshot{
+		"bucket count": NewHistogram([]time.Duration{time.Millisecond, time.Second}).Snapshot(),
+		"bound value":  NewHistogram([]time.Duration{2 * time.Millisecond}).Snapshot(),
+		"no bounds":    {Counts: []uint64{1}, Count: 1},
+		"unsorted":     {Bounds: []time.Duration{time.Second, time.Millisecond}, Counts: []uint64{1, 0, 0}, Count: 1},
+		"counts":       {Bounds: []time.Duration{time.Millisecond}, Counts: []uint64{6}, Count: 6},
+	} {
+		if _, err := a.Merge(o); err == nil {
+			t.Errorf("%s mismatch not rejected", name)
+		}
+		if _, err := o.Merge(a); err == nil {
+			t.Errorf("%s mismatch not rejected as the receiver", name)
+		}
 	}
 }
 
