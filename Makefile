@@ -52,14 +52,15 @@ bench-smoke:
 # probe-free acceptance invariants.
 bench-accum:
 	$(GO) run ./cmd/asabench -exp accum -quick -json BENCH_accum_ci.json
-	$(GO) test -run 'TestAccumQuick|TestCommittedAccumArtifact' ./internal/bench
+	$(GO) test -run 'TestAccumQuick|TestCommittedAccumArtifact' -v ./internal/bench
 
 # bench-sched regenerates the scheduler sweep at quick scale (into a CI
-# scratch file, never the committed artifact) and verifies the committed
-# BENCH_sched.json still matches the schema and determinism invariants.
+# scratch file, never the committed artifact) with the Chrome trace of its
+# runs, and verifies the committed BENCH_sched.json still matches the
+# schema and determinism invariants.
 bench-sched:
-	$(GO) run ./cmd/asabench -exp sched -quick -json BENCH_sched_ci.json
-	$(GO) test -run 'TestSchedQuick|TestCommittedSchedArtifact' ./internal/bench
+	$(GO) run ./cmd/asabench -exp sched -quick -json BENCH_sched_ci.json -trace-out BENCH_sched_trace.json
+	$(GO) test -run 'TestSchedQuick|TestCommittedSchedArtifact' -v ./internal/bench
 
 # delta-replay is the incremental-detection proof tier: the committed
 # FuzzDeltaReplay seed corpus plus a short fuzz session against the

@@ -10,19 +10,14 @@
 // All packages load through one loader into one shared call graph, so the
 // interprocedural analyzers (hotalloc, lockorder, ctxflow, goexit) see
 // cross-package edges. Diagnostics print as file:line:col: analyzer: message
-// (or as a JSON/SARIF document with -format), and the exit code is 1 when
+// (or as a JSON document with -format json), and the exit code is 1 when
 // any were produced — so the command composes with CI the same way go vet
 // does. `-v` additionally surfaces type-check problems the loader tolerated.
 //
-// The JSON and SARIF documents are canonical: findings sorted by position,
+// The JSON document is canonical: findings sorted by position,
 // module-root-relative slash paths, no timestamps — byte-identical across
 // runs over identical sources, matching the repository's canonical-output
 // discipline, so CI can diff uploaded artifacts between commits.
-//
-// Vet-tool use (best-effort): `go vet -vettool=$(which asalint) ./...`
-// invokes the binary once per package with a JSON config file; asalint
-// answers the -V=full version handshake and analyzes the files listed in
-// the config. The standalone mode is the supported, CI-enforced path.
 package main
 
 import (
@@ -45,22 +40,16 @@ func main() {
 func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("asalint", flag.ExitOnError)
 	verbose := fs.Bool("v", false, "also print tolerated type-check errors")
-	version := fs.String("V", "", "version handshake for go vet -vettool (use -V=full)")
 	list := fs.Bool("list", false, "print the analyzer names and docs, then exit")
-	format := fs.String("format", "text", "output format: text, json, or sarif")
+	format := fs.String("format", "text", "output format: text or json")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: asalint [-v] [-format text|json|sarif] packages...\n\npatterns: ./... dir/... or package directories\n\nanalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: asalint [-v] [-format text|json] packages...\n\npatterns: ./... dir/... or package directories\n\nanalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *version != "" {
-		// The go command caches vet results keyed on this line.
-		fmt.Fprintf(stdout, "asalint version devel buildID=asalint-suite-v2\n")
-		return 0
 	}
 	if *list {
 		for _, a := range analysis.All() {
@@ -69,18 +58,15 @@ func run(args []string, stdout io.Writer) int {
 		return 0
 	}
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "json":
 	default:
-		fmt.Fprintf(os.Stderr, "asalint: unknown -format %q (want text, json, or sarif)\n", *format)
+		fmt.Fprintf(os.Stderr, "asalint: unknown -format %q (want text or json)\n", *format)
 		return 2
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		fs.Usage()
 		return 2
-	}
-	if len(patterns) == 1 && strings.HasSuffix(patterns[0], ".cfg") {
-		return runVetTool(patterns[0])
 	}
 
 	dirs, err := expandPatterns(patterns)
@@ -152,11 +138,6 @@ func run(args []string, stdout io.Writer) int {
 			fmt.Fprintf(os.Stderr, "asalint: %v\n", err)
 			return 2
 		}
-	case "sarif":
-		if err := writeSARIF(stdout, root, all); err != nil {
-			fmt.Fprintf(os.Stderr, "asalint: %v\n", err)
-			return 2
-		}
 	default:
 		for _, d := range all {
 			fmt.Fprintln(stdout, rel(d.String()))
@@ -166,7 +147,7 @@ func run(args []string, stdout io.Writer) int {
 }
 
 // relPath renders a diagnostic path module-root-relative with forward
-// slashes — the canonical form used by the machine-readable outputs.
+// slashes — the canonical form of the JSON document.
 func relPath(root, path string) string {
 	if root != "" {
 		if r, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(r, "..") {
@@ -209,87 +190,6 @@ func writeJSON(w io.Writer, root string, diags []analysis.Diagnostic) error {
 		})
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%s\n", data)
-	return err
-}
-
-// writeSARIF emits a minimal SARIF 2.1.0 log: one run, one rule per
-// analyzer, one result per diagnostic, deterministic field order via
-// struct-based marshaling.
-func writeSARIF(w io.Writer, root string, diags []analysis.Diagnostic) error {
-	type sarifMessage struct {
-		Text string `json:"text"`
-	}
-	type sarifRule struct {
-		ID   string `json:"id"`
-		Name string `json:"name"`
-		Desc struct {
-			Text string `json:"text"`
-		} `json:"shortDescription"`
-	}
-	type sarifLocation struct {
-		PhysicalLocation struct {
-			ArtifactLocation struct {
-				URI string `json:"uri"`
-			} `json:"artifactLocation"`
-			Region struct {
-				StartLine   int `json:"startLine"`
-				StartColumn int `json:"startColumn"`
-			} `json:"region"`
-		} `json:"physicalLocation"`
-	}
-	type sarifResult struct {
-		RuleID    string          `json:"ruleId"`
-		Level     string          `json:"level"`
-		Message   sarifMessage    `json:"message"`
-		Locations []sarifLocation `json:"locations"`
-	}
-	type sarifLog struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string      `json:"name"`
-					Rules []sarifRule `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []sarifResult `json:"results"`
-		} `json:"runs"`
-	}
-
-	var log sarifLog
-	log.Schema = "https://json.schemastore.org/sarif-2.1.0.json"
-	log.Version = "2.1.0"
-	log.Runs = make([]struct {
-		Tool struct {
-			Driver struct {
-				Name  string      `json:"name"`
-				Rules []sarifRule `json:"rules"`
-			} `json:"driver"`
-		} `json:"tool"`
-		Results []sarifResult `json:"results"`
-	}, 1)
-	log.Runs[0].Tool.Driver.Name = "asalint"
-	for _, a := range analysis.All() {
-		r := sarifRule{ID: a.Name, Name: a.Name}
-		r.Desc.Text = a.Doc
-		log.Runs[0].Tool.Driver.Rules = append(log.Runs[0].Tool.Driver.Rules, r)
-	}
-	log.Runs[0].Results = []sarifResult{}
-	for _, d := range diags {
-		res := sarifResult{RuleID: d.Analyzer, Level: "error", Message: sarifMessage{Text: d.Message}}
-		var loc sarifLocation
-		loc.PhysicalLocation.ArtifactLocation.URI = relPath(root, d.Pos.Filename)
-		loc.PhysicalLocation.Region.StartLine = d.Pos.Line
-		loc.PhysicalLocation.Region.StartColumn = d.Pos.Column
-		res.Locations = []sarifLocation{loc}
-		log.Runs[0].Results = append(log.Runs[0].Results, res)
-	}
-	data, err := json.MarshalIndent(log, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -381,58 +281,4 @@ func hasGoFiles(dir string) bool {
 		}
 	}
 	return false
-}
-
-// vetConfig is the subset of the go vet -vettool JSON config asalint reads.
-type vetConfig struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-}
-
-// runVetTool handles one `go vet -vettool` invocation: analyze the package
-// whose files are listed in the config, print diagnostics to stderr, exit
-// nonzero when any were found (the go command surfaces stderr verbatim).
-// Interprocedural analyzers see only this package's graph in this mode; the
-// standalone whole-repo run is the authoritative one.
-func runVetTool(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "asalint: reading vet config: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "asalint: parsing vet config: %v\n", err)
-		return 2
-	}
-	dir := cfg.Dir
-	if dir == "" && len(cfg.GoFiles) > 0 {
-		dir = filepath.Dir(cfg.GoFiles[0])
-	}
-	if dir == "" {
-		return 0
-	}
-	loader, err := analysis.NewLoader(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "asalint: %v\n", err)
-		return 2
-	}
-	pkg, err := loader.LoadDir(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "asalint: %s: %v\n", dir, err)
-		return 2
-	}
-	diags, err := analysis.Run(pkg, analysis.All(), true)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "asalint: %v\n", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -162,16 +162,10 @@ func main() {
 		opt.FrontierHops = *frontierHops
 	}
 
-	// Span tracing: a nil tracer (neither -trace-out nor -stats) makes the
-	// root span nil and every span operation inside the run a no-op. -stats
-	// reads its kernel times from the tracer's span totals.
-	var tracer *obs.Tracer
-	var rootSpan *obs.Span
-	if *traceOut != "" || *stats {
-		tracer = obs.New(obs.Config{Seed: *seed})
-		rootSpan = tracer.Begin("infomap")
-		opt.Trace = rootSpan
-	}
+	// The run's spans are its only clock: "elapsed:" is the run span and
+	// -stats reads its kernel times from the same span totals.
+	tracer := obs.New(obs.Config{Seed: *seed})
+	opt.Trace = tracer.Begin("infomap")
 
 	// A hierarchy grows from the flat run, so -hierarchical runs the flat
 	// search once, inside RunHierarchicalContext, and reports its result.
@@ -188,8 +182,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	rootSpan.End()
-	kernelTotals := tracer.Totals()
+	opt.Trace.End()
+	totals := tracer.Totals()
 
 	fmt.Printf("graph: %d vertices, %d arcs (%s)\n", g.N(), g.M(), direction(g))
 	fmt.Printf("result: %s\n", res)
@@ -197,7 +191,7 @@ func main() {
 		fmt.Printf("warm: frontier %d of %d vertices re-optimized, %d frozen (hops %d)\n",
 			res.FrontierSize, g.N(), res.FrozenVertices, opt.FrontierHops)
 	}
-	fmt.Printf("elapsed: %v (backend %s, %d workers)\n", res.Elapsed, opt.Kind, opt.Workers)
+	fmt.Printf("elapsed: %v (backend %s, %d workers)\n", totals["run"].Duration, opt.Kind, opt.Workers)
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -245,11 +239,11 @@ func main() {
 	if *stats {
 		var kernelWall time.Duration
 		for _, k := range trace.Kernels() {
-			kernelWall += kernelTotals[k].Duration
+			kernelWall += totals[k].Duration
 		}
 		fmt.Printf("\nkernel breakdown:\n")
 		for _, k := range trace.Kernels() {
-			d := kernelTotals[k].Duration
+			d := totals[k].Duration
 			fmt.Printf("%-20s %12v  %5.1f%%\n", k, d.Round(time.Microsecond), 100*float64(d)/float64(kernelWall))
 		}
 		fmt.Printf("accumulator: %+v\n", res.TotalStats())
@@ -275,21 +269,7 @@ func main() {
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		bw := bufio.NewWriter(f)
-		for v, m := range res.Membership {
-			fmt.Fprintf(bw, "%d\t%d\n", labels[v], m)
-		}
-		if err := bw.Flush(); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d assignments to %s\n", len(res.Membership), *out)
+		writeAssignments(*out, labels, res.Membership)
 	}
 }
 
@@ -312,22 +292,28 @@ func runDistributed(ctx context.Context, g *graph.Graph, labels []uint64, dopt d
 	fmt.Printf("injected: %d drops, %d duplicates, %d delays, %d crashes\n",
 		res.Fault.Drops, res.Fault.Duplicates, res.Fault.Delays, res.Fault.Crashes)
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		bw := bufio.NewWriter(f)
-		for v, m := range res.Membership {
-			fmt.Fprintf(bw, "%d\t%d\n", labels[v], m)
-		}
-		if err := bw.Flush(); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d assignments to %s\n", len(res.Membership), out)
+		writeAssignments(out, labels, res.Membership)
 	}
+}
+
+// writeAssignments writes one "vertex<TAB>module" line per vertex, the
+// vertex named by its input label, to path.
+func writeAssignments(path string, labels []uint64, membership []uint32) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	bw := bufio.NewWriter(f)
+	for v, m := range membership {
+		fmt.Fprintf(bw, "%d\t%d\n", labels[v], m)
+	}
+	if err := bw.Flush(); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %d assignments to %s\n", len(membership), path)
 }
 
 // remapDelta translates a delta file's vertex IDs — written in the input

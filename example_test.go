@@ -78,7 +78,7 @@ func ExampleDetectCommunitiesHierarchical() {
 		log.Fatal(err)
 	}
 	fmt.Println("vertices covered:", res.Root.Size())
-	fmt.Println("hierarchy no worse than flat:", res.Codelength <= res.TwoLevelCodelength+1e-12)
+	fmt.Println("hierarchy no worse than flat:", res.Codelength <= res.Flat.Codelength+1e-12)
 	// Output:
 	// vertices covered: 12
 	// hierarchy no worse than flat: true

@@ -32,10 +32,10 @@ func runHierarchy(cfg Config, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "nested benchmark: %d super groups x %d cliques x %d vertices\n", super, inner, size)
-	fmt.Fprintf(w, "two-level L:     %.4f bits (%d leaf modules)\n", res.TwoLevelCodelength, len(res.Leaves()))
+	fmt.Fprintf(w, "two-level L:     %.4f bits (%d leaf modules)\n", res.Flat.Codelength, len(res.Leaves()))
 	fmt.Fprintf(w, "hierarchical L:  %.4f bits (depth %d, %d modules, %d top groups)\n",
 		res.Codelength, res.Depth, res.Modules, len(res.Root.Children))
-	fmt.Fprintf(w, "gain:            %.2f%%\n", 100*(1-res.Codelength/res.TwoLevelCodelength))
+	fmt.Fprintf(w, "gain:            %.2f%%\n", 100*(1-res.Codelength/res.Flat.Codelength))
 	if len(res.Root.Children) == super {
 		fmt.Fprintf(w, "top level recovered the %d planted super groups\n", super)
 	}

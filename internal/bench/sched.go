@@ -6,12 +6,12 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"time"
 
 	"github.com/asamap/asamap/internal/gen"
 	"github.com/asamap/asamap/internal/infomap"
 	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/rng"
+	"github.com/asamap/asamap/internal/trace"
 )
 
 // schedRow is one worker count of the scheduling experiment.
@@ -74,39 +74,35 @@ func runSched(cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "%8s  %12s  %12s  %10s  %8s  %12s  %s\n",
 		"workers", "sweep-wall", "commit-wall", "imbalance", "steals", "codelength", "identical")
 
-	var tracer *obs.Tracer
-	if cfg.TraceOut != "" {
-		tracer = obs.New(obs.Config{Seed: cfg.Seed})
-	}
+	// Every row's wall times are its run's span totals: the tracer is the
+	// run's only clock.
+	tracer := obs.New(obs.Config{Seed: cfg.Seed})
 	var ref *infomap.Result
 	for _, workers := range cfg.Workers {
 		opt := infomap.DefaultOptions()
 		opt.Workers = workers
 		opt.Seed = cfg.Seed
-		var sp *obs.Span
-		if tracer != nil {
-			sp = tracer.Begin(fmt.Sprintf("sched workers=%d", workers))
-			opt.Trace = sp
-		}
+		before := tracer.Totals()
+		opt.Trace = tracer.Begin(fmt.Sprintf("sched workers=%d", workers))
 		res, err := infomap.Run(g, opt)
-		sp.End()
+		opt.Trace.End()
 		if err != nil {
 			return err
+		}
+		after := tracer.Totals()
+		wallMS := func(name string) float64 {
+			d := after[name].Duration - before[name].Duration
+			return float64(d.Microseconds()) / 1e3
 		}
 		if ref == nil {
 			ref = res
 		}
 		identical := sameMembership(ref.Membership, res.Membership)
-		var sweepWall, commitWall time.Duration
-		for _, sw := range res.SweepLog {
-			sweepWall += sw.Wall
-			commitWall += sw.WallCommit
-		}
 		row := schedRow{
 			Workers:      workers,
-			SweepWallMS:  float64(sweepWall.Microseconds()) / 1e3,
-			CommitWallMS: float64(commitWall.Microseconds()) / 1e3,
-			TotalWallMS:  float64(res.Elapsed.Microseconds()) / 1e3,
+			SweepWallMS:  wallMS(trace.KernelFindBestCommunity),
+			CommitWallMS: wallMS(trace.KernelUpdateMembers),
+			TotalWallMS:  wallMS("run"),
 			Imbalance:    res.MeanImbalance(),
 			Steals:       res.Steals,
 			Codelength:   res.Codelength,

@@ -115,6 +115,13 @@ func checkSchedReport(t *testing.T, report schedReport, workers []int) {
 		if row.SweepWallMS <= 0 || row.TotalWallMS <= 0 {
 			t.Errorf("workers=%d: empty timings: %+v", row.Workers, row)
 		}
+		// The kernel spans nest inside the run span, one after another.
+		// Each figure is whole microseconds, so 1ns of slack absorbs only
+		// the float rounding of the ms conversion.
+		if row.SweepWallMS+row.CommitWallMS > row.TotalWallMS+1e-6 {
+			t.Errorf("workers=%d: sweep %.3fms + commit %.3fms > total %.3fms",
+				row.Workers, row.SweepWallMS, row.CommitWallMS, row.TotalWallMS)
+		}
 		if codelength == 0 {
 			codelength = row.Codelength
 		} else if row.Codelength != codelength {

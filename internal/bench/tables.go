@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"github.com/asamap/asamap/internal/dataset"
 	"github.com/asamap/asamap/internal/infomap"
+	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/perf"
+	"github.com/asamap/asamap/internal/trace"
 )
 
 // runTable1 reproduces Table I: the network datasets, paper sizes alongside
@@ -55,38 +58,47 @@ func runTable2(_ Config, w io.Writer) error {
 // runtime, Go wall clock ("Native") against the perf model on the Baseline
 // machine. Following the paper's ZSim-validation methodology, the model's
 // aggregate is first calibrated against the native total; the table then
-// reports how well the per-iteration shape agrees.
+// reports how well the per-iteration shape agrees. The native times are the
+// run's FindBestCommunity spans, so this run is traced rather than shared
+// through runKind's cache.
 func nativeVsBaseline(cfg Config, w io.Writer, workers, maxRows int) error {
 	g, _, err := replica(cfg, "YouTube")
 	if err != nil {
 		return err
 	}
-	res, err := runKind(cfg, g, infomap.Baseline, workers)
+	opt := kindOptions(cfg, infomap.Baseline, workers)
+	tracer := obs.New(obs.Config{Seed: cfg.Seed})
+	opt.Trace = tracer.Begin("table")
+	res, err := infomap.Run(g, opt)
+	opt.Trace.End()
 	if err != nil {
 		return err
 	}
 	model := perf.DefaultModel(perf.Baseline())
 
-	// Vertex-level sweeps only, matching the paper's per-iteration rows.
+	// Vertex-level sweeps only, matching the paper's per-iteration rows: the
+	// FindBestCommunity iterations before the first super-node contraction.
+	walls := leafSweepWalls(tracer.Snapshot(0))
+	leaf := 0
+	for leaf < len(res.SweepLog) && res.SweepLog[leaf].Level == 0 {
+		leaf++
+	}
+	if leaf != len(walls) {
+		return fmt.Errorf("bench: %d vertex-level sweeps in the SweepLog but %d sweep spans", leaf, len(walls))
+	}
 	type row struct {
 		native, modeledRaw float64
 	}
 	var rows []row
 	totalNative, totalModeled := 0.0, 0.0
-	for _, s := range res.SweepLog {
-		// Stop at the end of the first vertex-level pass: the paper's
-		// per-iteration rows are the FindBestCommunity iterations before the
-		// first super-node contraction.
-		if s.Level != 0 || len(rows) >= maxRows {
-			break
-		}
+	for i, s := range res.SweepLog[:min(leaf, maxRows)] {
 		hc, err := model.AccumCost(infomap.Baseline.ModelName(), s.Stats)
 		if err != nil {
 			return err
 		}
 		c := hc
 		c.Add(model.KernelCost(s.Work))
-		native := s.Wall.Seconds()
+		native := walls[i].Seconds()
 		modeledSec := c.Seconds(perf.Baseline()) / float64(workers)
 		rows = append(rows, row{native: native, modeledRaw: modeledSec})
 		totalNative += native
@@ -107,6 +119,41 @@ func nativeVsBaseline(cfg Config, w io.Writer, workers, maxRows int) error {
 		fmt.Fprintf(w, "%-12d %14.6f %16.6f %9.1f%%\n", i+1, r.native, m, diff)
 	}
 	return nil
+}
+
+// leafSweepWalls returns the FindBestCommunity span time of each sweep under
+// the run's first vertex-level pass (the outer-0, level-0 level span), in
+// sweep order. Sweeps run one after another, so their End order is their
+// sweep order.
+func leafSweepWalls(spans []obs.SpanData) []time.Duration {
+	attr := func(d obs.SpanData, key string) string {
+		for _, a := range d.Attrs {
+			if a.Key == key {
+				return a.Value
+			}
+		}
+		return ""
+	}
+	var level uint64
+	for _, d := range spans {
+		if d.Name == "level" && attr(d, "outer") == "0" && attr(d, "level") == "0" {
+			level = d.ID
+			break
+		}
+	}
+	sweep := map[uint64]int{}
+	for _, d := range spans {
+		if d.Name == "sweep" && d.Parent == level {
+			sweep[d.ID] = len(sweep)
+		}
+	}
+	walls := make([]time.Duration, len(sweep))
+	for _, d := range spans {
+		if i, ok := sweep[d.Parent]; ok && d.Name == trace.KernelFindBestCommunity {
+			walls[i] = d.Duration()
+		}
+	}
+	return walls
 }
 
 // The paper's Table III lists 7 iterations (1 core) and Table IV lists 5

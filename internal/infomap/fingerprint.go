@@ -17,7 +17,6 @@ const fingerprintVersion = "asamap-opt-v1\n"
 // a field that is neither hashed nor listed here fails the lint build.
 var fingerprintExcluded = map[string]string{
 	"Workers": "bit-identical results across any worker count for a fixed Seed (sweep scheduler contract)",
-	"Clock":   "clock only feeds timing telemetry (Elapsed, SweepLog walls), never the partition",
 	"Trace":   "span tracing is write-only telemetry (observed durations and event counts), never an input to the partition",
 }
 

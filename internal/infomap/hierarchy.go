@@ -63,15 +63,14 @@ func (n *HierNode) Depth() int {
 // HierResult is the outcome of RunHierarchical.
 type HierResult struct {
 	Root *HierNode
-	// Flat is the two-level run the hierarchy grew from; TwoLevelCodelength
-	// and TopMembership are its Codelength and Membership.
-	Flat               *Result
-	Codelength         float64 // hierarchical L in bits
-	TwoLevelCodelength float64 // the flat partition's L, for comparison
-	TopMembership      []uint32
-	NodeFlow           []float64 // base visit rate of each vertex
-	Depth              int       // tree height including the root
-	Modules            int       // total module count across all levels
+	// Flat is the two-level run the hierarchy grew from: its Codelength is
+	// the L the hierarchy is compared with, its Membership the top modules
+	// the search started from.
+	Flat       *Result
+	Codelength float64   // hierarchical L in bits
+	NodeFlow   []float64 // base visit rate of each vertex
+	Depth      int       // tree height including the root
+	Modules    int       // total module count across all levels
 	// Work is the scan work and accumulator events of the submodule and
 	// super-level searches (the flat run's are not included).
 	Work WorkerStats
@@ -98,10 +97,8 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 		return nil, err
 	}
 	res := &HierResult{
-		Flat:               flat,
-		TwoLevelCodelength: flat.Codelength,
-		TopMembership:      flat.Membership,
-		NodeFlow:           flow.NodeFlow,
+		Flat:     flat,
+		NodeFlow: flow.NodeFlow,
 	}
 	if g.N() == 0 {
 		res.Root = &HierNode{}
@@ -430,14 +427,14 @@ func HierCodelength(f *mapeq.Flow, root *HierNode) float64 {
 // String renders a summary of the hierarchy.
 func (r *HierResult) String() string {
 	return fmt.Sprintf("hierarchical L=%.4f bits (two-level %.4f) depth=%d modules=%d",
-		r.Codelength, r.TwoLevelCodelength, r.Depth, r.Modules)
+		r.Codelength, r.Flat.Codelength, r.Depth, r.Modules)
 }
 
 // FlattenLevel returns the membership induced by cutting the tree at the
 // given depth below the root (depth 1 = top modules). Vertices in modules
 // shallower than the cut keep their deepest module.
 func (r *HierResult) FlattenLevel(depth int) []uint32 {
-	mem := make([]uint32, len(r.TopMembership))
+	mem := make([]uint32, len(r.Flat.Membership))
 	next := uint32(0)
 	var walk func(n *HierNode, d int)
 	walk = func(n *HierNode, d int) {

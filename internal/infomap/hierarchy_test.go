@@ -63,9 +63,9 @@ func TestHierarchicalOnNestedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Codelength > res.TwoLevelCodelength+1e-9 {
+	if res.Codelength > res.Flat.Codelength+1e-9 {
 		t.Fatalf("hierarchy worsened codelength: %g vs flat %g",
-			res.Codelength, res.TwoLevelCodelength)
+			res.Codelength, res.Flat.Codelength)
 	}
 	if res.Depth < 3 {
 		t.Fatalf("nested graph should produce depth >= 3 (got %d): %v", res.Depth, res)
@@ -200,8 +200,8 @@ func TestHierarchicalDepth2MatchesTwoLevel(t *testing.T) {
 	if res.Depth != 2 {
 		t.Fatalf("depth = %d, want 2 (root + leaf modules)", res.Depth)
 	}
-	if math.Abs(res.Codelength-res.TwoLevelCodelength) > 1e-12 {
-		t.Fatalf("depth-2 tree L %g != two-level L %g", res.Codelength, res.TwoLevelCodelength)
+	if math.Abs(res.Codelength-res.Flat.Codelength) > 1e-12 {
+		t.Fatalf("depth-2 tree L %g != two-level L %g", res.Codelength, res.Flat.Codelength)
 	}
 
 	for _, row := range rmatRows {
@@ -248,9 +248,6 @@ func TestHierarchicalFlatIsTheRun(t *testing.T) {
 	opt.Trace.End()
 	if res.Flat.Codelength != flat.Codelength || !slices.Equal(res.Flat.Membership, flat.Membership) {
 		t.Fatalf("Flat L %.12f, RunContext L %.12f (or memberships differ)", res.Flat.Codelength, flat.Codelength)
-	}
-	if res.TwoLevelCodelength != res.Flat.Codelength || !slices.Equal(res.TopMembership, res.Flat.Membership) {
-		t.Fatal("TwoLevelCodelength/TopMembership disagree with Flat")
 	}
 	totals := tracer.Totals()
 	if n := totals["run"].Count; n != 1 {
@@ -356,10 +353,10 @@ func TestHierarchicalOnLFR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Codelength > res.TwoLevelCodelength+1e-9 {
-		t.Fatalf("hierarchy worsened L: %g vs %g", res.Codelength, res.TwoLevelCodelength)
+	if res.Codelength > res.Flat.Codelength+1e-9 {
+		t.Fatalf("hierarchy worsened L: %g vs %g", res.Codelength, res.Flat.Codelength)
 	}
-	if len(res.TopMembership) != g.N() {
+	if len(res.Flat.Membership) != g.N() {
 		t.Fatal("top membership length wrong")
 	}
 }
@@ -489,8 +486,8 @@ func TestHierarchicalDirectedKeepsTwoLevelTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Codelength > res.TwoLevelCodelength+1e-12 {
-			t.Fatalf("%v: hierarchical L %.12f worse than two-level %.12f", tp, res.Codelength, res.TwoLevelCodelength)
+		if res.Codelength > res.Flat.Codelength+1e-12 {
+			t.Fatalf("%v: hierarchical L %.12f worse than two-level %.12f", tp, res.Codelength, res.Flat.Codelength)
 		}
 		if res.Root.Size() != g.N() {
 			t.Fatalf("%v: tree covers %d of %d vertices", tp, res.Root.Size(), g.N())
@@ -533,8 +530,8 @@ func TestHierarchicalNeverAboveTwoLevel(t *testing.T) {
 		if l != res.Codelength {
 			t.Fatalf("%s: result L %.15f, tree prices %.15f", in.name, res.Codelength, l)
 		}
-		if l > res.TwoLevelCodelength+1e-12 {
-			t.Fatalf("%s: search tree L %.15f above two-level L %.15f", in.name, l, res.TwoLevelCodelength)
+		if l > res.Flat.Codelength+1e-12 {
+			t.Fatalf("%s: search tree L %.15f above two-level L %.15f", in.name, l, res.Flat.Codelength)
 		}
 	}
 }

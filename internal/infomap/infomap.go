@@ -75,9 +75,6 @@ func runContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, *map
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	clk := opt.clk()
-	start := clk.Now()
-
 	// Span tree root of this run. opt.Trace nil makes every span below nil,
 	// and nil spans absorb all calls, so the untraced path stays branch-free.
 	// Worker count never changes result bytes, so it is a volatile
@@ -169,7 +166,6 @@ func runContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, *map
 	}
 
 	if g.N() == 0 {
-		res.Elapsed = clk.Since(start)
 		res.PerWorker = collectWorkerStats(workers)
 		return res, baseFlow, nil
 	}
@@ -301,7 +297,6 @@ func runContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, *map
 	}
 
 	res.PerWorker = collectWorkerStats(workers)
-	res.Elapsed = clk.Since(start)
 	run.SetUint("modules", uint64(res.NumModules))
 	run.SetFloat("codelength", res.Codelength)
 	run.SetUint("outer_iters", uint64(outerIters))
@@ -364,7 +359,6 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 	lvSpan *obs.Span, frozen []bool) (sweeps int, totalMoves uint64, err error) {
 
 	n := flow.G.N()
-	clk := opt.clk()
 	// Active-vertex optimization (as in RelaxMap/HyPC-Map): only vertices
 	// whose neighborhood changed in the previous sweep are re-evaluated, so
 	// per-iteration work shrinks as the partition converges — the decreasing
@@ -419,7 +413,6 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 
 		// --- Kernel 2: FindBestCommunity (parallel, read-only). ---
 		fbc := sw.Child(trace.KernelFindBestCommunity)
-		fbcStart := clk.Now()
 		bounds := sweepBounds(flow, order, len(workers))
 		nblocks := len(bounds) - 1
 		for len(props) < nblocks {
@@ -436,12 +429,10 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 			sw.End()
 			return sweeps, totalMoves, err
 		}
-		fbcWall := clk.Since(fbcStart)
 		res.Steals += ds.Steals
 
 		// --- Kernel 4: UpdateMembers (serial commit with re-check). ---
 		um := sw.Child(trace.KernelUpdateMembers)
-		umStart := clk.Now()
 		for i := range active {
 			active[i] = false
 		}
@@ -488,22 +479,18 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 		if moves > 0 {
 			st.Refresh()
 		}
-		commitWall := clk.Since(umStart)
 		um.SetUint("moves", moves)
 		um.End()
 
 		postStats, postWork := liveTotals(workers)
 		sweepStats := postStats.Sub(preStats)
-		res.SweepLog = append(res.SweepLog, SweepStat{
-			Level:      level,
-			Sweep:      sweep,
-			Wall:       fbcWall,
-			WallCommit: commitWall,
-			Stats:      sweepStats,
-			Work:       postWork.Sub(preWork),
-			Sched:      ds,
-			Codelength: st.Codelength(),
-			Moves:      moves,
+		res.SweepLog = append(res.SweepLog, trace.Sweep{
+			Level:     level,
+			Stats:     sweepStats,
+			Work:      postWork.Sub(preWork),
+			Imbalance: ds.Imbalance,
+			Busy:      ds.BusyTotal(),
+			Steals:    ds.Steals,
 		})
 
 		// The four CAM counters of the paper's evaluation — and the

@@ -322,8 +322,17 @@ func TestStatsPopulated(t *testing.T) {
 	if fbc := totals[trace.KernelFindBestCommunity]; fbc.Count != uint64(res.Sweeps) || fbc.Duration == 0 {
 		t.Fatalf("FindBestCommunity not timed once per sweep (%d sweeps): %+v", res.Sweeps, fbc)
 	}
-	if res.Elapsed == 0 {
-		t.Fatal("Elapsed not recorded")
+	// The SweepLog holds one record per sweep span, and on a cold run every
+	// accumulator event happens inside a sweep.
+	if len(res.SweepLog) != res.Sweeps {
+		t.Fatalf("SweepLog has %d records for %d sweeps", len(res.SweepLog), res.Sweeps)
+	}
+	var sum accum.Stats
+	for _, sw := range res.SweepLog {
+		sum.Add(sw.Stats)
+	}
+	if sum != st {
+		t.Fatalf("SweepLog stats sum %+v != run total %+v", sum, st)
 	}
 }
 

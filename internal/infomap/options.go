@@ -8,16 +8,14 @@ package infomap
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/asamap/asamap/internal/accum"
 	"github.com/asamap/asamap/internal/asa"
-	"github.com/asamap/asamap/internal/clock"
 	"github.com/asamap/asamap/internal/hashgraph"
 	"github.com/asamap/asamap/internal/hashtab"
 	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/perf"
-	"github.com/asamap/asamap/internal/sched"
+	"github.com/asamap/asamap/internal/trace"
 )
 
 // Teleportation selects how directed-graph teleportation enters the code.
@@ -160,11 +158,6 @@ type Options struct {
 	// warm start (the contract the differential tier pins). Ignored unless
 	// WarmStart and FrontierSeeds are both set; negative is an error.
 	FrontierHops int
-	// Clock supplies the wall-clock reads behind Elapsed and the per-sweep
-	// timings. Nil means the real clock; tests inject clock.Fake to make
-	// timing fields deterministic. Timings never influence the partition,
-	// so Clock is excluded from Fingerprint.
-	Clock clock.Clock
 	// Trace, when non-nil, is the parent span under which the run emits its
 	// hierarchical span tree (run → level → sweep → kernel, plus volatile
 	// per-worker spans). The serving layer passes its per-request root span;
@@ -203,14 +196,6 @@ func WarmSeed(parent []uint32, modules, n int) []uint32 {
 		next++
 	}
 	return seed
-}
-
-// clk returns the configured clock, defaulting to the real one.
-func (o Options) clk() clock.Clock {
-	if o.Clock == nil {
-		return clock.Real{}
-	}
-	return o.Clock
 }
 
 // Validate reports the first out-of-range or unknown option value, the same
@@ -278,22 +263,6 @@ type WorkerStats struct {
 	Work  perf.KernelWork // non-accumulator kernel work
 }
 
-// SweepStat records one FindBestCommunity sweep: its wall time and the
-// accumulator/kernel events it performed. The per-iteration rows of the
-// paper's Tables III/IV and the multi-core breakdowns of Figure 7 are built
-// from these.
-type SweepStat struct {
-	Level      int           // hierarchy level (0 = vertex level)
-	Sweep      int           // sweep index within the level
-	Wall       time.Duration // parallel FindBestCommunity evaluation time
-	WallCommit time.Duration // serial UpdateMembers commit time
-	Stats      accum.Stats   // accumulator events during this sweep
-	Work       perf.KernelWork
-	Sched      sched.Stats // scheduler dispatch stats (busy, steals, imbalance)
-	Codelength float64     // L(M) after the sweep
-	Moves      uint64      // moves committed in the sweep
-}
-
 // Result is the outcome of a Run.
 type Result struct {
 	// Membership assigns each original vertex its final module (dense IDs).
@@ -313,8 +282,9 @@ type Result struct {
 	Moves uint64
 	// PerWorker holds event counts per worker, index = worker id.
 	PerWorker []WorkerStats
-	// SweepLog records every optimization sweep in execution order.
-	SweepLog []SweepStat
+	// SweepLog records every optimization sweep in execution order. Its
+	// wall times are the run's sweep and kernel spans.
+	SweepLog []trace.Sweep
 	// Steals is the total number of blocks executed by a worker other than
 	// the owner of their span, summed over all sweeps.
 	Steals uint64
@@ -325,8 +295,6 @@ type Result struct {
 	// FrozenVertices is the number of leaf vertices the warm-start frontier
 	// froze in their seeded modules (0 for cold or unrestricted runs).
 	FrozenVertices int
-	// Elapsed is the total wall time of the run.
-	Elapsed time.Duration
 }
 
 // TotalStats sums the accumulator events over all workers.
@@ -345,8 +313,8 @@ func (r *Result) TotalStats() accum.Stats {
 func (r *Result) MeanImbalance() float64 {
 	var num, den float64
 	for _, s := range r.SweepLog {
-		w := float64(s.Sched.BusyTotal())
-		num += s.Sched.Imbalance * w
+		w := float64(s.Busy)
+		num += s.Imbalance * w
 		den += w
 	}
 	if den == 0 {

@@ -410,7 +410,7 @@ func TestMapEquationOracleRMAT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem := append([]uint32(nil), res.TopMembership...)
+		mem := append([]uint32(nil), res.Flat.Membership...)
 		k := mapeq.CompactMembership(mem)
 		st, err := mapeq.NewState(flow, mem, k)
 		if err != nil {
@@ -422,7 +422,7 @@ func TestMapEquationOracleRMAT(t *testing.T) {
 			name string
 			l    float64
 		}{
-			{"two-level L", res.TwoLevelCodelength},
+			{"two-level L", res.Flat.Codelength},
 			{"State.Codelength", st.Codelength()},
 			{"depth-2 tree L", HierCodelength(flow, flat)},
 		} {

@@ -20,7 +20,7 @@ import (
 func (r *HierResult) WriteTree(w io.Writer, labels []uint64) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# path flow name node_id\n")
-	fmt.Fprintf(bw, "# codelength %.6f bits (two-level %.6f)\n", r.Codelength, r.TwoLevelCodelength)
+	fmt.Fprintf(bw, "# codelength %.6f bits (two-level %.6f)\n", r.Codelength, r.Flat.Codelength)
 	nameOf := func(v int) string {
 		if labels == nil {
 			return fmt.Sprintf("%d", v)

@@ -55,9 +55,8 @@ type WorkerStat struct {
 // Stats describes one Dispatch.
 type Stats struct {
 	PerWorker []WorkerStat
-	Wall      time.Duration // dispatch wall time (barrier to barrier)
-	Blocks    int           // total blocks executed
-	Steals    uint64        // total stolen blocks
+	Blocks    int    // total blocks executed
+	Steals    uint64 // total stolen blocks
 	// Imbalance is max/mean of per-worker busy time over all pool workers
 	// (1.0 = perfectly balanced; 0 when nothing ran). The per-sweep
 	// imbalance ratios of the scheduler benchmarks aggregate this value.
@@ -255,7 +254,6 @@ func (p *Pool) DispatchTraced(bounds []int, fn BlockFunc, parent *obs.Span) (Sta
 		d.spanHi[w] = (w + 1) * nb / p.n
 		d.cursors[w].next.Store(int64(d.spanLo[w]))
 	}
-	start := p.clk.Now()
 	if p.chans == nil {
 		// One worker: run inline on the caller, no goroutine round trip.
 		d.runWorker(0)
@@ -266,7 +264,7 @@ func (p *Pool) DispatchTraced(bounds []int, fn BlockFunc, parent *obs.Span) (Sta
 		}
 		d.wg.Wait()
 	}
-	stats := Stats{PerWorker: d.stats, Wall: p.clk.Since(start)}
+	stats := Stats{PerWorker: d.stats}
 	var max, sum time.Duration
 	for _, w := range d.stats {
 		stats.Blocks += w.Blocks

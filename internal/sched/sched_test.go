@@ -202,9 +202,6 @@ func TestDispatchStats(t *testing.T) {
 	if stats.Imbalance < 1 {
 		t.Fatalf("imbalance %f < 1", stats.Imbalance)
 	}
-	if stats.Wall <= 0 {
-		t.Fatal("wall time not recorded")
-	}
 }
 
 func TestPoolReuseAcrossDispatches(t *testing.T) {

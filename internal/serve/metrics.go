@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"runtime"
 
-	"github.com/asamap/asamap/internal/infomap"
 	"github.com/asamap/asamap/internal/trace"
 )
 
@@ -97,14 +96,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleMetricsSnapshot serves the JSON twin of /metrics for federation.
 func (s *Server) handleMetricsSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
-}
-
-// foldRun folds one successful run's accumulator events and sweep gauges
-// into f.
-func foldRun(f *trace.RunFold, res *infomap.Result) {
-	sweeps := make([]trace.Sweep, len(res.SweepLog))
-	for i, sw := range res.SweepLog {
-		sweeps[i] = trace.Sweep{Level: sw.Level, Stats: sw.Stats, Imbalance: sw.Sched.Imbalance, Steals: uint64(sw.Sched.Steals)}
-	}
-	f.Add(res.TotalStats(), sweeps)
 }

@@ -60,7 +60,7 @@ func TestAccumEventFold(t *testing.T) {
 		t.Fatalf("test graph produced no accumulator traffic: %+v", total)
 	}
 	var f trace.RunFold
-	foldRun(&f, res)
+	f.Add(res.TotalStats(), res.SweepLog)
 	snap := emptySnapshot()
 	f.AddSeries(snap.Counters, snap.Gauges)
 	for name, want := range map[string]uint64{
@@ -99,8 +99,8 @@ func TestAccumEventFold(t *testing.T) {
 func TestRunFoldAddsRuns(t *testing.T) {
 	a, b := asaRun(t, 1), asaRun(t, 2)
 	var f trace.RunFold
-	foldRun(&f, a)
-	foldRun(&f, b)
+	f.Add(a.TotalStats(), a.SweepLog)
+	f.Add(b.TotalStats(), b.SweepLog)
 	snap := emptySnapshot()
 	f.AddSeries(snap.Counters, snap.Gauges)
 	hits := a.TotalStats().Hits + b.TotalStats().Hits
@@ -114,7 +114,7 @@ func TestRunFoldAddsRuns(t *testing.T) {
 	}
 	var imbalance float64
 	for _, sw := range slices.Concat(a.SweepLog, b.SweepLog) {
-		imbalance += sw.Sched.Imbalance
+		imbalance += sw.Imbalance
 	}
 	samples := snap.Counters[`gauge_samples_total{gauge="SweepImbalance"}`]
 	if samples != uint64(a.Sweeps+b.Sweeps) {

@@ -701,7 +701,8 @@ func (s *Server) computeDetect(ctx context.Context, g *graph.Graph, opt infomap.
 	if err := handle.Wait(jobCtx); err != nil {
 		return nil, err
 	}
-	foldRun(&s.folded, res)
+	// Fold the run's accumulator events and sweep gauges into /metrics.
+	s.folded.Add(res.TotalStats(), res.SweepLog)
 	return res, nil
 }
 

@@ -3,16 +3,23 @@ package trace
 import (
 	"strconv"
 	"sync"
+	"time"
 
 	"github.com/asamap/asamap/internal/accum"
+	"github.com/asamap/asamap/internal/perf"
 )
 
-// Sweep is what a RunFold keeps of one FindBestCommunity sweep.
+// Sweep is one FindBestCommunity sweep as a run's SweepLog records it: the
+// counters a RunFold keeps, the kernel work the Tables III/IV model prices,
+// and the busy time that weights the run's mean imbalance. Its wall times,
+// codelength and moves live on the sweep's spans.
 type Sweep struct {
-	Level     int         // hierarchy level (0 = vertex level)
-	Stats     accum.Stats // accumulator events during the sweep
-	Imbalance float64     // worker busy-time imbalance (max/mean)
-	Steals    uint64      // blocks taken from another worker's span
+	Level     int             // hierarchy level (0 = vertex level)
+	Stats     accum.Stats     // accumulator events during the sweep
+	Work      perf.KernelWork // non-accumulator kernel work during the sweep
+	Imbalance float64         // worker busy-time imbalance (max/mean)
+	Busy      time.Duration   // worker busy time summed over the pool
+	Steals    uint64          // blocks taken from another worker's span
 }
 
 // RunFold is the running total of every folded run's accumulator events and
