@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test lint fmt-check lint-json race fuzz-smoke bench-smoke bench-accum bench-sched chaos-smoke delta-replay perfbench-check loc all
+.PHONY: build test lint fmt-check lint-json race fuzz-smoke bench-smoke bench-accum bench-sched chaos-smoke delta-replay perfbench-check fma-check loc all
 
 all: build lint test
 
@@ -90,6 +90,38 @@ chaos-smoke:
 # offline: the module's only dependency is this repository, by replace.
 perfbench-check:
 	cd perfbench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
+
+# FMA_PKGS lists the packages whose floating-point code must compile to no
+# fused multiply-add on any target. The Go spec lets an architecture fuse
+# x*y + z into one instruction with one rounding, which changes result
+# bits; an explicit float64(x*y) conversion forbids it. Extend the list by
+# editing this line.
+FMA_PKGS := internal/dist
+FMA_ARCHS := arm64 riscv64 ppc64le
+
+# fma-check cross-compiles cmd/infomap for each of FMA_ARCHS and fails on
+# any fused multiply-add (FMADD/FMSUB/FNMADD/FNMSUB, either precision) that
+# `go tool objdump` finds in a function of FMA_PKGS. It also fails when the
+# build or the disassembly fails, or when the disassembly holds no function
+# of some listed package, so a check that read nothing cannot pass. It runs
+# nothing on the target: it shows the instructions are absent, not that the
+# binary runs.
+fma-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; fail=0; \
+	pkgs=$$(echo $(FMA_PKGS) | tr ' ' '|'); \
+	for a in $(FMA_ARCHS); do \
+		GOOS=linux GOARCH=$$a $(GO) build -o $$tmp/infomap-$$a ./cmd/infomap || exit 1; \
+		$(GO) tool objdump -s "asamap/($$pkgs)\." $$tmp/infomap-$$a > $$tmp/dis-$$a || \
+			{ echo "fma-check: go tool objdump failed on $$a"; exit 1; }; \
+		for p in $(FMA_PKGS); do \
+			grep -q "^TEXT .*asamap/$$p\." $$tmp/dis-$$a || \
+				{ echo "fma-check: no function of $$p disassembled on $$a"; exit 1; }; \
+		done; \
+		found=$$(awk '$$4 ~ /^FN?M(ADD|SUB)[DS]?$$/' $$tmp/dis-$$a); \
+		if [ -n "$$found" ]; then echo "fused multiply-add on $$a:"; echo "$$found"; fail=1; fi; \
+	done; \
+	if [ $$fail = 0 ]; then echo "fma-check: no fused multiply-add in $(FMA_PKGS) on $(FMA_ARCHS)"; fi; \
+	exit $$fail
 
 # loc prints the Go line counts, non-test and test, over the package
 # directories `go list ./...` reports plus the perfbench module. Change

@@ -120,39 +120,47 @@ func main() {
 		opt.ASAConfig.CapacityBytes = *camKB * 1024
 	}
 
-	if *distRanks > 0 {
-		dopt := dist.DefaultOptions()
-		dopt.Ranks = *distRanks
-		dopt.Seed = *seed
-		dopt.Fault = fault.Config{
-			Seed:      *faultSeed,
-			DropProb:  *faultDrop,
-			DupProb:   *faultDup,
-			DelayProb: *faultDelay,
+	// -dist-ranks swaps the shared-memory sweep for the simulated cluster's
+	// supersteps; every algorithm flag means the same on both paths.
+	if *distRanks < 0 {
+		fatal(fmt.Errorf("-dist-ranks %d < 0", *distRanks))
+	}
+	distributed := *distRanks > 0
+	if distributed && (*hierarchical || *tree != "") {
+		fatal(fmt.Errorf("-hierarchical and -tree are not supported with -dist-ranks"))
+	}
+	dopt := dist.DefaultOptions()
+	dopt.Ranks = *distRanks
+	dopt.Fault = fault.Config{
+		Seed:      *faultSeed,
+		DropProb:  *faultDrop,
+		DupProb:   *faultDup,
+		DelayProb: *faultDelay,
+	}
+	if *faultCrashRank >= 0 {
+		dopt.Fault.InjectCrash = true
+		dopt.Fault.CrashRank = *faultCrashRank
+		dopt.Fault.CrashStep = *faultCrashStep
+		dopt.Fault.CrashDownFor = *faultDownFor
+	}
+	detect := func(g *graph.Graph, opt infomap.Options) (*infomap.Result, *dist.Result, error) {
+		if !distributed {
+			res, err := infomap.RunContext(ctx, g, opt)
+			return res, nil, err
 		}
-		if *faultCrashRank >= 0 {
-			dopt.Fault.InjectCrash = true
-			dopt.Fault.CrashRank = *faultCrashRank
-			dopt.Fault.CrashStep = *faultCrashStep
-			dopt.Fault.CrashDownFor = *faultDownFor
+		dopt.Infomap = opt
+		dres, err := dist.RunContext(ctx, g, dopt)
+		if err != nil {
+			return nil, nil, err
 		}
-		if *warmStart {
-			pres, err := dist.RunContext(ctx, parent, dopt)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("parent: %d modules, codelength %.6f\n", pres.NumModules, pres.Codelength)
-			dopt.WarmStart = infomap.WarmSeed(pres.Membership, pres.NumModules, g.N())
-		}
-		runDistributed(ctx, g, labels, dopt, *out)
-		return
+		return dres.Result, dres, nil
 	}
 
 	if *warmStart {
 		// Cold run on the parent graph; its partition (new vertices appended
 		// as fresh singletons) becomes the child run's warm seed and the
 		// delta's endpoints become the frontier seeds.
-		pres, err := infomap.RunContext(ctx, parent, opt)
+		pres, _, err := detect(parent, opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -171,13 +179,14 @@ func main() {
 	// search once, inside RunHierarchicalContext, and reports its result.
 	var res *infomap.Result
 	var hres *infomap.HierResult
+	var dres *dist.Result
 	if *hierarchical || *tree != "" {
 		hres, err = infomap.RunHierarchicalContext(ctx, g, opt)
 		if hres != nil {
 			res = hres.Flat
 		}
 	} else {
-		res, err = infomap.RunContext(ctx, g, opt)
+		res, dres, err = detect(g, opt)
 	}
 	if err != nil {
 		fatal(err)
@@ -192,6 +201,16 @@ func main() {
 			res.FrontierSize, g.N(), res.FrozenVertices, opt.FrontierHops)
 	}
 	fmt.Printf("elapsed: %v (backend %s, %d workers)\n", totals["run"].Duration, opt.Kind, opt.Workers)
+	if dres != nil {
+		c := dres.Comm
+		fmt.Printf("distributed: %d ranks\n", dopt.Ranks)
+		fmt.Printf("comm: %d supersteps, %d messages, %d bytes, %d updates, modeled %.6fs\n",
+			c.Supersteps, c.Messages, c.Bytes, c.UpdatesSent, c.ModeledCommSec)
+		fmt.Printf("faults: %d drops, %d retries, %d redelivered bytes, %d recoveries, %d checkpoint bytes, backoff %.6fs\n",
+			c.Drops, c.Retries, c.RedeliveredBytes, c.Recoveries, c.CheckpointBytes, c.BackoffSec)
+		fmt.Printf("injected: %d drops, %d duplicates, %d delays, %d crashes\n",
+			dres.Fault.Drops, dres.Fault.Duplicates, dres.Fault.Delays, dres.Fault.Crashes)
+	}
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -270,29 +289,6 @@ func main() {
 
 	if *out != "" {
 		writeAssignments(*out, labels, res.Membership)
-	}
-}
-
-// runDistributed executes the simulated distributed substrate (optionally
-// under an injected fault scenario) and prints its communication and
-// fault-recovery accounting.
-func runDistributed(ctx context.Context, g *graph.Graph, labels []uint64, dopt dist.Options, out string) {
-	res, err := dist.RunContext(ctx, g, dopt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("graph: %d vertices, %d arcs (%s)\n", g.N(), g.M(), direction(g))
-	fmt.Printf("distributed: %d ranks, %d levels, %d modules, codelength %.6f (one-level %.6f)\n",
-		dopt.Ranks, res.Levels, res.NumModules, res.Codelength, res.OneLevelCodelength)
-	c := res.Comm
-	fmt.Printf("comm: %d supersteps, %d messages, %d bytes, %d updates, modeled %.6fs\n",
-		c.Supersteps, c.Messages, c.Bytes, c.UpdatesSent, c.ModeledCommSec)
-	fmt.Printf("faults: %d drops, %d retries, %d redelivered bytes, %d recoveries, %d checkpoint bytes, backoff %.6fs\n",
-		c.Drops, c.Retries, c.RedeliveredBytes, c.Recoveries, c.CheckpointBytes, c.BackoffSec)
-	fmt.Printf("injected: %d drops, %d duplicates, %d delays, %d crashes\n",
-		res.Fault.Drops, res.Fault.Duplicates, res.Fault.Delays, res.Fault.Crashes)
-	if out != "" {
-		writeAssignments(out, labels, res.Membership)
 	}
 }
 

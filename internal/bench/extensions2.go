@@ -145,7 +145,7 @@ func runDistributed(cfg Config, w io.Writer) error {
 	for _, ranks := range []int{1, 2, 4, 8, 16} {
 		opt := dist.DefaultOptions()
 		opt.Ranks = ranks
-		opt.Seed = cfg.Seed
+		opt.Infomap.Seed = cfg.Seed
 		res, err := dist.Run(g, opt)
 		if err != nil {
 			return err
@@ -153,7 +153,7 @@ func runDistributed(cfg Config, w io.Writer) error {
 		fmt.Fprintf(w, "%6d %10d %12.4f %12d %14d %12.3f %10.6f %12d\n",
 			ranks, res.NumModules, res.Codelength, res.Comm.Supersteps,
 			res.Comm.UpdatesSent, float64(res.Comm.Bytes)/1e6, res.Comm.ModeledCommSec,
-			res.Work.Work.CandidatesEvaluated)
+			res.TotalWork().CandidatesEvaluated)
 	}
 	return nil
 }

@@ -34,16 +34,18 @@ import (
 	"github.com/asamap/asamap/internal/graph"
 	"github.com/asamap/asamap/internal/infomap"
 	"github.com/asamap/asamap/internal/mapeq"
+	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/rng"
+	"github.com/asamap/asamap/internal/trace"
 )
 
-// Options configures the simulated cluster.
+// Options configures the simulated cluster. The algorithm itself — seed,
+// sweep and level bounds, flow model, warm start and frontier — is
+// Infomap, the same options a shared-memory run takes; a superstep is one
+// sweep of its level, so Infomap.MaxSweeps bounds the supersteps per level.
 type Options struct {
-	Ranks          int     // number of simulated MPI ranks
-	MaxSupersteps  int     // BSP superstep bound per level
-	MaxLevels      int     // contraction depth bound
-	MinImprovement float64 // codelength improvement threshold
-	Seed           uint64
+	Infomap infomap.Options
+	Ranks   int // number of simulated MPI ranks
 	// Communication model: per-message latency (alpha, seconds) and
 	// per-byte transfer time (1/bandwidth, seconds).
 	AlphaSec       float64
@@ -58,25 +60,15 @@ type Options struct {
 	// MaxRetryBackoff caps the exponential retransmission backoff, in
 	// supersteps. Minimum 1.
 	MaxRetryBackoff int
-	// WarmStart, when non-nil, seeds the leaf-level partition instead of the
-	// all-singletons start: vertex v begins in module WarmStart[v]. Module
-	// ids are compacted on entry; the length must equal the graph's vertex
-	// count. This is the distributed mirror of infomap.Options.WarmStart —
-	// the delta-log, checkpoint, and crash-recovery machinery is reused
-	// unchanged, because a warm seed only changes the level-0 state that
-	// ranks checkpoint and replay.
-	WarmStart []uint32
 }
 
-// DefaultOptions returns an 8-rank cluster with 1µs latency, 10 GB/s links,
-// 8-byte membership updates, per-superstep checkpoints, and no faults.
+// DefaultOptions returns an 8-rank cluster running infomap.DefaultOptions
+// with 1µs latency, 10 GB/s links, 8-byte membership updates,
+// per-superstep checkpoints, and no faults.
 func DefaultOptions() Options {
 	return Options{
+		Infomap:         infomap.DefaultOptions(),
 		Ranks:           8,
-		MaxSupersteps:   30,
-		MaxLevels:       30,
-		MinImprovement:  1e-9,
-		Seed:            1,
 		AlphaSec:        1e-6,
 		BytePerSec:      10e9,
 		BytesPerUpdate:  8,
@@ -90,9 +82,6 @@ func (o Options) validate() error {
 	if o.Ranks < 1 {
 		return fmt.Errorf("dist: Ranks %d < 1", o.Ranks)
 	}
-	if o.MaxSupersteps < 1 || o.MaxLevels < 1 {
-		return fmt.Errorf("dist: MaxSupersteps/MaxLevels must be >= 1")
-	}
 	if o.AlphaSec < 0 || o.BytePerSec <= 0 || o.BytesPerUpdate <= 0 {
 		return fmt.Errorf("dist: invalid communication model")
 	}
@@ -102,10 +91,7 @@ func (o Options) validate() error {
 	if o.MaxRetryBackoff < 1 {
 		return fmt.Errorf("dist: MaxRetryBackoff %d < 1", o.MaxRetryBackoff)
 	}
-	if err := o.Fault.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return o.Fault.Validate()
 }
 
 // CommStats aggregates the simulated communication and fault recovery.
@@ -125,18 +111,13 @@ type CommStats struct {
 	BackoffSec       float64 // modeled retransmission-timeout wait
 }
 
-// Result is the outcome of a distributed run.
+// Result is the outcome of a distributed run: the driver's result (its
+// Sweeps are the supersteps, PerWorker[0] the ranks' scan work) plus the
+// cluster's accounting.
 type Result struct {
-	Membership         []uint32
-	NumModules         int
-	Codelength         float64
-	OneLevelCodelength float64
-	Levels             int
-	Comm               CommStats
-	Fault              fault.Stats // faults the injector actually issued
-	// Work is the ranks' scan work and accumulator events, summed over
-	// every superstep of every level.
-	Work infomap.WorkerStats
+	*infomap.Result
+	Comm  CommStats
+	Fault fault.Stats // faults the injector actually issued
 }
 
 // Run executes the simulated distributed Infomap.
@@ -146,110 +127,25 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 	return RunContext(context.Background(), g, opt)
 }
 
-// RunContext executes the simulated distributed Infomap under a context;
-// cancellation is observed at every superstep boundary.
+// RunContext executes the simulated distributed Infomap under a context:
+// infomap's driver runs the flow, levels, outer loop and contraction, and
+// the cluster is each level's move phase. Cancellation is observed at
+// every superstep boundary.
 func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if g.Directed() {
-		return nil, fmt.Errorf("dist: directed graphs not supported by the distributed simulation")
-	}
-	if opt.WarmStart != nil && len(opt.WarmStart) != g.N() {
-		return nil, fmt.Errorf("dist: WarmStart has %d entries for %d vertices",
-			len(opt.WarmStart), g.N())
-	}
-	injector, err := fault.New(opt.Fault)
+	inj, err := fault.New(opt.Fault)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Membership: make([]uint32, g.N())}
-	for i := range res.Membership {
-		res.Membership[i] = uint32(i)
-	}
-	if g.N() == 0 {
-		return res, nil
-	}
-	baseFlow, err := mapeq.NewUndirectedFlow(g)
+	cl := &cluster{opt: opt, inj: inj, downUntil: make([]int, opt.Ranks)}
+	res, err := infomap.RunWith(ctx, g, opt.Infomap, cl.optimizeLevel)
 	if err != nil {
 		return nil, err
 	}
-	leafNodeTerm := baseFlow.NodeTerm()
-	res.OneLevelCodelength = mapeq.OneLevelCodelength(baseFlow)
-
-	// Ranks evaluate one after another, so one Scanner on the Baseline
-	// backend serves them all.
-	sc, err := infomap.NewScanner(infomap.DefaultOptions(), g.MaxDegree())
-	if err != nil {
-		return nil, err
-	}
-	r := rng.New(opt.Seed)
-	// Crash downtime is tracked in global supersteps so a rank can stay down
-	// across a level boundary.
-	downUntil := make([]int, opt.Ranks)
-	flow := baseFlow
-	for level := 0; level < opt.MaxLevels; level++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n := flow.G.N()
-		membership := make([]uint32, n)
-		if level == 0 && opt.WarmStart != nil {
-			// Warm seed: ranks enter the first level already inside the
-			// parent partition's modules instead of as singletons.
-			copy(membership, opt.WarmStart)
-			mapeq.CompactMembership(membership)
-		} else {
-			for i := range membership {
-				membership[i] = uint32(i)
-			}
-		}
-		res.Levels++
-		moves, err := optimizeLevelDistributed(ctx, flow, membership, leafNodeTerm,
-			sc, opt, r, &res.Comm, injector, downUntil)
-		if err != nil {
-			return nil, err
-		}
-		k := mapeq.CompactMembership(membership)
-		if level == 0 {
-			copy(res.Membership, membership)
-		} else {
-			for v := range res.Membership {
-				res.Membership[v] = membership[res.Membership[v]]
-			}
-		}
-		if moves == 0 || k == n || k == 1 {
-			break
-		}
-		flow, err = flow.Contract(membership, k)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	mem := append([]uint32(nil), res.Membership...)
-	k := mapeq.CompactMembership(mem)
-	copy(res.Membership, mem)
-	final, err := mapeq.NewState(baseFlow, mem, k)
-	if err != nil {
-		return nil, err
-	}
-	res.Codelength = final.Codelength()
-	res.NumModules = k
-	if res.Codelength > res.OneLevelCodelength {
-		for i := range res.Membership {
-			res.Membership[i] = 0
-		}
-		res.Codelength = res.OneLevelCodelength
-		res.NumModules = 1
-	}
-	res.Comm.ModeledCommSec = modeledCommTime(opt, res.Comm)
-	res.Fault = injector.Stats()
-	res.Work = sc.Stats()
-	return res, nil
+	cl.comm.ModeledCommSec = modeledCommTime(opt, cl.comm)
+	return &Result{Result: res, Comm: cl.comm, Fault: inj.Stats()}, nil
 }
 
 // modeledCommTime applies the alpha-beta model: each superstep performs an
@@ -264,7 +160,9 @@ func modeledCommTime(opt Options, c CommStats) float64 {
 	for p := 1; p < opt.Ranks; p <<= 1 {
 		logP++
 	}
-	latency := float64(c.Supersteps) * opt.AlphaSec * float64(logP)
+	// float64(...) rounds the product before the sum, so no target fuses
+	// the two into one multiply-add.
+	latency := float64(float64(c.Supersteps) * opt.AlphaSec * float64(logP))
 	transfer := float64(c.Bytes) / opt.BytePerSec
 	return latency + transfer + c.BackoffSec
 }
@@ -287,11 +185,21 @@ type flight struct {
 	resend   bool // waiting out a backoff timer, not in transit
 }
 
-// cluster is the per-level state of the simulated fault-tolerant BSP engine.
+// cluster is the simulated fault-tolerant BSP engine. One value serves a
+// whole run, so supersteps, communication and crash downtime count
+// globally across levels and outer iterations; the per-rank ghost,
+// checkpoint and network state is rebuilt at every level entry.
 type cluster struct {
-	opt   Options
-	inj   *fault.Injector
-	comm  *CommStats
+	opt  Options
+	inj  *fault.Injector
+	comm CommStats
+	// downUntil[rk] (global supersteps) is when a crashed rank comes back,
+	// so a rank can stay down across a level boundary.
+	downUntil []int
+	// rankState is the one evaluation state every rank's snapshot is
+	// rebuilt into before the rank evaluates.
+	rankState mapeq.State
+
 	ranks int
 	// ghosts[rk] is rank rk's view of the global membership, updated only by
 	// its own commits and by delivered delta batches — stale whenever the
@@ -305,9 +213,7 @@ type cluster struct {
 	// recovery replays the suffix after the restored checkpoint.
 	deltaLog [][]delta
 	pending  []flight
-	// downUntil[rk] (global supersteps, shared across levels) is when a
-	// crashed rank comes back; needsRecovery marks it for checkpoint restore.
-	downUntil     []int
+	// needsRecovery marks a rank for checkpoint restore once it is back.
 	needsRecovery []bool
 }
 
@@ -350,8 +256,10 @@ func (c *cluster) send(gs, step, from, to, attempt int, deltas []delta) {
 			backoff = c.opt.MaxRetryBackoff
 		}
 		backoff += c.inj.RetryJitter(gs, from, to, attempt, backoff)
-		rtt := 2*c.opt.AlphaSec + float64(bytes)/c.opt.BytePerSec
-		c.comm.BackoffSec += rtt * float64(uint64(1)<<uint(min(attempt, 16)))
+		// Each product is rounded on its own (float64(x*y)), so no target
+		// fuses it into the sum and the bits are the same on every GOARCH.
+		rtt := float64(2*c.opt.AlphaSec) + float64(bytes)/c.opt.BytePerSec
+		c.comm.BackoffSec += float64(rtt * float64(uint64(1)<<uint(min(attempt, 16))))
 		c.pending = append(c.pending, flight{from: from, to: to, due: step + backoff, gs: gs, attempt: attempt + 1, deltas: deltas, resend: true})
 	}
 }
@@ -393,194 +301,201 @@ func (c *cluster) down(rk, gs int) bool {
 	return rk < len(c.downUntil) && gs < c.downUntil[rk]
 }
 
-// optimizeLevelDistributed runs BSP supersteps on one level. Each rank owns
-// a contiguous vertex block and evaluates moves against its own ghost copy
-// of the global membership (stale within the superstep — and beyond it when
-// the injector drops or delays deltas — exactly as a real distributed
-// implementation's ghost state is). Deltas are committed against the
-// authoritative state at the superstep boundary and broadcast through the
-// simulated network.
-func optimizeLevelDistributed(ctx context.Context, flow *mapeq.Flow, membership []uint32,
-	leafNodeTerm float64, sc *infomap.Scanner, opt Options, r *rng.RNG, comm *CommStats,
-	inj *fault.Injector, downUntil []int) (uint64, error) {
+// optimizeLevel is the cluster's infomap.LevelOptimizer: it runs BSP
+// supersteps on one level. Each rank owns a contiguous vertex block and
+// evaluates moves against its own ghost copy of the global membership
+// (stale within the superstep — and beyond it when the injector drops or
+// delays deltas — exactly as a real distributed implementation's ghost
+// state is). Deltas are committed against the authoritative state truth at
+// the superstep boundary and broadcast through the simulated network.
+// Ranks run one after another on scanners[0].
+func (c *cluster) optimizeLevel(ctx context.Context, truth *mapeq.State, flow *mapeq.Flow,
+	scanners []*infomap.Scanner, r *rng.RNG, level int, res *infomap.Result, lv *obs.Span,
+	frozen []bool) (sweeps int, totalMoves uint64, err error) {
 
 	n := flow.G.N()
-	truth, err := mapeq.NewState(flow, membership, n)
-	if err != nil {
-		return 0, err
-	}
-	truth.OverrideNodeTerm(leafNodeTerm)
-
-	ranks := opt.Ranks
-	if ranks > n {
-		ranks = n
-	}
+	membership := truth.Membership()
+	sc := scanners[0]
+	ranks := min(c.opt.Ranks, n)
 	// Block partition (HyPC-Map distributes contiguous vertex ranges).
+	// Frozen leaf vertices belong to no block: they propose nothing.
 	blocks := make([][]uint32, ranks)
 	chunk := (n + ranks - 1) / ranks
-	for rk := 0; rk < ranks; rk++ {
-		lo := rk * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for v := lo; v < hi; v++ {
-			blocks[rk] = append(blocks[rk], uint32(v))
+	for v := 0; v < n; v++ {
+		if frozen == nil || !frozen[v] {
+			blocks[v/chunk] = append(blocks[v/chunk], uint32(v))
 		}
 	}
 
-	cl := &cluster{
-		opt:           opt,
-		inj:           inj,
-		comm:          comm,
-		ranks:         ranks,
-		ghosts:        make([][]uint32, ranks),
-		ckpt:          make([][]uint32, ranks),
-		ckptStep:      make([]int, ranks),
-		downUntil:     downUntil,
-		needsRecovery: make([]bool, ranks),
-	}
+	c.ranks = ranks
+	c.ghosts = make([][]uint32, ranks)
+	c.ckpt = make([][]uint32, ranks)
+	c.ckptStep = make([]int, ranks)
+	c.deltaLog = nil
+	c.pending = nil
+	c.needsRecovery = make([]bool, ranks)
 	for rk := 0; rk < ranks; rk++ {
-		cl.ghosts[rk] = append([]uint32(nil), membership...)
-		cl.ckpt[rk] = append([]uint32(nil), membership...)
+		c.ghosts[rk] = append([]uint32(nil), membership...)
+		c.ckpt[rk] = append([]uint32(nil), membership...)
 		// A rank that entered this level mid-downtime recovers from the
 		// level-start state once its downtime expires.
-		if cl.down(rk, comm.Supersteps) {
-			cl.needsRecovery[rk] = true
+		if c.down(rk, c.comm.Supersteps) {
+			c.needsRecovery[rk] = true
 		}
 	}
 
-	totalMoves := uint64(0)
 	prevL := truth.Codelength()
-	// One evaluation state serves every rank's snapshot: each rank rebuilds
-	// it from its ghost membership before evaluating.
-	rankState := new(mapeq.State)
 	snapshot := make([]uint32, n)
-	for step := 0; step < opt.MaxSupersteps; step++ {
+	for step := 0; step < c.opt.Infomap.MaxSweeps; step++ {
 		if err := ctx.Err(); err != nil {
-			return totalMoves, err
+			return sweeps, totalMoves, err
 		}
-		gs := comm.Supersteps // global superstep id (spans levels)
-		comm.Supersteps++
+		gs := c.comm.Supersteps // global superstep id (spans levels)
+		c.comm.Supersteps++
+		pre := sc.Stats()
+		sw := lv.Child("sweep")
+		sw.SetUint("sweep", uint64(step))
+		sw.SetUint("superstep", uint64(gs))
 
 		// 1. Scheduled crashes: the rank loses its volatile ghost state and
 		// goes silent for the injector's downtime window.
 		for rk := 0; rk < ranks; rk++ {
-			if !cl.down(rk, gs) && inj.CrashesAt(rk, gs) {
-				downUntil[rk] = gs + inj.DownFor()
-				cl.needsRecovery[rk] = true
+			if !c.down(rk, gs) && c.inj.CrashesAt(rk, gs) {
+				c.downUntil[rk] = gs + c.inj.DownFor()
+				c.needsRecovery[rk] = true
 			}
 		}
 
 		// 2. Recoveries: a rank whose downtime expired restores its last
 		// checkpoint and replays the deltas the cluster committed since.
 		for rk := 0; rk < ranks; rk++ {
-			if cl.needsRecovery[rk] && !cl.down(rk, gs) {
-				copy(cl.ghosts[rk], cl.ckpt[rk])
+			if c.needsRecovery[rk] && !c.down(rk, gs) {
+				copy(c.ghosts[rk], c.ckpt[rk])
 				replayed := 0
-				for ls := cl.ckptStep[rk]; ls < step; ls++ {
-					for _, d := range cl.deltaLog[ls] {
-						cl.ghosts[rk][d.v] = d.m
+				for ls := c.ckptStep[rk]; ls < step; ls++ {
+					for _, d := range c.deltaLog[ls] {
+						c.ghosts[rk][d.v] = d.m
 						replayed++
 					}
 				}
-				comm.RedeliveredBytes += uint64(replayed) * uint64(opt.BytesPerUpdate)
-				comm.Recoveries++
-				cl.needsRecovery[rk] = false
+				c.comm.RedeliveredBytes += uint64(replayed) * uint64(c.opt.BytesPerUpdate)
+				c.comm.Recoveries++
+				c.needsRecovery[rk] = false
 			}
 		}
 
 		// 3. The network delivers (or retransmits) everything due.
-		cl.deliverDue(step, gs)
+		c.deliverDue(step, gs)
 
 		// 4. Proposal phase: each live rank evaluates its block against its
 		// own ghost membership. Down ranks are skipped — their vertices stay
 		// put while the rest of the cluster degrades gracefully.
+		fbc := sw.Child(trace.KernelFindBestCommunity)
 		type proposal struct {
 			v      uint32
 			target uint32
 		}
 		proposals := make([][]proposal, ranks)
+		active := 0
 		for rk := 0; rk < ranks; rk++ {
-			if cl.down(rk, gs) || cl.needsRecovery[rk] {
+			if c.down(rk, gs) || c.needsRecovery[rk] {
 				continue
 			}
-			copy(snapshot, cl.ghosts[rk])
-			if _, err := rankState.Reset(flow, snapshot, n); err != nil {
-				return totalMoves, err
+			copy(snapshot, c.ghosts[rk])
+			if _, err := c.rankState.Reset(flow, snapshot, n); err != nil {
+				fbc.End()
+				sw.End()
+				return sweeps, totalMoves, err
 			}
-			rankState.OverrideNodeTerm(leafNodeTerm)
+			c.rankState.OverrideNodeTerm(truth.NodeTerm())
 			order := append([]uint32(nil), blocks[rk]...)
 			r.ShuffleUint32(order)
+			active += len(order)
 			for _, v := range order {
-				if t, _, ok := sc.FindBestCommunity(rankState, flow, int(v)); ok {
+				if t, _, ok := sc.FindBestCommunity(&c.rankState, flow, int(v)); ok {
 					proposals[rk] = append(proposals[rk], proposal{v: v, target: t})
 				}
 			}
 		}
+		fbc.End()
 
 		// 5. Superstep boundary: commit improving proposals on the true
 		// state (the ΔL re-check makes stale-ghost proposals harmless) and
 		// broadcast the resulting membership deltas through the network.
+		um := sw.Child(trace.KernelUpdateMembers)
 		moves := uint64(0)
 		stepDeltas := make([]delta, 0)
 		byOwner := make([][]delta, ranks)
 		for rk := 0; rk < ranks; rk++ {
 			for _, p := range proposals[rk] {
-				if truth.CommitMove(flow, int(p.v), p.target) {
+				if sc.CommitMove(truth, flow, int(p.v), p.target) {
 					moves++
 					dl := delta{v: p.v, m: p.target}
 					stepDeltas = append(stepDeltas, dl)
 					byOwner[rk] = append(byOwner[rk], dl)
 					// The owner sees its own commit immediately.
-					cl.ghosts[rk][p.v] = p.target
+					c.ghosts[rk][p.v] = p.target
 				}
 			}
 		}
 		truth.Refresh()
-		cl.deltaLog = append(cl.deltaLog, stepDeltas)
+		c.deltaLog = append(c.deltaLog, stepDeltas)
 		if ranks > 1 && moves > 0 {
-			comm.UpdatesSent += moves
+			c.comm.UpdatesSent += moves
 			for rk := 0; rk < ranks; rk++ {
 				if len(byOwner[rk]) == 0 {
 					continue
 				}
 				for dest := 0; dest < ranks; dest++ {
-					if dest == rk || cl.down(dest, gs) {
+					if dest == rk || c.down(dest, gs) {
 						// A dead peer gets the committed state back through
 						// its recovery replay, not the wire.
 						continue
 					}
-					cl.send(gs, step, rk, dest, 0, byOwner[rk])
+					c.send(gs, step, rk, dest, 0, byOwner[rk])
 				}
 			}
 		}
 
 		// 6. Checkpoint phase: every live rank persists its ghost view.
-		if (step+1)%opt.CheckpointEvery == 0 {
+		if (step+1)%c.opt.CheckpointEvery == 0 {
 			for rk := 0; rk < ranks; rk++ {
-				if cl.down(rk, gs) || cl.needsRecovery[rk] {
+				if c.down(rk, gs) || c.needsRecovery[rk] {
 					continue
 				}
-				copy(cl.ckpt[rk], cl.ghosts[rk])
-				cl.ckptStep[rk] = step + 1
-				comm.CheckpointBytes += uint64(n) * uint64(opt.BytesPerUpdate)
+				copy(c.ckpt[rk], c.ghosts[rk])
+				c.ckptStep[rk] = step + 1
+				c.comm.CheckpointBytes += uint64(n) * uint64(c.opt.BytesPerUpdate)
 			}
 		}
+		um.SetUint("moves", moves)
+		um.End()
 
-		totalMoves += moves
+		post := sc.Stats()
+		res.SweepLog = append(res.SweepLog, trace.Sweep{
+			Level: level,
+			Stats: post.Accum.Sub(pre.Accum),
+			Work:  post.Work.Sub(pre.Work),
+		})
 		l := truth.Codelength()
+		sw.SetUint("active", uint64(active))
+		sw.SetUint("moves", moves)
+		sw.SetFloat("codelength", l)
+		sw.End()
+
+		sweeps++
+		totalMoves += moves
 		// Termination requires a fully synchronized cluster: no batches in
 		// flight or awaiting retransmission, and no rank down or pending
 		// recovery. Declaring convergence earlier could freeze a partition
 		// that a recovering rank would still improve.
-		synced := len(cl.pending) == 0 && cl.allLive(gs+1)
-		if synced && (moves == 0 || prevL-l < opt.MinImprovement) {
+		synced := len(c.pending) == 0 && c.allLive(gs+1)
+		if synced && (moves == 0 || prevL-l < c.opt.Infomap.MinImprovement) {
 			break
 		}
 		prevL = l
 	}
-	return totalMoves, nil
+	return sweeps, totalMoves, nil
 }
 
 // allLive reports whether every rank is up and fully recovered at the given
@@ -592,12 +507,4 @@ func (c *cluster) allLive(gs int) bool {
 		}
 	}
 	return true
-}
-
-// Compare runs the shared-memory engine on the same graph for quality
-// comparison (convenience for the harness).
-func Compare(g *graph.Graph, seed uint64) (*infomap.Result, error) {
-	opt := infomap.DefaultOptions()
-	opt.Seed = seed
-	return infomap.Run(g, opt)
 }

@@ -1,13 +1,17 @@
 package dist
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
 	"github.com/asamap/asamap/internal/gen"
 	"github.com/asamap/asamap/internal/graph"
+	"github.com/asamap/asamap/internal/infomap"
 	"github.com/asamap/asamap/internal/metrics"
+	"github.com/asamap/asamap/internal/obs"
 	"github.com/asamap/asamap/internal/rng"
+	"github.com/asamap/asamap/internal/trace"
 )
 
 func plantedGraph(t *testing.T) (*graph.Graph, []uint32) {
@@ -17,6 +21,66 @@ func plantedGraph(t *testing.T) (*graph.Graph, []uint32) {
 		t.Fatal(err)
 	}
 	return g, mem
+}
+
+// runTraced runs g under a fresh tracer and returns the result with its
+// canonical span tree, after checking the tree's shape: one run span whose
+// levels hold one sweep span per superstep, each with a FindBestCommunity
+// and an UpdateMembers child, and one SweepLog entry per sweep. It also
+// checks that every committed move is counted as MovesApplied work.
+func runTraced(t *testing.T, g *graph.Graph, opt Options) (*Result, []byte) {
+	t.Helper()
+	tr := obs.New(obs.Config{Seed: 5})
+	root := tr.Begin("dist")
+	opt.Infomap.Trace = root
+	res, err := Run(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	j, err := tr.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []*obs.TreeNode
+	if err := json.Unmarshal(j, &roots); err != nil {
+		t.Fatal(err)
+	}
+	if len(roots) != 1 || len(roots[0].Children) != 1 || roots[0].Children[0].Name != "run" {
+		t.Fatalf("want dist → run, got %+v", roots)
+	}
+	levels, sweeps := 0, 0
+	for _, lv := range roots[0].Children[0].Children {
+		if lv.Name != "level" {
+			continue
+		}
+		levels++
+		for _, sw := range lv.Children {
+			if sw.Name != "sweep" {
+				continue
+			}
+			sweeps++
+			if len(sw.Children) != 2 || sw.Children[0].Name != trace.KernelFindBestCommunity ||
+				sw.Children[1].Name != trace.KernelUpdateMembers {
+				t.Fatalf("sweep children %+v, want FindBestCommunity and UpdateMembers", sw.Children)
+			}
+		}
+	}
+	if levels != res.Levels || sweeps != res.Sweeps || len(res.SweepLog) != res.Sweeps ||
+		res.Sweeps != res.Comm.Supersteps {
+		t.Fatalf("%d level and %d sweep spans, %d SweepLog entries, %d supersteps; result has %d levels, %d sweeps",
+			levels, sweeps, len(res.SweepLog), res.Comm.Supersteps, res.Levels, res.Sweeps)
+	}
+	// Every committed move is priced as move-apply work, per run and per
+	// superstep.
+	var logged uint64
+	for _, s := range res.SweepLog {
+		logged += s.Work.MovesApplied
+	}
+	if w := res.TotalWork().MovesApplied; w != res.Moves || logged != res.Moves || res.Moves == 0 {
+		t.Fatalf("MovesApplied %d in TotalWork and %d in SweepLog, want Moves %d > 0", w, logged, res.Moves)
+	}
+	return res, j
 }
 
 func TestDistributedRecoversStructure(t *testing.T) {
@@ -52,7 +116,7 @@ func TestDistributedMatchesSharedMemoryQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Compare(g, opt.Seed)
+	s, err := infomap.Run(g, opt.Infomap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +156,12 @@ func TestCommunicationAccounting(t *testing.T) {
 	if r4.Comm.Supersteps == 0 {
 		t.Fatal("no supersteps counted")
 	}
+	// A superstep is one sweep of the driver: the traced run's span tree,
+	// SweepLog and Sweeps all count it.
+	traced, _ := runTraced(t, g, multi)
+	if traced.Comm != r4.Comm {
+		t.Fatalf("tracing changed the accounting: %+v vs %+v", traced.Comm, r4.Comm)
+	}
 }
 
 func TestMoreRanksMoreMessages(t *testing.T) {
@@ -126,10 +196,10 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(g, bad); err == nil {
 		t.Fatal("zero bandwidth accepted")
 	}
-	db := graph.NewBuilder(2, true)
-	_ = db.AddEdge(0, 1, 1)
-	if _, err := Run(db.Build(), DefaultOptions()); err == nil {
-		t.Fatal("directed graph accepted")
+	bad = DefaultOptions()
+	bad.Infomap.MaxSweeps = 0
+	if _, err := Run(g, bad); err == nil {
+		t.Fatal("MaxSweeps=0 accepted")
 	}
 }
 

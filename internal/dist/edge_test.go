@@ -50,7 +50,7 @@ func TestMoreRanksThanVerticesComm(t *testing.T) {
 	opt.Fault.CrashRank = 50
 	opt.Fault.CrashStep = 0
 	opt.Fault.CrashDownFor = 2
-	opt.MaxSupersteps = 100
+	opt.Infomap.MaxSweeps = 100
 	res, err = Run(b.Build(), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestAllVerticesOnOneRank(t *testing.T) {
 	opt.Fault.CrashRank = 0
 	opt.Fault.CrashStep = 1
 	opt.Fault.CrashDownFor = 2
-	opt.MaxSupersteps = 100
+	opt.Infomap.MaxSweeps = 100
 	res, err := Run(g, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 func faultOptions() Options {
 	opt := DefaultOptions()
 	opt.Ranks = 4
-	opt.MaxSupersteps = 200
+	opt.Infomap.MaxSweeps = 200
 	return opt
 }
 
@@ -71,10 +72,10 @@ func TestFaultScheduleMatrixPreservesCodelength(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(res.Codelength-free.Codelength) > fopt.MinImprovement {
+			if math.Abs(res.Codelength-free.Codelength) > fopt.Infomap.MinImprovement {
 				t.Fatalf("faulted codelength %.12f vs fault-free %.12f (diff %g > MinImprovement %g)",
 					res.Codelength, free.Codelength,
-					math.Abs(res.Codelength-free.Codelength), fopt.MinImprovement)
+					math.Abs(res.Codelength-free.Codelength), fopt.Infomap.MinImprovement)
 			}
 			if res.NumModules != 4 {
 				t.Fatalf("found %d modules under faults, want 4", res.NumModules)
@@ -169,29 +170,26 @@ func membershipBytes(m []uint32) []byte {
 
 // TestFaultReplayDeterminism extends the rng determinism guarantees to the
 // fault layer: the same Seed and the same fault schedule must reproduce a
-// byte-identical Membership, identical communication accounting and
-// identical scan work.
+// byte-identical Membership, identical communication accounting, identical
+// scan work and an identical canonical span tree.
 func TestFaultReplayDeterminism(t *testing.T) {
 	g, _ := plantedGraph(t)
 	for name, cfg := range faultMatrix() {
 		opt := faultOptions()
 		opt.Fault = cfg
-		a, err := Run(g, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		b, err := Run(g, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		a, atree := runTraced(t, g, opt)
+		b, btree := runTraced(t, g, opt)
 		if !bytes.Equal(membershipBytes(a.Membership), membershipBytes(b.Membership)) {
 			t.Fatalf("%s: memberships differ between identical replays", name)
 		}
 		if a.Comm != b.Comm || a.Fault != b.Fault {
 			t.Fatalf("%s: accounting differs between identical replays:\n%+v\n%+v", name, a.Comm, b.Comm)
 		}
-		if a.Work != b.Work {
-			t.Fatalf("%s: scan work differs between identical replays:\n%+v\n%+v", name, a.Work, b.Work)
+		if !reflect.DeepEqual(a.PerWorker, b.PerWorker) {
+			t.Fatalf("%s: scan work differs between identical replays:\n%+v\n%+v", name, a.PerWorker, b.PerWorker)
+		}
+		if !bytes.Equal(atree, btree) {
+			t.Fatalf("%s: canonical span trees differ between identical replays", name)
 		}
 	}
 }
@@ -240,7 +238,7 @@ func TestFixedScheduleDropIsRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Codelength-free.Codelength) > opt.MinImprovement {
+	if math.Abs(res.Codelength-free.Codelength) > opt.Infomap.MinImprovement {
 		t.Fatalf("single scheduled drop changed codelength: %.12f vs %.12f",
 			res.Codelength, free.Codelength)
 	}
@@ -305,7 +303,7 @@ func TestCrashOfEveryRankIndividually(t *testing.T) {
 		if res.Comm.Recoveries == 0 {
 			t.Fatalf("crash rank %d: no recovery", rk)
 		}
-		if math.Abs(res.Codelength-free.Codelength) > opt.MinImprovement {
+		if math.Abs(res.Codelength-free.Codelength) > opt.Infomap.MinImprovement {
 			t.Fatalf("crash rank %d: codelength %.12f vs fault-free %.12f",
 				rk, res.Codelength, free.Codelength)
 		}

@@ -19,9 +19,9 @@ func TestWarmStartIdentitySeedMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	opt.WarmStart = make([]uint32, g.N())
-	for i := range opt.WarmStart {
-		opt.WarmStart[i] = uint32(i)
+	opt.Infomap.WarmStart = make([]uint32, g.N())
+	for i := range opt.Infomap.WarmStart {
+		opt.Infomap.WarmStart[i] = uint32(i)
 	}
 	warm, err := Run(g, opt)
 	if err != nil {
@@ -44,7 +44,7 @@ func TestWarmStartFromConvergedPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	opt.WarmStart = cold.Membership
+	opt.Infomap.WarmStart = cold.Membership
 	warm, err := Run(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestWarmStartSurvivesFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := DefaultOptions()
-	clean.WarmStart = cold.Membership
+	clean.Infomap.WarmStart = cold.Membership
 	want, err := Run(g, clean)
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +103,46 @@ func TestWarmStartSurvivesFaults(t *testing.T) {
 func TestWarmStartValidation(t *testing.T) {
 	g, _ := plantedGraph(t)
 	opt := DefaultOptions()
-	opt.WarmStart = make([]uint32, g.N()-1)
+	opt.Infomap.WarmStart = make([]uint32, g.N()-1)
 	_, err := Run(g, opt)
 	if err == nil || !strings.Contains(err.Error(), "WarmStart") {
 		t.Fatalf("short WarmStart accepted: %v", err)
+	}
+}
+
+// TestWarmStartFrontier: the driver's warm-start frontier holds for the
+// cluster. A frontier that covers the whole graph is no restriction, so the
+// run is byte-identical to an unrestricted warm start; a 0-hop frontier
+// re-optimizes the touched vertices alone and freezes every other one.
+func TestWarmStartFrontier(t *testing.T) {
+	g, _ := plantedGraph(t)
+	cold, err := Run(g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched := []uint32{3, 77, 150, 199}
+	warm := func(seeds []uint32, hops int) *Result {
+		opt := DefaultOptions()
+		opt.Infomap.WarmStart = cold.Membership
+		opt.Infomap.FrontierSeeds = seeds
+		opt.Infomap.FrontierHops = hops
+		res, err := Run(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	free, whole := warm(nil, 0), warm(touched, g.N())
+	if math.Float64bits(whole.Codelength) != math.Float64bits(free.Codelength) ||
+		!reflect.DeepEqual(whole.Membership, free.Membership) ||
+		!reflect.DeepEqual(whole.SweepLog, free.SweepLog) || whole.Comm != free.Comm ||
+		whole.FrozenVertices != 0 || whole.FrontierSize != g.N() {
+		t.Fatalf("whole-graph frontier diverged from an unrestricted warm start: L %.12f vs %.12f, comm %+v vs %+v",
+			whole.Codelength, free.Codelength, whole.Comm, free.Comm)
+	}
+	zero := warm(touched, 0)
+	if want := g.N() - len(touched); zero.FrozenVertices != want || zero.FrontierSize != len(touched) {
+		t.Fatalf("0-hop frontier froze %d of %d vertices (frontier %d), want %d frozen",
+			zero.FrozenVertices, g.N(), zero.FrontierSize, want)
 	}
 }

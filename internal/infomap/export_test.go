@@ -8,14 +8,14 @@ import (
 	"github.com/asamap/asamap/internal/rng"
 )
 
-// OracleUndirected draws the random undirected graph the map-equation
-// oracle tests draw for (seed, n, m), self-loops and repeated edges
-// included, and returns it with a function that prices a two-level
+// Oracle draws the random graph the map-equation oracle tests draw for
+// (seed, n, m) and the flow kind (directed, kind), self-loops and repeated
+// edges included, and returns it with a function that prices a two-level
 // partition of it by the definition-level reference.
-func OracleUndirected(t testing.TB, seed uint64, n, m int) (*graph.Graph, func(membership []uint32) float64) {
+func Oracle(t testing.TB, seed uint64, n, m int, directed bool, kind Teleportation) (*graph.Graph, func(membership []uint32) float64) {
 	t.Helper()
-	c := newOracleCase(t, rng.New(seed), n, m, false, TeleportRecorded)
-	ref := refFlowOf(c.g.N(), c.edges, TeleportRecorded, false, nil, 0)
+	c := newOracleCase(t, rng.New(seed), n, m, directed, kind)
+	_, ref := c.flows(t)
 	return c.g, func(membership []uint32) float64 {
 		mem := append([]uint32(nil), membership...)
 		root := &HierNode{Children: make([]*HierNode, mapeq.CompactMembership(mem))}

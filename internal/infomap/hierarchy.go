@@ -92,7 +92,7 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 	if opt.Workers == 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	flat, flow, err := runContext(ctx, g, opt)
+	flat, flow, err := runContext(ctx, g, opt, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -209,7 +209,7 @@ func TestHierarchicalDepth2MatchesTwoLevel(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Workers = 1
 		opt.Teleport = row.teleport
-		flat, flow, err := runContext(context.Background(), g, opt)
+		flat, flow, err := runContext(context.Background(), g, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,28 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 // promptly without leaking worker goroutines. Worker panics are recovered
 // and surfaced as errors instead of crashing the process.
 func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
-	res, _, err := runContext(ctx, g, opt)
+	res, _, err := runContext(ctx, g, opt, nil)
+	return res, err
+}
+
+// A LevelOptimizer is the move phase of one level of a run: it moves the
+// vertices of flow between modules on st until the level converges and
+// returns the sweeps it ran and the moves it committed. st arrives Reset on
+// the level's starting membership, with the leaf node term. Each sweep
+// appends one trace.Sweep to res.SweepLog and opens one "sweep" span under
+// lv with a FindBestCommunity and an UpdateMembers child. frozen, non-nil
+// only at the leaf level of a frontier-restricted warm run, marks the
+// vertices that must not move. scanners are the run's candidate scans and
+// r its visitation-order source.
+type LevelOptimizer func(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, scanners []*Scanner,
+	r *rng.RNG, level int, res *Result, lv *obs.Span, frozen []bool) (sweeps int, moves uint64, err error)
+
+// RunWith is RunContext with optimize as every level's move phase in place
+// of the shared-memory parallel sweep. Everything else is the one driver:
+// the base flow, warm start and frontier, the level and outer loops,
+// contraction, the final evaluation and the span tree.
+func RunWith(ctx context.Context, g *graph.Graph, opt Options, optimize LevelOptimizer) (*Result, error) {
+	res, _, err := runContext(ctx, g, opt, optimize)
 	return res, err
 }
 
@@ -65,7 +86,8 @@ func BaseFlow(ctx context.Context, g *graph.Graph, opt Options) (*mapeq.Flow, er
 }
 
 // runContext is RunContext that also returns the base flow it ran on.
-func runContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, *mapeq.Flow, error) {
+// optimize nil selects the shared-memory sweep, optimizeLevel.
+func runContext(ctx context.Context, g *graph.Graph, opt Options, optimize LevelOptimizer) (*Result, *mapeq.Flow, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -114,6 +136,12 @@ func runContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, *map
 	}
 	pool := sched.NewPool(opt.Workers)
 	defer pool.Close()
+	if optimize == nil {
+		optimize = func(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, workers []*Scanner,
+			r *rng.RNG, level int, res *Result, lv *obs.Span, frozen []bool) (int, uint64, error) {
+			return optimizeLevel(ctx, st, flow, workers, pool, opt, r, level, res, lv, frozen)
+		}
+	}
 
 	res := &Result{Membership: make([]uint32, g.N())}
 	for i := range res.Membership {
@@ -223,10 +251,16 @@ func runContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, *map
 			// levels operate on contracted modules, where freezing would
 			// veto merges the map equation wants regardless of the delta.
 			var fz []bool
-			if level == 0 {
+			if level == 0 && frozen != nil {
 				fz = frozen
+				// Account the masked-out vertices once per level entry; the
+				// perf model prices each as a ~2-instruction mask test
+				// against the ~60 a full evaluation costs — the modeled
+				// saving of warm start.
+				workers[0].stats.Work.FrontierFrozen += uint64(res.FrozenVertices)
+				lv.SetUint("frontier_frozen", uint64(res.FrozenVertices))
 			}
-			sweeps, moves, err := optimizeLevel(ctx, st, flow, workers, pool, opt, r, level, res, lv, fz)
+			sweeps, moves, err := optimize(ctx, st, flow, workers, r, level, res, lv, fz)
 			res.Sweeps += sweeps
 			res.Moves += moves
 			lv.SetUint("sweeps", uint64(sweeps))
@@ -367,19 +401,8 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 	// first sweep and keeps neighbor activation from waking them later: the
 	// delta's influence can spread k hops, no further.
 	active := make([]bool, n)
-	frozenCount := uint64(0)
 	for i := range active {
 		active[i] = frozen == nil || !frozen[i]
-		if !active[i] {
-			frozenCount++
-		}
-	}
-	if frozenCount > 0 {
-		// Account the masked-out vertices once per level entry; the perf
-		// model prices each as a ~2-instruction mask test against the ~60 a
-		// full evaluation costs — the modeled saving of warm start.
-		workers[0].stats.Work.FrontierFrozen += frozenCount
-		lvSpan.SetUint("frontier_frozen", frozenCount)
 	}
 	order := make([]uint32, 0, n)
 	// Per-block proposal buffers, reused across sweeps. Proposals are kept
@@ -452,8 +475,7 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 				// improvements makes the codelength strictly decreasing and
 				// immune to the oscillations synchronous parallel updates are
 				// prone to.
-				if st.CommitMove(flow, v, p.target) {
-					workers[p.wid].stats.Work.MovesApplied++
+				if workers[p.wid].CommitMove(st, flow, v, p.target) {
 					moves++
 					// The moved vertex and its neighborhood become active —
 					// except vertices the warm-start frontier froze, which

@@ -84,6 +84,18 @@ func (s *Scanner) evaluateBlock(st *mapeq.State, f *mapeq.Flow, order []uint32, 
 	return dst
 }
 
+// CommitMove moves vertex v to module target on st when that still lowers
+// the codelength (mapeq.State.CommitMove) and counts the committed move as
+// the Scanner's MovesApplied work. Every engine commits through it, so the
+// perf model prices move-apply work the same on each.
+func (s *Scanner) CommitMove(st *mapeq.State, f *mapeq.Flow, v int, target uint32) bool {
+	if !st.CommitMove(f, v, target) {
+		return false
+	}
+	s.stats.Work.MovesApplied++
+	return true
+}
+
 // FindBestCommunity is Algorithm 1 (Baseline) / Algorithm 2 (ASA) of the
 // paper: accumulate per-module outgoing and incoming flow over vertex v's
 // adjacency under st's membership, then pick the module whose ΔL is most
