@@ -12,8 +12,8 @@ test:
 	$(GO) test ./...
 
 # lint runs the gofmt check, the repository's own analyzer suite
-# (determinism, entropy, cancellation, goroutine-join, and fingerprint
-# contracts) and go vet.
+# (determinism, entropy, cancellation, goroutine-join, fingerprint,
+# allocation, lock-order and reachability contracts) and go vet.
 lint: fmt-check
 	$(GO) run ./cmd/asalint ./...
 	$(GO) vet ./...
@@ -96,7 +96,7 @@ perfbench-check:
 # x*y + z into one instruction with one rounding, which changes result
 # bits; an explicit float64(x*y) conversion forbids it. Extend the list by
 # editing this line.
-FMA_PKGS := internal/dist
+FMA_PKGS := internal/dist internal/mapeq internal/pagerank internal/infomap
 FMA_ARCHS := arm64 riscv64 ppc64le
 
 # fma-check cross-compiles cmd/infomap for each of FMA_ARCHS and fails on

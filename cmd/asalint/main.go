@@ -9,7 +9,9 @@
 //
 // All packages load through one loader into one shared call graph, so the
 // interprocedural analyzers (hotalloc, lockorder, ctxflow, goexit) see
-// cross-package edges. Diagnostics print as file:line:col: analyzer: message
+// cross-package edges; a run over every package of the module, such as
+// ./... from the root, also lets unreachable report functions no entry
+// point calls. Diagnostics print as file:line:col: analyzer: message
 // (or as a JSON document with -format json), and the exit code is 1 when
 // any were produced — so the command composes with CI the same way go vet
 // does. `-v` additionally surfaces type-check problems the loader tolerated.
@@ -102,10 +104,11 @@ func run(args []string, stdout io.Writer) int {
 	// One shared graph across every loaded package: interprocedural analyzers
 	// need cross-package edges (a hot root in internal/infomap reaching an
 	// accumulator in internal/hashtab; lock order spanning serve and cluster).
-	graph := analysis.BuildGraph(pkgs, nil)
+	graph := analysis.BuildGraph(pkgs)
+	graph.Whole = wholeModule(loader.ModuleRoot, patterns)
 	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := analysis.RunWithGraph(pkg, graph, analysis.All(), true)
+		diags, err := analysis.Run(pkg, graph, analysis.All(), true)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "asalint: %v\n", err)
 			exit = 2
@@ -144,6 +147,19 @@ func run(args []string, stdout io.Writer) int {
 		}
 	}
 	return exit
+}
+
+// wholeModule reports whether one of patterns walks the module rooted at
+// root, which loads every package of the module: only then can the
+// unreachable analyzer tell that a function has no caller.
+func wholeModule(root string, patterns []string) bool {
+	for _, pat := range patterns {
+		dir, recursive := strings.CutSuffix(pat, "/...")
+		if abs, err := filepath.Abs(dir); recursive && err == nil && root != "" && abs == root {
+			return true
+		}
+	}
+	return false
 }
 
 // relPath renders a diagnostic path module-root-relative with forward

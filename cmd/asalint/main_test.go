@@ -98,7 +98,7 @@ func TestJSONOutputDeterministic(t *testing.T) {
 }
 
 // BenchmarkAsalintRepo measures one whole-repository lint run — load, graph
-// build, all eight analyzers — and doubles as the repo-clean regression in
+// build, every analyzer — and doubles as the repo-clean regression in
 // bench-smoke (one iteration must exit 0).
 func BenchmarkAsalintRepo(b *testing.B) {
 	root := repoRoot(b)
@@ -108,5 +108,27 @@ func BenchmarkAsalintRepo(b *testing.B) {
 		if code := run([]string{pattern}, &buf); code != 0 {
 			b.Fatalf("asalint exit %d on the repository:\n%s", code, buf.String())
 		}
+	}
+}
+
+// TestWholeModule pins when a run may report unreachable functions: only
+// when a pattern walks the whole module.
+func TestWholeModule(t *testing.T) {
+	root := repoRoot(t)
+	for _, c := range []struct {
+		patterns []string
+		want     bool
+	}{
+		{[]string{root + "/..."}, true},
+		{[]string{root + "/internal/infomap", root + "/..."}, true},
+		{[]string{root + "/internal/..."}, false},
+		{[]string{root}, false},
+	} {
+		if got := wholeModule(root, c.patterns); got != c.want {
+			t.Errorf("wholeModule(%q) = %v, want %v", c.patterns, got, c.want)
+		}
+	}
+	if wholeModule("", []string{"/..."}) {
+		t.Error("a run outside any module covers it")
 	}
 }

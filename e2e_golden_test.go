@@ -196,8 +196,8 @@ func TestE2EWarmStartGoldenWorkerInvariance(t *testing.T) {
 // cancellation contracts the goldens above observe at the process boundary
 // are proved structurally here: any new unsorted map iteration on a result
 // path, wall-clock read outside internal/clock, unjustified
-// context.Background(), untracked goroutine, or unhashed Options field
-// turns this test red.
+// context.Background(), untracked goroutine, unhashed Options field, or
+// function no entry point reaches turns this test red.
 func TestE2ELintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs go run; skipped in -short mode")

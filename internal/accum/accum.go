@@ -110,8 +110,6 @@ type Accumulator interface {
 	Reset()
 	// Stats returns cumulative event counts since construction.
 	Stats() Stats
-	// Name identifies the implementation in reports.
-	Name() string
 }
 
 // MapAccumulator is the reference implementation backed by Go's built-in
@@ -176,8 +174,5 @@ func (a *MapAccumulator) Reset() {
 
 // Stats implements Accumulator.
 func (a *MapAccumulator) Stats() Stats { return a.stats }
-
-// Name implements Accumulator.
-func (a *MapAccumulator) Name() string { return "gomap" }
 
 var _ Accumulator = (*MapAccumulator)(nil)

@@ -24,9 +24,6 @@ func TestMapAccumulator(t *testing.T) {
 	if len(a.Gather(nil)) != 0 {
 		t.Fatal("reset left entries")
 	}
-	if a.Name() != "gomap" {
-		t.Fatal("name wrong")
-	}
 }
 
 func TestStatsAdd(t *testing.T) {

@@ -25,6 +25,12 @@
 //     the repo-wide steady-state-alloc-free contract
 //   - lockorder:   mutex acquisition-order cycles across the service tier,
 //     locks re-acquired while held, and locks held across blocking operations
+//   - unreachable: declared functions that no entry point reaches through the
+//     call graph; the roots are every main and init, every package
+//     initializer, and the exported API declared by importable packages
+//     (the root package asamap). It runs only over a graph of the whole
+//     module and does not report in perfbench or in test-support packages
+//     (names ending in "test")
 //   - suppress:    //asalint suppression comments with no written
 //     justification
 //
@@ -53,7 +59,7 @@ import (
 
 // All returns the full asalint analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detorder, Entropy, Ctxflow, Goexit, Fingerprint, Hotalloc, Lockorder, Suppress}
+	return []*Analyzer{Detorder, Entropy, Ctxflow, Goexit, Fingerprint, Hotalloc, Lockorder, Unreachable, Suppress}
 }
 
 // Diagnostic is one analyzer finding at a resolved source position.
@@ -80,6 +86,10 @@ type Analyzer struct {
 	// bypasses it so fixtures exercise the check directly. Nil means all
 	// packages.
 	AppliesTo func(pkgPath string) bool
+	// Whole marks an analyzer that reasons about the absence of callers:
+	// it runs only when Pass.Graph is Whole, and its suppressions count as
+	// unused only then.
+	Whole bool
 	// Run performs the check, reporting findings through the pass.
 	Run func(*Pass) error
 }
@@ -107,10 +117,11 @@ type Pass struct {
 	// PkgName is the package name from the package clause.
 	PkgName string
 	// Graph is the call graph over every package of this run. In the
-	// multichecker it spans the whole repository, so interprocedural
-	// analyzers see cross-package edges; under analysistest it covers just
-	// the fixture package. Analyzers must report only at positions inside
-	// this pass's package — the driver runs them once per package.
+	// multichecker it spans the loaded packages (Whole for a ./... run), so
+	// interprocedural analyzers see cross-package edges; under analysistest
+	// it covers just the fixture package, a whole program. Analyzers must
+	// report only at positions inside this pass's package — the driver runs
+	// them once per package.
 	Graph *callgraph.Graph
 
 	supp  *suppressions
@@ -155,37 +166,30 @@ func UnitOf(pkg *Package) *callgraph.Unit {
 }
 
 // BuildGraph builds the shared call graph over pkgs (all loaded by one
-// loader). cache may be nil; a reused cache skips re-summarizing functions
-// whose bodies are unchanged since the previous build.
-func BuildGraph(pkgs []*Package, cache *callgraph.Cache) *callgraph.Graph {
+// loader). The caller sets its Whole field when pkgs are the whole program.
+func BuildGraph(pkgs []*Package) *callgraph.Graph {
 	units := make([]*callgraph.Unit, 0, len(pkgs))
 	for _, pkg := range pkgs {
 		units = append(units, UnitOf(pkg))
 	}
-	return callgraph.Build(units, cache)
+	return callgraph.Build(units)
 }
 
-// Run executes analyzers over pkg, applying suppression comments and
-// reporting unused suppressions, and returns the diagnostics sorted by
-// position. When respectScope is true, analyzers whose AppliesTo rejects the
-// package path are skipped (the multichecker); analysistest passes false so
-// fixtures always exercise the analyzer under test.
-//
-// The call graph is built over pkg alone; drivers that load several packages
-// should build one shared graph and use RunWithGraph so interprocedural
-// analyzers see cross-package edges.
-func Run(pkg *Package, analyzers []*Analyzer, respectScope bool) ([]Diagnostic, error) {
-	return RunWithGraph(pkg, BuildGraph([]*Package{pkg}, nil), analyzers, respectScope)
-}
-
-// RunWithGraph is Run with an externally built (usually multi-package) call
-// graph.
-func RunWithGraph(pkg *Package, graph *callgraph.Graph, analyzers []*Analyzer, respectScope bool) ([]Diagnostic, error) {
+// Run executes analyzers over pkg with the call graph of every package of
+// the run, applying suppression comments and reporting unused suppressions,
+// and returns the diagnostics sorted by position. When respectScope is true,
+// analyzers whose AppliesTo rejects the package path are skipped (the
+// multichecker); analysistest passes false so fixtures always exercise the
+// analyzer under test.
+func Run(pkg *Package, graph *callgraph.Graph, analyzers []*Analyzer, respectScope bool) ([]Diagnostic, error) {
 	supp := collectSuppressions(pkg.Fset, pkg.Files)
 	var diags []Diagnostic
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		if respectScope && a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
+			continue
+		}
+		if a.Whole && !graph.Whole {
 			continue
 		}
 		ran[a.tag()] = true

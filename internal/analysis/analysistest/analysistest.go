@@ -53,7 +53,10 @@ func RunAnalyzers(t *testing.T, testdata string, analyzers []*analysis.Analyzer,
 			// scope predicates (which treat slash-free paths as fixtures)
 			// working even though testdata sits inside the module tree.
 			loaded.Path = filepath.Base(dir)
-			diags, err := analysis.Run(loaded, analyzers, false)
+			// A fixture package is a whole program.
+			graph := analysis.BuildGraph([]*analysis.Package{loaded})
+			graph.Whole = true
+			diags, err := analysis.Run(loaded, graph, analyzers, false)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -37,6 +37,48 @@ func TestLockorder(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Lockorder, "lockorder")
 }
 
+func TestUnreachable(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.Unreachable, "unreachable", "supporttest")
+}
+
+// TestUnreachableNeedsWholeProgram runs unreachable over internal/infomap
+// alone. As a whole program it would report the exported functions that
+// only other packages call, so on the partial graph of a subset run it must
+// not run at all, nor count its suppressions as unused.
+func TestUnreachableNeedsWholeProgram(t *testing.T) {
+	dir := repoPath(t, "internal", "infomap")
+	loader, err := analysis.NewLoader(dir)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkg, err := loader.LoadDir(dir)
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	graph := analysis.BuildGraph([]*analysis.Package{pkg})
+	diags, err := analysis.Run(pkg, graph, analysis.All(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("partial graph: %v", d)
+	}
+	graph.Whole = true
+	diags, err = analysis.Run(pkg, graph, analysis.All(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreachable := 0
+	for _, d := range diags {
+		if d.Analyzer == "unreachable" {
+			unreachable++
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("internal/infomap as a whole program reports nothing, so the silence above shows nothing")
+	}
+}
+
 // TestSuppressionContract proves //asalint:ordered silences exactly one
 // line and is reported when it silences nothing (the fixture encodes both).
 func TestSuppressionContract(t *testing.T) {

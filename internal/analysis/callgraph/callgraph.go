@@ -15,12 +15,17 @@
 //   - Conservative where dynamic: a call through an interface fans out to
 //     every indexed concrete method that implements the interface; a method
 //     or function referenced as a value gets a Ref edge (it may be called by
-//     whoever receives it); a call through a plain func variable resolves to
-//     nothing (the analyzers under-approximate rather than guess).
+//     whoever receives it); a concrete value converted to an interface
+//     declared outside the graph gets Ref edges to the methods that code
+//     outside the graph may call on it; a call through a plain func variable
+//     resolves to nothing (the analyzers under-approximate rather than
+//     guess).
+//   - Complete per package: each package has one initializer node,
+//     "<pkg>.init", that owns the package-level var initializers (their
+//     calls, function values and literals) and calls the declared init
+//     functions, "<pkg>.init#1", "<pkg>.init#2", ... in source order.
 //   - Cheap: one pass per function body builds nodes and edges; summaries are
-//     computed lazily and may be shared across builds through a Cache keyed
-//     by a structural hash of the function body, so unchanged functions are
-//     never re-summarized.
+//     computed lazily, once per function.
 package callgraph
 
 import (
@@ -101,7 +106,8 @@ type Node struct {
 	Name    string
 	PkgPath string
 	Unit    *Unit
-	// Decl is set for declared functions, Lit for function literals.
+	// Decl is set for declared functions, Lit for function literals; both
+	// are nil for a package initializer.
 	Decl *ast.FuncDecl
 	Lit  *ast.FuncLit
 	// Obj is the type-checker object for declared functions (nil for
@@ -110,7 +116,18 @@ type Node struct {
 	// Out is the ordered outgoing edge list.
 	Out []Edge
 
+	// vars holds a package initializer's package-level var declarations.
+	vars    []ast.Node
 	summary *Summary
+}
+
+// syntax returns the trees whose code runs as n: a function's body, or a
+// package initializer's var declarations.
+func (n *Node) syntax() []ast.Node {
+	if b := n.Body(); b != nil {
+		return []ast.Node{b}
+	}
+	return n.vars
 }
 
 // Body returns the function body block (nil for bodyless declarations).
@@ -150,11 +167,23 @@ func (n *Node) Pos() token.Pos {
 type Graph struct {
 	Fset  *token.FileSet
 	Units []*Unit
+	// Whole is set by the caller when Units are the whole program: every
+	// package of the module. Only then does a function with no caller in
+	// the graph have none at all.
+	Whole bool
 
 	nodes  map[string]*Node
 	sorted []*Node // nodes sorted by ID, built once
 	byObj  map[*types.Func]*Node
-	cache  *Cache
+	// bySyntax maps each *ast.FuncDecl and *ast.FuncLit to its node.
+	bySyntax map[ast.Node]*Node
+	// pkgs holds the type-checked packages of Units: an interface declared
+	// in none of them is called from outside the graph.
+	pkgs map[*types.Package]bool
+	// outsideByMethod indexes the interfaces declared outside the graph by
+	// first method name; viaOutside memoizes viaOutsideInterfaces.
+	outsideByMethod map[string][]*types.Interface
+	viaOutside      map[*types.TypeName][]*Node
 
 	// methodIndex maps method name -> candidate concrete methods, for
 	// interface fan-out.
@@ -170,15 +199,15 @@ type methodCandidate struct {
 	node *Node
 }
 
-// Build constructs the graph over units. cache may be nil (no summary
-// sharing); a non-nil cache may be reused across Builds to skip
-// re-summarizing unchanged functions.
-func Build(units []*Unit, cache *Cache) *Graph {
+// Build constructs the graph over units.
+func Build(units []*Unit) *Graph {
 	g := &Graph{
 		Units:       units,
 		nodes:       make(map[string]*Node),
 		byObj:       make(map[*types.Func]*Node),
-		cache:       cache,
+		bySyntax:    make(map[ast.Node]*Node),
+		pkgs:        make(map[*types.Package]bool),
+		viaOutside:  make(map[*types.TypeName][]*Node),
 		methodIndex: make(map[string][]*methodCandidate),
 		transLocks:  make(map[*Node][]LockOp),
 		transBlocks: make(map[*Node][]BlockOp),
@@ -186,23 +215,38 @@ func Build(units []*Unit, cache *Cache) *Graph {
 	if len(units) > 0 {
 		g.Fset = units[0].Fset
 	}
-	// Pass 1: declared functions and their nested literals become nodes.
+	// Pass 1: declared functions, package initializers and their nested
+	// literals become nodes.
 	for _, u := range units {
+		if u.Pkg != nil {
+			g.pkgs[u.Pkg] = true
+		}
+		pkgInit := &Node{ID: u.Path + ".init", Name: "init", PkgPath: u.Path, Unit: u}
+		g.nodes[pkgInit.ID] = pkgInit
+		inits, lits := 0, 0
 		for _, f := range u.Files {
-			litCount := 0 // file-level literal counter for init-scoped lits
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					g.addDecl(u, d)
+					if d.Recv == nil && d.Name.Name == "init" {
+						inits++
+						n := g.addDecl(u, fmt.Sprintf("%s.init#%d", u.Path, inits), d)
+						pkgInit.Out = append(pkgInit.Out, Edge{Site: d.Pos(), Kind: Static, Callee: n})
+					} else {
+						g.addDecl(u, u.Path+"."+declName(d), d)
+					}
 				case *ast.GenDecl:
+					if d.Tok != token.VAR {
+						continue
+					}
 					// Function literals in package-level declarations (var
-					// handler = func(){...}) hang off a per-file init node.
+					// handler = func(){...}) hang off the initializer,
+					// numbered in source order across the package's files.
+					pkgInit.vars = append(pkgInit.vars, d)
 					ast.Inspect(d, func(n ast.Node) bool {
 						if lit, ok := n.(*ast.FuncLit); ok {
-							id := fmt.Sprintf("%s.init$%d", u.Path, litCount)
-							litCount++
-							g.addLit(u, id, lit)
-							return false
+							g.addLit(u, fmt.Sprintf("%s.init$%d", u.Path, lits), lit)
+							lits++
 						}
 						return true
 					})
@@ -212,30 +256,14 @@ func Build(units []*Unit, cache *Cache) *Graph {
 	}
 	g.buildMethodIndex()
 	// Pass 2: edges.
-	for _, u := range units {
-		for _, f := range u.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					if node := g.declNode(u, fd); node != nil {
-						g.buildEdges(node)
-					}
-				}
-			}
-		}
-	}
-	// Literal nodes collected in pass 1 get their edges too (their parents'
-	// buildEdges only links Closure edges to them).
 	for _, n := range g.nodesSorted() {
-		if n.Lit != nil {
-			g.buildEdges(n)
-		}
+		g.buildEdges(n)
 	}
 	return g
 }
 
-// addDecl registers fd and its nested literals.
-func (g *Graph) addDecl(u *Unit, fd *ast.FuncDecl) {
-	id := u.Path + "." + declName(fd)
+// addDecl registers fd under id, with its nested literals.
+func (g *Graph) addDecl(u *Unit, id string, fd *ast.FuncDecl) *Node {
 	n := &Node{
 		ID:      id,
 		Name:    declName(fd),
@@ -250,6 +278,7 @@ func (g *Graph) addDecl(u *Unit, fd *ast.FuncDecl) {
 		}
 	}
 	g.nodes[id] = n
+	g.bySyntax[fd] = n
 	// Nested literals, numbered in source order.
 	if fd.Body != nil {
 		count := 0
@@ -265,6 +294,7 @@ func (g *Graph) addDecl(u *Unit, fd *ast.FuncDecl) {
 			return true
 		})
 	}
+	return n
 }
 
 func (g *Graph) addLit(u *Unit, id string, lit *ast.FuncLit) {
@@ -272,13 +302,15 @@ func (g *Graph) addLit(u *Unit, id string, lit *ast.FuncLit) {
 	if i := strings.LastIndex(id, "."); i >= 0 {
 		name = id[i+1:]
 	}
-	g.nodes[id] = &Node{
+	n := &Node{
 		ID:      id,
 		Name:    name,
 		PkgPath: u.Path,
 		Unit:    u,
 		Lit:     lit,
 	}
+	g.nodes[id] = n
+	g.bySyntax[lit] = n
 }
 
 // declName renders a FuncDecl's graph name: "Func", "T.Method", or
@@ -307,17 +339,8 @@ func recvString(t ast.Expr) string {
 	return types.ExprString(t)
 }
 
-func (g *Graph) declNode(u *Unit, fd *ast.FuncDecl) *Node {
-	return g.nodes[u.Path+"."+declName(fd)]
-}
-
-// DeclNode returns the node for a declared function in unit path, or nil.
-func (g *Graph) DeclNode(pkgPath string, fd *ast.FuncDecl) *Node {
-	return g.nodes[pkgPath+"."+declName(fd)]
-}
-
-// NodeByID returns the node with the given stable ID, or nil.
-func (g *Graph) NodeByID(id string) *Node { return g.nodes[id] }
+// DeclNode returns the node for a declared function, or nil.
+func (g *Graph) DeclNode(fd *ast.FuncDecl) *Node { return g.bySyntax[fd] }
 
 // NodeFor returns the node for a type-checker function object, or nil.
 func (g *Graph) NodeFor(obj *types.Func) *Node {
@@ -384,21 +407,24 @@ func (g *Graph) dispatchTargets(iface *types.Interface, name string) []*Node {
 	return out
 }
 
-// buildEdges walks node's body (not descending into nested literals, which
-// own their statements) and resolves call and reference sites.
+// buildEdges walks node's code (not descending into nested literals, which
+// own their statements) and resolves call, reference and conversion sites.
 func (g *Graph) buildEdges(n *Node) {
-	body := n.Body()
-	if body == nil {
-		return
+	for _, root := range n.syntax() {
+		g.buildEdgesIn(n, root)
+		g.conversionEdges(n, root)
 	}
+}
+
+func (g *Graph) buildEdgesIn(n *Node, root ast.Node) {
 	info := n.Unit.Info
 	// funExprs marks expressions in call position so value references can be
 	// told apart from calls.
 	funExprs := map[ast.Expr]bool{}
 	skipLits := map[*ast.FuncLit]bool{}
-	ast.Inspect(body, func(x ast.Node) bool {
+	ast.Inspect(root, func(x ast.Node) bool {
 		if lit, ok := x.(*ast.FuncLit); ok {
-			if litNode := g.litNode(n, lit); litNode != nil {
+			if litNode := g.bySyntax[lit]; litNode != nil {
 				n.Out = append(n.Out, Edge{Site: lit.Pos(), Kind: Closure, Callee: litNode})
 			}
 			skipLits[lit] = true
@@ -407,13 +433,8 @@ func (g *Graph) buildEdges(n *Node) {
 		if call, ok := x.(*ast.CallExpr); ok {
 			fun := ast.Unparen(call.Fun)
 			funExprs[fun] = true
-			if lit, ok := fun.(*ast.FuncLit); ok {
-				// Immediately invoked literal: the Closure edge added when
-				// the literal is visited covers reachability; nothing more
-				// to resolve here.
-				_ = lit
-				return true
-			}
+			// An immediately invoked literal resolves to nothing here: the
+			// Closure edge added when the literal is visited covers it.
 			for _, t := range g.callTargets(info, call) {
 				n.Out = append(n.Out, Edge{Site: call.Lparen, Kind: t.kind, Callee: t.node})
 			}
@@ -424,7 +445,7 @@ func (g *Graph) buildEdges(n *Node) {
 	// A selector consumes its Sel identifier — the ident resolves to the same
 	// object and must not produce a second edge.
 	consumed := map[*ast.Ident]bool{}
-	ast.Inspect(body, func(x ast.Node) bool {
+	ast.Inspect(root, func(x ast.Node) bool {
 		if lit, ok := x.(*ast.FuncLit); ok && skipLits[lit] {
 			return false
 		}
@@ -453,42 +474,237 @@ func (g *Graph) buildEdges(n *Node) {
 	})
 }
 
-// litNode finds the registered node for a literal nested in parent.
-func (g *Graph) litNode(parent *Node, lit *ast.FuncLit) *Node {
-	// IDs were assigned in source order against the declared parent; rescan
-	// the same order to match. Parent may itself be a literal: literals are
-	// numbered against the enclosing *declared* function, so strip any $n
-	// suffix first.
-	baseID := parent.ID
-	if i := strings.Index(baseID, "$"); i >= 0 {
-		baseID = baseID[:i]
+// conversionEdges adds Ref edges for the methods that code outside the
+// graph may call on a concrete value converted, under root, to an interface
+// not declared in the graph: by assignment, return, call argument, channel
+// send, composite-literal element or explicit conversion. An interface
+// declared in the graph needs no such edge: its calls are in the graph and
+// fan out by Dispatch.
+func (g *Graph) conversionEdges(n *Node, root ast.Node) {
+	info := n.Unit.Info
+	if info == nil {
+		return
 	}
-	base := g.nodes[baseID]
-	if base == nil || base.Decl == nil || base.Decl.Body == nil {
-		// init-scoped literals: match by position.
-		for _, n := range g.nodesSorted() {
-			if n.Lit == lit {
-				return n
+	conv := func(to types.Type, e ast.Expr) {
+		if to == nil || !types.IsInterface(to) {
+			return
+		}
+		if named, ok := types.Unalias(to).(*types.Named); ok && g.pkgs[named.Obj().Pkg()] {
+			return
+		}
+		if from := info.TypeOf(e); from != nil && !types.IsInterface(from) {
+			for _, m := range g.outsideMethods(from) {
+				n.Out = append(n.Out, Edge{Site: e.Pos(), Kind: Ref, Callee: m})
 			}
 		}
-		return nil
 	}
-	count := 0
-	var found *Node
-	ast.Inspect(base.Decl.Body, func(x ast.Node) bool {
-		if found != nil {
+	var sig *types.Signature // nil for a package initializer
+	switch {
+	case n.Obj != nil:
+		sig = n.Obj.Type().(*types.Signature)
+	case n.Lit != nil:
+		sig, _ = info.TypeOf(n.Lit).(*types.Signature)
+	}
+	ast.Inspect(root, func(x ast.Node) bool {
+		switch s := x.(type) {
+		case *ast.FuncLit:
 			return false
-		}
-		if l, ok := x.(*ast.FuncLit); ok {
-			id := fmt.Sprintf("%s$%d", baseID, count)
-			count++
-			if l == lit {
-				found = g.nodes[id]
+		case *ast.AssignStmt:
+			if len(s.Lhs) == len(s.Rhs) {
+				for i := range s.Lhs {
+					conv(info.TypeOf(s.Lhs[i]), s.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			for _, v := range s.Values {
+				conv(info.TypeOf(s.Type), v)
+			}
+		case *ast.ReturnStmt:
+			if sig != nil && sig.Results().Len() == len(s.Results) {
+				for i, r := range s.Results {
+					conv(sig.Results().At(i).Type(), r)
+				}
+			}
+		case *ast.SendStmt:
+			if ch, ok := underlying(info.TypeOf(s.Chan)).(*types.Chan); ok {
+				conv(ch.Elem(), s.Value)
+			}
+		case *ast.CallExpr:
+			if tv := info.Types[s.Fun]; tv.IsType() {
+				if len(s.Args) == 1 {
+					conv(tv.Type, s.Args[0])
+				}
+				return true
+			}
+			fs, ok := underlying(info.TypeOf(s.Fun)).(*types.Signature)
+			if !ok {
+				return true
+			}
+			for i, a := range s.Args {
+				last := fs.Params().Len() - 1
+				switch {
+				case fs.Variadic() && i >= last && !s.Ellipsis.IsValid():
+					conv(fs.Params().At(last).Type().(*types.Slice).Elem(), a)
+				case i <= last:
+					conv(fs.Params().At(i).Type(), a)
+				}
+			}
+		case *ast.CompositeLit:
+			t := underlying(info.TypeOf(s))
+			for i, el := range s.Elts {
+				kv, keyed := el.(*ast.KeyValueExpr)
+				if keyed {
+					el = kv.Value
+				}
+				switch t := t.(type) {
+				case *types.Struct:
+					if !keyed && i < t.NumFields() {
+						conv(t.Field(i).Type(), el)
+					} else if id, ok := kv.Key.(*ast.Ident); keyed && ok {
+						if f, ok := info.Uses[id].(*types.Var); ok {
+							conv(f.Type(), el)
+						}
+					}
+				case *types.Map:
+					if keyed {
+						conv(t.Key(), kv.Key)
+					}
+					conv(t.Elem(), el)
+				case interface{ Elem() types.Type }: // slice or array
+					conv(t.Elem(), el)
+				}
 			}
 		}
 		return true
 	})
-	return found
+}
+
+func underlying(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	return t.Underlying()
+}
+
+// outsideMethods returns the nodes of the methods by which concrete type t,
+// or a type t contains, implements an interface declared outside the graph:
+// the methods code outside the graph can call once it holds a t. Outside
+// code such as fmt and encoding/json walks a value's fields by reflection
+// and calls String, Error or MarshalJSON through the interfaces it declares
+// (fmt.Stringer, json.Marshaler); it cannot call a method that is in no
+// such interface.
+func (g *Graph) outsideMethods(t types.Type) []*Node {
+	var out []*Node
+	// Named types are keyed by origin, which bounds the walk through
+	// recursive generic types.
+	seen := map[any]bool{}
+	var walk func(types.Type)
+	walk = func(t types.Type) {
+		t = types.Unalias(t)
+		var key any = t
+		named, isNamed := t.(*types.Named)
+		if isNamed {
+			key = named.Origin().Obj()
+		}
+		if seen[key] {
+			return
+		}
+		seen[key] = true
+		if isNamed && !types.IsInterface(named) {
+			out = append(out, g.viaOutsideInterfaces(named)...)
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Map:
+			walk(u.Key())
+			walk(u.Elem())
+		case interface{ Elem() types.Type }: // pointer, slice, array or chan
+			walk(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				walk(u.Field(i).Type())
+			}
+		}
+	}
+	walk(t)
+	return out
+}
+
+// viaOutsideInterfaces returns the nodes of the methods by which named or
+// *named implements an interface declared outside the graph, each once.
+// Memoized per origin type.
+func (g *Graph) viaOutsideInterfaces(named *types.Named) []*Node {
+	origin := named.Origin().Obj()
+	if nodes, ok := g.viaOutside[origin]; ok {
+		return nodes
+	}
+	if g.outsideByMethod == nil {
+		g.indexOutsideInterfaces()
+	}
+	var nodes []*Node
+	added := map[*Node]bool{}
+	ptr := types.NewPointer(named)
+	ms := types.NewMethodSet(ptr)
+	for i := 0; i < ms.Len(); i++ {
+		// An interface is a candidate under the name of its first method,
+		// so each implemented interface is tried once.
+		for _, iface := range g.outsideByMethod[ms.At(i).Obj().Name()] {
+			if !types.Implements(ptr, iface) {
+				continue
+			}
+			for j := 0; j < iface.NumMethods(); j++ {
+				m := iface.Method(j)
+				obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+				if node := g.NodeFor(obj.(*types.Func)); node != nil && !added[node] {
+					added[node] = true
+					nodes = append(nodes, node)
+				}
+			}
+		}
+	}
+	g.viaOutside[origin] = nodes
+	return nodes
+}
+
+// indexOutsideInterfaces indexes by first method name the error interface
+// and every non-generic interface type declared in a package outside the
+// graph that the graph's packages import, directly or not.
+func (g *Graph) indexOutsideInterfaces() {
+	g.outsideByMethod = map[string][]*types.Interface{}
+	index := func(iface *types.Interface) {
+		if iface.NumMethods() > 0 {
+			name := iface.Method(0).Name()
+			g.outsideByMethod[name] = append(g.outsideByMethod[name], iface)
+		}
+	}
+	index(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	seen := map[*types.Package]bool{}
+	var visit func(*types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		if !g.pkgs[p] {
+			scope := p.Scope()
+			for _, name := range scope.Names() {
+				if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+					if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() == 0 {
+						if iface, ok := named.Underlying().(*types.Interface); ok {
+							index(iface)
+						}
+					}
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, u := range g.Units {
+		if u.Pkg != nil {
+			visit(u.Pkg)
+		}
+	}
 }
 
 type callTarget struct {

@@ -48,7 +48,17 @@ func buildUnit(t *testing.T, files map[string]string) *callgraph.Unit {
 
 func build(t *testing.T, files map[string]string) *callgraph.Graph {
 	t.Helper()
-	return callgraph.Build([]*callgraph.Unit{buildUnit(t, files)}, nil)
+	return callgraph.Build([]*callgraph.Unit{buildUnit(t, files)})
+}
+
+// node returns the node with the given ID, or nil.
+func node(g *callgraph.Graph, id string) *callgraph.Node {
+	for _, n := range g.Nodes() {
+		if n.ID == id {
+			return n
+		}
+	}
+	return nil
 }
 
 // edgeIDs renders node's outgoing edges as "kind:calleeID", sorted.
@@ -85,7 +95,7 @@ func TestCrossFileStaticCall(t *testing.T) {
 		"a.go": "package fix\n\nfunc A() { B() }\n",
 		"b.go": "package fix\n\nfunc B() {}\n",
 	})
-	wantEdges(t, g.NodeByID("fix.A"), "static:fix.B")
+	wantEdges(t, node(g, "fix.A"), "static:fix.B")
 }
 
 func TestInterfaceDispatchFanOut(t *testing.T) {
@@ -109,7 +119,7 @@ func drive(r runner) { r.Run() }
 `})
 	// Both concrete implementations are conservative fan-out targets; other
 	// has no Run method and is excluded.
-	wantEdges(t, g.NodeByID("fix.drive"), "dispatch:fix.fast.Run", "dispatch:fix.(*slow).Run")
+	wantEdges(t, node(g, "fix.drive"), "dispatch:fix.fast.Run", "dispatch:fix.(*slow).Run")
 }
 
 func TestMethodValueRef(t *testing.T) {
@@ -127,7 +137,7 @@ func pick(f fast) (func(), func()) {
 `})
 	// Referencing a method or function as a value is a Ref edge: whoever
 	// receives the value may call it.
-	wantEdges(t, g.NodeByID("fix.pick"), "ref:fix.fast.Run", "ref:fix.helper")
+	wantEdges(t, node(g, "fix.pick"), "ref:fix.fast.Run", "ref:fix.helper")
 }
 
 func TestRecursionAndReachability(t *testing.T) {
@@ -145,8 +155,8 @@ func loop() { loop() }
 
 func apart() {}
 `})
-	a := g.NodeByID("fix.(*guarded).a")
-	b := g.NodeByID("fix.(*guarded).b")
+	a := node(g, "fix.(*guarded).a")
+	b := node(g, "fix.(*guarded).b")
 	if a == nil || b == nil {
 		t.Fatal("mutual-recursion nodes missing")
 	}
@@ -154,7 +164,7 @@ func apart() {}
 	if via[a] != a || via[b] != a {
 		t.Fatalf("Reachable(a) = %v, want a and b mapped to a", via)
 	}
-	if _, ok := via[g.NodeByID("fix.apart")]; ok {
+	if _, ok := via[node(g, "fix.apart")]; ok {
 		t.Fatal("Reachable(a) reached an unconnected function")
 	}
 	// The memoized transitive queries must terminate through the cycle and
@@ -163,7 +173,7 @@ func apart() {}
 	if len(locks) == 0 || locks[0].Lock != "fix.guarded.mu" {
 		t.Fatalf("TransitiveLocks(b) = %v, want fix.guarded.mu", locks)
 	}
-	self := g.NodeByID("fix.loop")
+	self := node(g, "fix.loop")
 	via = g.Reachable([]*callgraph.Node{self}, nil)
 	if len(via) != 1 || via[self] != self {
 		t.Fatalf("Reachable(loop) = %v, want just loop", via)
@@ -183,54 +193,110 @@ func outer() {
 }
 `})
 	// Literals are numbered in source order against the declared parent.
-	wantEdges(t, g.NodeByID("fix.outer"), "closure:fix.outer$0", "closure:fix.outer$1")
-	wantEdges(t, g.NodeByID("fix.outer$0"), "static:fix.inner")
-	wantEdges(t, g.NodeByID("fix.outer$1"))
+	wantEdges(t, node(g, "fix.outer"), "closure:fix.outer$0", "closure:fix.outer$1")
+	wantEdges(t, node(g, "fix.outer$0"), "static:fix.inner")
+	wantEdges(t, node(g, "fix.outer$1"))
 }
 
-// TestSummaryCacheInvalidation proves the cache key (node ID + structural
-// body hash) shares summaries across builds and invalidates exactly the
-// edited function.
-func TestSummaryCacheInvalidation(t *testing.T) {
-	v1 := map[string]string{"a.go": `package fix
+// TestPackageInitializerEdges pins the package initializer node: it owns
+// the calls, function values and literals of package-level var
+// initializers, across files, and calls the declared init functions.
+func TestPackageInitializerEdges(t *testing.T) {
+	g := build(t, map[string]string{
+		"a.go": `package fix
 
-func A() { B() }
+var table = map[string]func(){"x": runX}
 
-func B() { _ = make([]int, 4) }
-`}
-	v2 := map[string]string{"a.go": `package fix
+var size = measure()
 
-func A() { B() }
+func runX() {}
 
-func B() { _ = make([]int, 8) }
-`}
-	cache := callgraph.NewCache()
-	summarizeAll := func(g *callgraph.Graph) {
-		for _, n := range g.Nodes() {
-			g.Summary(n)
-		}
-	}
+func measure() int { return 1 }
 
-	g1 := callgraph.Build([]*callgraph.Unit{buildUnit(t, v1)}, cache)
-	summarizeAll(g1)
-	if cache.Hits != 0 || cache.Misses != 2 {
-		t.Fatalf("after first build: hits=%d misses=%d, want 0/2", cache.Hits, cache.Misses)
-	}
+func init() { setup() }
 
-	// Identical sources, fresh parse: every summary is recalled.
-	g2 := callgraph.Build([]*callgraph.Unit{buildUnit(t, v1)}, cache)
-	summarizeAll(g2)
-	if cache.Hits != 2 || cache.Misses != 2 {
-		t.Fatalf("after identical rebuild: hits=%d misses=%d, want 2/2", cache.Hits, cache.Misses)
-	}
+func setup() {}
+`,
+		"b.go": `package fix
 
-	// One edited body: only B is re-summarized.
-	g3 := callgraph.Build([]*callgraph.Unit{buildUnit(t, v2)}, cache)
-	summarizeAll(g3)
-	if cache.Hits != 3 || cache.Misses != 3 {
-		t.Fatalf("after edit to B: hits=%d misses=%d, want 3/3", cache.Hits, cache.Misses)
-	}
-	if allocs := g3.Summary(g3.NodeByID("fix.B")).Allocs; len(allocs) != 1 || allocs[0].Desc != "make([]int, 8)" {
-		t.Fatalf("edited B summary = %+v, want the new make", allocs)
-	}
+var handler = func() { helper() }
+
+func helper() {}
+
+func init() {}
+`})
+	wantEdges(t, node(g, "fix.init"),
+		"ref:fix.runX", "static:fix.measure", "closure:fix.init$0",
+		"static:fix.init#1", "static:fix.init#2")
+	wantEdges(t, node(g, "fix.init$0"), "static:fix.helper")
+	wantEdges(t, node(g, "fix.init#1"), "static:fix.setup")
+}
+
+// TestInterfaceConversionEdges pins the edges for methods that code outside
+// the graph calls after a concrete value is converted to one of its
+// interfaces: by composite-literal field, return, assignment, argument,
+// explicit conversion and channel send. A conversion to any reaches the
+// methods by which the value, or a value it contains, implements an outside
+// interface (fmt.Stringer here). An interface declared in the graph gets no
+// such edge: its calls are in the graph.
+func TestInterfaceConversionEdges(t *testing.T) {
+	g := build(t, map[string]string{"a.go": `package fix
+
+import (
+	"fmt"
+	"net/http"
+)
+
+type transport struct{}
+
+func (transport) RoundTrip(*http.Request) (*http.Response, error) { return nil, nil }
+
+func (transport) Close() {}
+
+type name struct{}
+
+func (name) String() string { return "" }
+
+func (name) Quantile() int { return 0 }
+
+type wrapper struct{ n name }
+
+type failure struct{}
+
+func (failure) Error() string { return "" }
+
+type local interface{ Local() }
+
+type impl struct{}
+
+func (impl) Local() {}
+
+func field() *http.Client { return &http.Client{Transport: transport{}} }
+
+func ret() http.RoundTripper { return transport{} }
+
+func assign() {
+	var rt http.RoundTripper
+	rt = transport{}
+	_ = rt
+}
+
+func arg() { fmt.Println(wrapper{}) }
+
+func conv() { _ = fmt.Stringer(name{}) }
+
+func send(ch chan error) { ch <- failure{} }
+
+func inGraph() {
+	var l local = impl{}
+	_ = l
+}
+`})
+	wantEdges(t, node(g, "fix.field"), "ref:fix.transport.RoundTrip")
+	wantEdges(t, node(g, "fix.ret"), "ref:fix.transport.RoundTrip")
+	wantEdges(t, node(g, "fix.assign"), "ref:fix.transport.RoundTrip")
+	wantEdges(t, node(g, "fix.arg"), "ref:fix.name.String")
+	wantEdges(t, node(g, "fix.conv"), "ref:fix.name.String")
+	wantEdges(t, node(g, "fix.send"), "ref:fix.failure.Error")
+	wantEdges(t, node(g, "fix.inGraph"))
 }

@@ -3,10 +3,8 @@ package callgraph
 import (
 	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
-	"hash/fnv"
 	"strings"
 )
 
@@ -95,55 +93,12 @@ type Summary struct {
 	HandsJoiner bool
 }
 
-// Cache shares summaries across graph builds, keyed by node ID plus a
-// structural hash of the function body, so editing one function invalidates
-// exactly that function's entry.
-type Cache struct {
-	entries map[string]*Summary
-	// Hits and Misses count lookups, for tests and the bench harness.
-	Hits, Misses int
-}
-
-// NewCache returns an empty summary cache.
-func NewCache() *Cache { return &Cache{entries: make(map[string]*Summary)} }
-
 // Summary computes (or recalls) the summary of node n.
 func (g *Graph) Summary(n *Node) *Summary {
-	if n.summary != nil {
-		return n.summary
+	if n.summary == nil {
+		n.summary = summarize(n)
 	}
-	if g.cache != nil {
-		key := n.ID + "#" + bodyHash(g.Fset, n)
-		if s, ok := g.cache.entries[key]; ok {
-			g.cache.Hits++
-			n.summary = s
-			return s
-		}
-		g.cache.Misses++
-		s := summarize(n)
-		g.cache.entries[key] = s
-		n.summary = s
-		return s
-	}
-	n.summary = summarize(n)
 	return n.summary
-}
-
-// bodyHash is a structural fingerprint of the function: the printed source
-// of its type and body hashed with FNV-1a. Position changes that do not
-// alter the code (reformatting elsewhere in the file) still change token
-// positions but not the printed form, so the hash is stable under unrelated
-// edits.
-func bodyHash(fset *token.FileSet, n *Node) string {
-	h := fnv.New64a()
-	cfg := printer.Config{Mode: printer.RawFormat}
-	if t := n.FuncType(); t != nil {
-		_ = cfg.Fprint(h, fset, t)
-	}
-	if b := n.Body(); b != nil {
-		_ = cfg.Fprint(h, fset, b)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // summarize walks one function body (excluding nested literals, which have

@@ -78,7 +78,7 @@ func runCtxflow(pass *Pass) error {
 			if reach == nil {
 				reach = ctxReachableSet(pass.Graph)
 			}
-			node := pass.Graph.DeclNode(pass.PkgPath, fd)
+			node := pass.Graph.DeclNode(fd)
 			if node == nil {
 				continue
 			}

@@ -155,18 +155,6 @@ func MustNew(cfg Config) *CAM {
 	return c
 }
 
-// Config returns the CAM configuration.
-func (c *CAM) Config() Config { return c.cfg }
-
-// Capacity returns the number of entries the CAM holds.
-func (c *CAM) Capacity() int { return c.capacity }
-
-// Len returns the number of live CAM entries.
-func (c *CAM) Len() int { return c.used }
-
-// OverflowLen returns the number of pairs currently in the overflow queue.
-func (c *CAM) OverflowLen() int { return len(c.overflow) }
-
 func hash32(x uint32) uint32 {
 	x ^= x >> 16
 	x *= 0x7feb352d
@@ -404,8 +392,5 @@ func (c *CAM) Reset() {
 
 // Stats implements accum.Accumulator.
 func (c *CAM) Stats() accum.Stats { return c.stats }
-
-// Name implements accum.Accumulator.
-func (c *CAM) Name() string { return "asa" }
 
 var _ accum.Accumulator = (*CAM)(nil)

@@ -71,8 +71,8 @@ func TestOverflowAndMerge(t *testing.T) {
 	c.Accumulate(1, 1)
 	c.Accumulate(2, 1)
 	c.Accumulate(3, 1) // evicts key 1 (LRU)
-	if c.OverflowLen() != 1 {
-		t.Fatalf("overflow len = %d, want 1", c.OverflowLen())
+	if len(c.overflow) != 1 {
+		t.Fatalf("overflow len = %d, want 1", len(c.overflow))
 	}
 	// Touch key 1 again: it re-enters the CAM as a fresh partial sum.
 	c.Accumulate(1, 5)
@@ -178,7 +178,7 @@ func TestOracleEquivalence(t *testing.T) {
 			}
 			compareWithOracle(t, gathered(c), oracle)
 			c.Reset()
-			if c.Len() != 0 || c.OverflowLen() != 0 {
+			if c.used != 0 || len(c.overflow) != 0 {
 				t.Fatal("Reset left residue")
 			}
 		}
@@ -302,9 +302,6 @@ func TestAccumulatorInterfaceViaGather(t *testing.T) {
 	out := a.Gather(nil)
 	if len(out) != 1 || out[0].Key != 9 || out[0].Value != 5 {
 		t.Fatalf("interface path: %v", out)
-	}
-	if a.Name() != "asa" {
-		t.Fatal("name wrong")
 	}
 }
 

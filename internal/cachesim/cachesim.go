@@ -95,9 +95,6 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Hits returns the hit count.
-func (c *Cache) Hits() uint64 { return c.hits }
-
 // Misses returns the miss count.
 func (c *Cache) Misses() uint64 { return c.misses }
 
@@ -108,14 +105,6 @@ func (c *Cache) MissRate() float64 {
 		return 0
 	}
 	return float64(c.misses) / float64(t)
-}
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	c.hits, c.misses, c.clock = 0, 0, 0
 }
 
 // Hierarchy is an inclusive multi-level hierarchy; an access walks levels
@@ -186,12 +175,4 @@ func (h *Hierarchy) DeepMissRate() float64 {
 		return 0
 	}
 	return float64(last.Misses()) / float64(l1m)
-}
-
-// Reset clears all levels and counters.
-func (h *Hierarchy) Reset() {
-	for _, c := range h.Levels {
-		c.Reset()
-	}
-	h.accesses, h.cycles = 0, 0
 }

@@ -49,6 +49,8 @@ type fakeTimer struct {
 }
 
 // NewFake returns a Fake clock reading start.
+//
+//asalint:unreachable test fixture: the fault, obs, serve and serve/cluster tests drive time through a Fake
 func NewFake(start time.Time) *Fake {
 	return &Fake{now: start}
 }
@@ -81,6 +83,8 @@ func (f *Fake) After(d time.Duration) <-chan time.Time {
 
 // Advance moves the fake clock forward by d and fires every timer whose
 // deadline is reached, in deadline order.
+//
+//asalint:unreachable test fixture: the fault, obs, serve and serve/cluster tests advance their Fake
 func (f *Fake) Advance(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -114,6 +118,8 @@ func (f *Fake) Advance(d time.Duration) {
 }
 
 // Pending returns how many timers are armed and waiting.
+//
+//asalint:unreachable test fixture: the fault and serve/cluster peer tests wait for a backoff timer to arm
 func (f *Fake) Pending() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -141,20 +141,6 @@ func (s Spec) GenerateWithTruth(scale int, seed uint64) (*graph.Graph, []uint32,
 	return g, planted, nil
 }
 
-// GenerateChungLu builds the structureless Chung–Lu variant of the replica
-// (same scale and degree law, no planted communities). Useful as a null
-// model in experiments.
-func (s Spec) GenerateChungLu(scale int, seed uint64) (*graph.Graph, error) {
-	n := s.Vertices(scale)
-	r := rng.New(seed ^ hashName(s.Name))
-	maxDeg := n / 4
-	if maxDeg < 16 {
-		maxDeg = 16
-	}
-	degrees := gen.DegreeSequenceWithMean(n, s.AvgDegree(), maxDeg, s.DegExponent, r)
-	return gen.ChungLu(degrees, r)
-}
-
 // hashName derives a stable per-network seed perturbation so two networks
 // generated with the same user seed differ.
 func hashName(name string) uint64 {

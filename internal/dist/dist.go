@@ -139,7 +139,11 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	cl := &cluster{opt: opt, inj: inj, downUntil: make([]int, opt.Ranks)}
+	p := opt.Ranks
+	cl := &cluster{opt: opt, inj: inj, downUntil: make([]int, p),
+		ghosts: make([][]uint32, p), ckpt: make([][]uint32, p), ckptStep: make([]int, p),
+		needsRecovery: make([]bool, p), blocks: make([][]uint32, p),
+		proposals: make([][]proposal, p), byOwner: make([][]delta, p)}
 	res, err := infomap.RunWith(ctx, g, opt.Infomap, cl.optimizeLevel)
 	if err != nil {
 		return nil, err
@@ -185,10 +189,18 @@ type flight struct {
 	resend   bool // waiting out a backoff timer, not in transit
 }
 
+// proposal is a rank's proposed move of vertex v to module target.
+type proposal struct {
+	v      uint32
+	target uint32
+}
+
 // cluster is the simulated fault-tolerant BSP engine. One value serves a
 // whole run, so supersteps, communication and crash downtime count
 // globally across levels and outer iterations; the per-rank ghost,
-// checkpoint and network state is rebuilt at every level entry.
+// checkpoint and network state is reset at every level entry, in buffers
+// the cluster keeps for the run. Per-rank slices have Options.Ranks
+// entries; a level with fewer ranks uses a prefix.
 type cluster struct {
 	opt  Options
 	inj  *fault.Injector
@@ -215,6 +227,13 @@ type cluster struct {
 	pending  []flight
 	// needsRecovery marks a rank for checkpoint restore once it is back.
 	needsRecovery []bool
+
+	// Scratch reused across levels and supersteps.
+	blocks    [][]uint32   // blocks[rk]: rank rk's vertices
+	proposals [][]proposal // proposals[rk]: rank rk's moves this superstep
+	byOwner   [][]delta    // byOwner[rk]: rank rk's commits this superstep
+	order     []uint32     // one rank's shuffled block
+	snapshot  []uint32     // one rank's ghost membership, for rankState
 }
 
 // send pushes one delta batch from rank `from` toward rank `to`, consulting
@@ -317,35 +336,28 @@ func (c *cluster) optimizeLevel(ctx context.Context, truth *mapeq.State, flow *m
 	membership := truth.Membership()
 	sc := scanners[0]
 	ranks := min(c.opt.Ranks, n)
+	c.ranks = ranks
+	c.deltaLog = nil
+	c.pending = nil
+	for rk := 0; rk < ranks; rk++ {
+		c.blocks[rk] = c.blocks[rk][:0]
+		c.ghosts[rk] = append(c.ghosts[rk][:0], membership...)
+		c.ckpt[rk] = append(c.ckpt[rk][:0], membership...)
+		c.ckptStep[rk] = 0
+		// A rank that entered this level mid-downtime recovers from the
+		// level-start state once its downtime expires.
+		c.needsRecovery[rk] = c.down(rk, c.comm.Supersteps)
+	}
 	// Block partition (HyPC-Map distributes contiguous vertex ranges).
 	// Frozen leaf vertices belong to no block: they propose nothing.
-	blocks := make([][]uint32, ranks)
 	chunk := (n + ranks - 1) / ranks
 	for v := 0; v < n; v++ {
 		if frozen == nil || !frozen[v] {
-			blocks[v/chunk] = append(blocks[v/chunk], uint32(v))
-		}
-	}
-
-	c.ranks = ranks
-	c.ghosts = make([][]uint32, ranks)
-	c.ckpt = make([][]uint32, ranks)
-	c.ckptStep = make([]int, ranks)
-	c.deltaLog = nil
-	c.pending = nil
-	c.needsRecovery = make([]bool, ranks)
-	for rk := 0; rk < ranks; rk++ {
-		c.ghosts[rk] = append([]uint32(nil), membership...)
-		c.ckpt[rk] = append([]uint32(nil), membership...)
-		// A rank that entered this level mid-downtime recovers from the
-		// level-start state once its downtime expires.
-		if c.down(rk, c.comm.Supersteps) {
-			c.needsRecovery[rk] = true
+			c.blocks[v/chunk] = append(c.blocks[v/chunk], uint32(v))
 		}
 	}
 
 	prevL := truth.Codelength()
-	snapshot := make([]uint32, n)
 	for step := 0; step < c.opt.Infomap.MaxSweeps; step++ {
 		if err := ctx.Err(); err != nil {
 			return sweeps, totalMoves, err
@@ -391,29 +403,25 @@ func (c *cluster) optimizeLevel(ctx context.Context, truth *mapeq.State, flow *m
 		// own ghost membership. Down ranks are skipped — their vertices stay
 		// put while the rest of the cluster degrades gracefully.
 		fbc := sw.Child(trace.KernelFindBestCommunity)
-		type proposal struct {
-			v      uint32
-			target uint32
-		}
-		proposals := make([][]proposal, ranks)
 		active := 0
 		for rk := 0; rk < ranks; rk++ {
+			c.proposals[rk] = c.proposals[rk][:0]
 			if c.down(rk, gs) || c.needsRecovery[rk] {
 				continue
 			}
-			copy(snapshot, c.ghosts[rk])
-			if _, err := c.rankState.Reset(flow, snapshot, n); err != nil {
+			c.snapshot = append(c.snapshot[:0], c.ghosts[rk]...)
+			if _, err := c.rankState.Reset(flow, c.snapshot, n); err != nil {
 				fbc.End()
 				sw.End()
 				return sweeps, totalMoves, err
 			}
 			c.rankState.OverrideNodeTerm(truth.NodeTerm())
-			order := append([]uint32(nil), blocks[rk]...)
-			r.ShuffleUint32(order)
-			active += len(order)
-			for _, v := range order {
+			c.order = append(c.order[:0], c.blocks[rk]...)
+			r.ShuffleUint32(c.order)
+			active += len(c.order)
+			for _, v := range c.order {
 				if t, _, ok := sc.FindBestCommunity(&c.rankState, flow, int(v)); ok {
-					proposals[rk] = append(proposals[rk], proposal{v: v, target: t})
+					c.proposals[rk] = append(c.proposals[rk], proposal{v: v, target: t})
 				}
 			}
 		}
@@ -424,10 +432,13 @@ func (c *cluster) optimizeLevel(ctx context.Context, truth *mapeq.State, flow *m
 		// broadcast the resulting membership deltas through the network.
 		um := sw.Child(trace.KernelUpdateMembers)
 		moves := uint64(0)
+		// stepDeltas stays in deltaLog and each byOwner[rk] in its pending
+		// flights, so both are fresh every superstep.
 		stepDeltas := make([]delta, 0)
-		byOwner := make([][]delta, ranks)
+		byOwner := c.byOwner[:ranks]
 		for rk := 0; rk < ranks; rk++ {
-			for _, p := range proposals[rk] {
+			byOwner[rk] = nil
+			for _, p := range c.proposals[rk] {
 				if sc.CommitMove(truth, flow, int(p.v), p.target) {
 					moves++
 					dl := delta{v: p.v, m: p.target}

@@ -6,7 +6,6 @@ package export
 
 import (
 	"bufio"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"os"
@@ -136,34 +135,4 @@ func WriteDOTFile(path string, g *graph.Graph, membership []uint32) error {
 		return err
 	}
 	return f.Close()
-}
-
-// gexfDoc is the minimal schema used to validate generated GEXF in tests.
-type gexfDoc struct {
-	XMLName xml.Name  `xml:"gexf"`
-	Graph   gexfGraph `xml:"graph"`
-}
-
-type gexfGraph struct {
-	Nodes []gexfNode `xml:"nodes>node"`
-	Edges []gexfEdge `xml:"edges>edge"`
-}
-
-type gexfNode struct {
-	ID string `xml:"id,attr"`
-}
-
-type gexfEdge struct {
-	Source string `xml:"source,attr"`
-	Target string `xml:"target,attr"`
-}
-
-// ParseGEXFCounts parses GEXF and returns (nodes, edges) — used by tests to
-// verify well-formedness without a full GEXF implementation.
-func ParseGEXFCounts(r io.Reader) (int, int, error) {
-	var doc gexfDoc
-	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
-		return 0, 0, err
-	}
-	return len(doc.Graph.Nodes), len(doc.Graph.Edges), nil
 }

@@ -128,54 +128,6 @@ func sortByDegreeDesc(degrees []int) []int {
 	return order
 }
 
-// BarabasiAlbert generates an undirected preferential-attachment graph with n
-// vertices where each new vertex attaches m edges to existing vertices with
-// probability proportional to their degree. The result has a power-law
-// degree tail with exponent ~3.
-func BarabasiAlbert(n, m int, r *rng.RNG) (*graph.Graph, error) {
-	if n < 1 || m < 1 {
-		return nil, fmt.Errorf("gen: BarabasiAlbert requires n>=1, m>=1 (got n=%d m=%d)", n, m)
-	}
-	if m >= n {
-		m = n - 1
-	}
-	b := graph.NewBuilder(n, false)
-	// repeated holds one entry per edge endpoint; sampling uniformly from it
-	// implements preferential attachment.
-	repeated := make([]uint32, 0, 2*n*m)
-	// Seed with a small clique of m+1 vertices.
-	for u := 0; u <= m && u < n; u++ {
-		for v := u + 1; v <= m && v < n; v++ {
-			if err := b.AddEdge(uint32(u), uint32(v), 1); err != nil {
-				return nil, err
-			}
-			repeated = append(repeated, uint32(u), uint32(v))
-		}
-	}
-	for u := m + 1; u < n; u++ {
-		chosen := make(map[uint32]bool, m)
-		for len(chosen) < m {
-			var t uint32
-			if len(repeated) == 0 {
-				t = uint32(r.Intn(u))
-			} else {
-				t = repeated[r.Intn(len(repeated))]
-			}
-			if int(t) == u || chosen[t] {
-				continue
-			}
-			chosen[t] = true
-		}
-		for t := range chosen {
-			if err := b.AddEdge(uint32(u), t, 1); err != nil {
-				return nil, err
-			}
-			repeated = append(repeated, uint32(u), t)
-		}
-	}
-	return b.Build(), nil
-}
-
 // SBMParams configures a planted-partition stochastic block model.
 type SBMParams struct {
 	Sizes []int   // community sizes
@@ -185,6 +137,8 @@ type SBMParams struct {
 
 // SBM generates an undirected planted-partition graph and returns the graph
 // and the planted membership (dense community IDs per vertex).
+//
+//asalint:unreachable test fixture: the dist, infomap, louvain, mapeq and serve tests plant communities with it
 func SBM(p SBMParams, r *rng.RNG) (*graph.Graph, []uint32, error) {
 	if p.PIn < 0 || p.PIn > 1 || p.POut < 0 || p.POut > 1 {
 		return nil, nil, fmt.Errorf("gen: SBM probabilities out of [0,1]: pin=%g pout=%g", p.PIn, p.POut)
@@ -242,36 +196,6 @@ func SBM(p SBMParams, r *rng.RNG) (*graph.Graph, []uint32, error) {
 	}
 	g := b.Build()
 	return g, membership, nil
-}
-
-// Ring returns an undirected cycle of n vertices (n >= 3).
-func Ring(n int) (*graph.Graph, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("gen: Ring requires n >= 3, got %d", n)
-	}
-	b := graph.NewBuilder(n, false)
-	for u := 0; u < n; u++ {
-		if err := b.AddEdge(uint32(u), uint32((u+1)%n), 1); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build(), nil
-}
-
-// Complete returns the complete undirected graph K_n.
-func Complete(n int) (*graph.Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gen: Complete requires n >= 1, got %d", n)
-	}
-	b := graph.NewBuilder(n, false)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if err := b.AddEdge(uint32(u), uint32(v), 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return b.Build(), nil
 }
 
 // CliqueChain returns k cliques of size s joined in a ring by single bridge

@@ -77,39 +77,6 @@ func TestChungLuDeterminism(t *testing.T) {
 	}
 }
 
-func TestBarabasiAlbert(t *testing.T) {
-	r := rng.New(4)
-	g, err := BarabasiAlbert(1000, 3, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 1000 {
-		t.Fatalf("N = %d", g.N())
-	}
-	// Every vertex beyond the seed clique has degree >= m.
-	for u := 4; u < g.N(); u++ {
-		if g.OutDegree(u) < 3 {
-			t.Fatalf("vertex %d has degree %d < m", u, g.OutDegree(u))
-		}
-	}
-	// Preferential attachment yields hubs.
-	if g.MaxOutDegree() < 20 {
-		t.Fatalf("max degree %d; expected hubs", g.MaxOutDegree())
-	}
-}
-
-func TestBarabasiAlbertErrors(t *testing.T) {
-	if _, err := BarabasiAlbert(0, 1, rng.New(1)); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := BarabasiAlbert(10, 0, rng.New(1)); err == nil {
-		t.Fatal("m=0 accepted")
-	}
-}
-
 func TestSBMPlantedStructure(t *testing.T) {
 	r := rng.New(5)
 	g, mem, err := SBM(SBMParams{Sizes: []int{100, 100, 100}, PIn: 0.2, POut: 0.005}, r)
@@ -143,33 +110,6 @@ func TestSBMErrors(t *testing.T) {
 	}
 	if _, _, err := SBM(SBMParams{Sizes: []int{0}, PIn: 0.5}, rng.New(1)); err == nil {
 		t.Fatal("zero community size accepted")
-	}
-}
-
-func TestRingAndComplete(t *testing.T) {
-	g, err := Ring(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 10; u++ {
-		if g.OutDegree(u) != 2 {
-			t.Fatalf("ring vertex %d degree %d", u, g.OutDegree(u))
-		}
-	}
-	k, err := Complete(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 6; u++ {
-		if k.OutDegree(u) != 5 {
-			t.Fatalf("K6 vertex %d degree %d", u, k.OutDegree(u))
-		}
-	}
-	if _, err := Ring(2); err == nil {
-		t.Fatal("Ring(2) accepted")
-	}
-	if _, err := Complete(0); err == nil {
-		t.Fatal("Complete(0) accepted")
 	}
 }
 

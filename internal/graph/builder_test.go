@@ -275,9 +275,9 @@ func TestBuildAllocationBound(t *testing.T) {
 			}
 			bound := out + 8*uint64(n+1) + 12*uint64(maxRow) + slack
 			if dups {
-				bound += 12 * uint64(b.NumPendingEdges())
-			} else if int(arcs) != b.NumPendingEdges() {
-				t.Fatalf("expected a duplicate-free input: %d arcs from %d recorded", arcs, b.NumPendingEdges())
+				bound += 12 * uint64(len(b.edges))
+			} else if int(arcs) != len(b.edges) {
+				t.Fatalf("expected a duplicate-free input: %d arcs from %d recorded", arcs, len(b.edges))
 			}
 			if got > bound {
 				t.Errorf("directed=%v dups=%v: Build allocated %d bytes, bound %d (output arrays %d)", directed, dups, got, bound, out)

@@ -29,20 +29,6 @@ const (
 	DeltaSet
 )
 
-// String returns the single-character text form used by the delta list
-// format: "+", "-", "=".
-func (op DeltaOp) String() string {
-	switch op {
-	case DeltaAdd:
-		return "+"
-	case DeltaRemove:
-		return "-"
-	case DeltaSet:
-		return "="
-	}
-	return fmt.Sprintf("DeltaOp(%d)", uint8(op))
-}
-
 // DeltaEdge is one edge mutation. From/To are dense vertex IDs in the parent
 // graph's ID space; IDs at or beyond the parent's N() grow the graph.
 type DeltaEdge struct {

@@ -124,15 +124,6 @@ func (g *Graph) OutStrength(u int) float64 {
 	return s
 }
 
-// InStrength returns the sum of in-arc weights of u.
-func (g *Graph) InStrength(u int) float64 {
-	s := 0.0
-	for _, w := range g.InWeights(u) {
-		s += w
-	}
-	return s
-}
-
 // MaxOutDegree returns the largest out-degree in the graph, or 0 if empty.
 func (g *Graph) MaxOutDegree() int {
 	max := 0
@@ -204,7 +195,9 @@ func (g *Graph) DegreeCDF(thresholds []int) []float64 {
 }
 
 // Validate checks structural invariants and returns an error describing the
-// first violation found. It is used by tests and by the edge-list reader.
+// first violation found.
+//
+//asalint:unreachable test oracle: the graph (fuzz, builder, delta), gen and dataset tests check every graph they build with it
 func (g *Graph) Validate() error {
 	if len(g.offsets) != g.n+1 {
 		return fmt.Errorf("graph: offsets length %d, want %d", len(g.offsets), g.n+1)
@@ -315,10 +308,6 @@ func (b *Builder) add(u, v uint32, w float64) {
 		b.edges = append(b.edges, Edge{v, u, w})
 	}
 }
-
-// NumPendingEdges returns the number of arcs recorded so far (after
-// undirected mirroring).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Reserve pre-allocates capacity for at least n additional arcs (after
 // undirected mirroring), so that a caller that knows the exact arc count —
@@ -562,8 +551,9 @@ func (g *Graph) Contract(membership []uint32, numModules int) (*Graph, error) {
 	return b.Build(), nil
 }
 
-// Edges returns a copy of all stored arcs in CSR order. Intended for tests
-// and serialization, not hot paths.
+// Edges returns a copy of all stored arcs in CSR order.
+//
+//asalint:unreachable test oracle: the graph, mapeq contract and infomap determinism and warm-start tests rebuild or compare graphs from their arcs
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, len(g.targets))
 	for u := 0; u < g.n; u++ {

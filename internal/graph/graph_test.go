@@ -109,12 +109,6 @@ func TestStrengths(t *testing.T) {
 	if s := g.OutStrength(0); s != 5 {
 		t.Fatalf("OutStrength(0) = %g, want 5", s)
 	}
-	if s := g.InStrength(0); s != 5 {
-		t.Fatalf("InStrength(0) = %g, want 5", s)
-	}
-	if s := g.InStrength(2); s != 3 {
-		t.Fatalf("InStrength(2) = %g, want 3", s)
-	}
 }
 
 func TestDegreeHistogramAndCDF(t *testing.T) {

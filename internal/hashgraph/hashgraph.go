@@ -229,19 +229,6 @@ func (t *Table) Gather(dst []accum.KV) []accum.KV {
 	return dst
 }
 
-// Len returns the number of distinct keys currently held (resolving first).
-func (t *Table) Len() int {
-	t.resolve()
-	n := 0
-	for b := 0; b < t.nbins; b++ {
-		n += int(t.binLen[b])
-	}
-	return n
-}
-
-// Bins returns the current bin count (for tests and reports).
-func (t *Table) Bins() int { return t.nbins }
-
 // Reset implements accum.Accumulator. All buffers keep their capacity, so
 // steady-state sessions allocate nothing. The resolved layout is not
 // cleared but marked stale: the next Lookup or Gather rebuilds it from the
@@ -256,8 +243,5 @@ func (t *Table) Reset() {
 
 // Stats implements accum.Accumulator.
 func (t *Table) Stats() accum.Stats { return t.stats }
-
-// Name implements accum.Accumulator.
-func (t *Table) Name() string { return "hashgraph" }
 
 var _ accum.Accumulator = (*Table)(nil)

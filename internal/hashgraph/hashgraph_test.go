@@ -34,9 +34,6 @@ func TestBasicAccumulateGather(t *testing.T) {
 	if st.ChainHops != 0 || st.Rehashes != 0 {
 		t.Fatalf("probe-free table reported chain/rehash events: %+v", st)
 	}
-	if h.Name() != "hashgraph" {
-		t.Fatalf("name %q", h.Name())
-	}
 }
 
 func TestLookup(t *testing.T) {
@@ -176,21 +173,5 @@ func TestStatsBookkeeping(t *testing.T) {
 	}
 	if st.GatheredKV != st.Misses {
 		t.Fatalf("gathered %d != distinct keys %d", st.GatheredKV, st.Misses)
-	}
-}
-
-func TestLenAndBins(t *testing.T) {
-	h := New(4)
-	if h.Len() != 0 {
-		t.Fatalf("empty Len = %d", h.Len())
-	}
-	for i := 0; i < 100; i++ {
-		h.Accumulate(uint32(i), 1)
-	}
-	if h.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", h.Len())
-	}
-	if h.Bins() < 100/targetBinSize {
-		t.Fatalf("bins %d too few for 100 pairs", h.Bins())
 	}
 }

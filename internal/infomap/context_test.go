@@ -103,7 +103,6 @@ func (panicAccum) Lookup(uint32) (float64, bool)    { return 0, false }
 func (panicAccum) Gather(dst []accum.KV) []accum.KV { return dst }
 func (panicAccum) Reset()                           {}
 func (panicAccum) Stats() accum.Stats               { return accum.Stats{} }
-func (panicAccum) Name() string                     { return "panic" }
 
 func TestWorkerPanicBecomesError(t *testing.T) {
 	g, _, err := gen.SBM(gen.SBMParams{Sizes: []int{20, 20}, PIn: 0.4, POut: 0.05}, rng.New(2))

@@ -35,6 +35,8 @@ type HierNode struct {
 func (n *HierNode) IsLeaf() bool { return len(n.Children) == 0 }
 
 // Size returns the number of leaf vertices under the node.
+//
+//asalint:unreachable test oracle: the hierarchy tests and the package's hierarchical example count the vertices a tree covers
 func (n *HierNode) Size() int {
 	if n.IsLeaf() {
 		return len(n.Vertices)
@@ -74,6 +76,8 @@ type HierResult struct {
 	// Work is the scan work and accumulator events of the submodule and
 	// super-level searches (the flat run's are not included).
 	Work WorkerStats
+	// Moves counts the moves those searches committed.
+	Moves int
 }
 
 // RunHierarchical detects a hierarchy of communities: it first runs the
@@ -122,7 +126,7 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 	root := twoLevelTree(st, mem, k)
 	// Try to split each top module recursively (fine structure below)...
 	for _, child := range root.Children {
-		if err := splitRecursively(flow, teleTotal, child, sc, opt, r, opt.MaxLevels); err != nil {
+		if err := splitRecursively(flow, teleTotal, child, sc, opt, r, opt.MaxLevels, &res.Moves); err != nil {
 			return nil, err
 		}
 	}
@@ -130,7 +134,7 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 	// structure above), while either direction shortens the code. Each
 	// accepted step is priced on the exact tree L, so the tree never
 	// prices above the depth-2 tree it grew from.
-	if err := addSuperLevels(flow, root, mem, sc, opt, r); err != nil {
+	if err := addSuperLevels(flow, root, mem, sc, opt, r, &res.Moves); err != nil {
 		return nil, err
 	}
 	res.Work = sc.Stats()
@@ -168,8 +172,8 @@ func countModules(n *HierNode) int {
 
 // splitRecursively attempts to split a leaf module into submodules and, when
 // accepted, recurses into the new children. teleTotal is the base flow's
-// total teleportation output.
-func splitRecursively(flow *mapeq.Flow, teleTotal float64, node *HierNode, sc *Scanner, opt Options, r *rng.RNG, depthBudget int) error {
+// total teleportation output; moves counts the committed moves.
+func splitRecursively(flow *mapeq.Flow, teleTotal float64, node *HierNode, sc *Scanner, opt Options, r *rng.RNG, depthBudget int, moves *int) error {
 	if depthBudget <= 0 || !node.IsLeaf() || len(node.Vertices) < 4 {
 		return nil
 	}
@@ -177,7 +181,7 @@ func splitRecursively(flow *mapeq.Flow, teleTotal float64, node *HierNode, sc *S
 	if err != nil {
 		return err
 	}
-	membership, innerState, err := optimizeSubmodule(sf, node.Exit, sc, opt, r)
+	membership, innerState, err := optimizeSubmodule(sf, node.Exit, sc, opt, r, moves)
 	if err != nil {
 		return err
 	}
@@ -211,7 +215,7 @@ func splitRecursively(flow *mapeq.Flow, teleTotal float64, node *HierNode, sc *S
 	node.Children = children
 	node.Vertices = nil
 	for _, c := range children {
-		if err := splitRecursively(flow, teleTotal, c, sc, opt, r, depthBudget-1); err != nil {
+		if err := splitRecursively(flow, teleTotal, c, sc, opt, r, depthBudget-1, moves); err != nil {
 			return err
 		}
 	}
@@ -229,8 +233,9 @@ func splitRecursively(flow *mapeq.Flow, teleTotal float64, node *HierNode, sc *S
 // the root index codebook plus the super-module codebooks of the deeper
 // map equation. A grouping is accepted when that beats the current root
 // index codebook, Codebook(0, enter_c), and the procedure repeats on the
-// new top level until no further coarsening pays.
-func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, sc *Scanner, opt Options, r *rng.RNG) error {
+// new top level until no further coarsening pays. moves counts the committed
+// moves.
+func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, sc *Scanner, opt Options, r *rng.RNG, moves *int) error {
 	mem := append([]uint32(nil), topMembership...)
 	curFlow := flow
 	for level := 0; level < 10; level++ {
@@ -246,7 +251,7 @@ func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, sc
 		for i, c := range root.Children {
 			cf.NodeFlow[i] = c.Enter
 		}
-		grouping, st, err := optimizeSubmodule(cf, 0, sc, opt, r)
+		grouping, st, err := optimizeSubmodule(cf, 0, sc, opt, r, moves)
 		if err != nil {
 			return err
 		}
@@ -363,8 +368,9 @@ func subFlow(f *mapeq.Flow, teleTotal float64, members []int) (*mapeq.Flow, erro
 // optimizeSubmodule greedily partitions a module's members by the map
 // equation with the module's exit rate as a constant index-codebook offset.
 // It is a compact sequential multi-level optimizer: each vertex is priced by
-// sc and its move committed at once, before the next vertex is visited.
-func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, sc *Scanner, opt Options, r *rng.RNG) ([]uint32, *mapeq.State, error) {
+// sc and its move committed at once through sc, before the next vertex is
+// visited. committed counts the committed moves.
+func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, sc *Scanner, opt Options, r *rng.RNG, committed *int) ([]uint32, *mapeq.State, error) {
 	n := sf.G.N()
 	membership := make([]uint32, n)
 	for i := range membership {
@@ -380,10 +386,11 @@ func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, sc *Scanner, opt Opti
 	for sweep := 0; sweep < opt.MaxSweeps; sweep++ {
 		moves := 0
 		for _, v := range order {
-			if target, _, ok := sc.FindBestCommunity(st, sf, v); ok && st.CommitMove(sf, v, target) {
+			if target, _, ok := sc.FindBestCommunity(st, sf, v); ok && sc.CommitMove(st, sf, v, target) {
 				moves++
 			}
 		}
+		*committed += moves
 		if moves == 0 {
 			break
 		}
@@ -428,41 +435,6 @@ func HierCodelength(f *mapeq.Flow, root *HierNode) float64 {
 func (r *HierResult) String() string {
 	return fmt.Sprintf("hierarchical L=%.4f bits (two-level %.4f) depth=%d modules=%d",
 		r.Codelength, r.Flat.Codelength, r.Depth, r.Modules)
-}
-
-// FlattenLevel returns the membership induced by cutting the tree at the
-// given depth below the root (depth 1 = top modules). Vertices in modules
-// shallower than the cut keep their deepest module.
-func (r *HierResult) FlattenLevel(depth int) []uint32 {
-	mem := make([]uint32, len(r.Flat.Membership))
-	next := uint32(0)
-	var walk func(n *HierNode, d int)
-	walk = func(n *HierNode, d int) {
-		if n.IsLeaf() || d >= depth {
-			assignAll(n, mem, next)
-			next++
-			return
-		}
-		for _, c := range n.Children {
-			walk(c, d+1)
-		}
-	}
-	for _, c := range r.Root.Children {
-		walk(c, 1)
-	}
-	return mem
-}
-
-func assignAll(n *HierNode, mem []uint32, id uint32) {
-	if n.IsLeaf() {
-		for _, v := range n.Vertices {
-			mem[v] = id
-		}
-		return
-	}
-	for _, c := range n.Children {
-		assignAll(c, mem, id)
-	}
 }
 
 // Leaves returns all leaf modules of the tree in deterministic order.

@@ -73,6 +73,12 @@ func TestHierarchicalOnNestedGraph(t *testing.T) {
 	if w := res.Work; w.Work.CandidatesEvaluated == 0 || w.Accum.Accumulates == 0 {
 		t.Fatalf("submodule search work not counted: %+v", w)
 	}
+	// Every move the split and super searches commit is priced as one
+	// applied move.
+	if res.Moves == 0 || res.Work.Work.MovesApplied != uint64(res.Moves) {
+		t.Fatalf("MovesApplied = %d, committed moves = %d; want equal and > 0",
+			res.Work.Work.MovesApplied, res.Moves)
+	}
 	// The deepest cut should align with the cliques, the top cut with the
 	// super groups (up to which level the optimizer picked as "top").
 	leaves := res.Leaves()
@@ -311,35 +317,6 @@ func TestHierCodelengthFormula(t *testing.T) {
 	if got, want := HierCodelength(df, twoLevelTree(dst, mem, 3)), dst.Codelength(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("directed unrecorded tree L %.15f != state L %.15f", got, want)
 	}
-}
-
-func TestFlattenLevel(t *testing.T) {
-	g, topTruth, _ := nestedGraph(t, 4, 3, 6)
-	res, err := RunHierarchical(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := res.FlattenLevel(1)
-	// Top cut: count distinct labels equals root children.
-	labels := map[uint32]bool{}
-	for _, m := range top {
-		labels[m] = true
-	}
-	if len(labels) != len(res.Root.Children) {
-		t.Fatalf("top cut has %d labels, root has %d children", len(labels), len(res.Root.Children))
-	}
-	// Top cut should agree strongly with the planted super groups when the
-	// hierarchy's top level matches them; at minimum, same-group vertices
-	// that share a planted clique always share a label.
-	deep := res.FlattenLevel(100)
-	deepLabels := map[uint32]bool{}
-	for _, m := range deep {
-		deepLabels[m] = true
-	}
-	if len(deepLabels) != len(res.Leaves()) {
-		t.Fatalf("deep cut %d labels vs %d leaves", len(deepLabels), len(res.Leaves()))
-	}
-	_ = topTruth
 }
 
 func TestHierarchicalOnLFR(t *testing.T) {

@@ -1,6 +1,7 @@
 package infomap
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -21,7 +22,7 @@ func BenchmarkKernelFindBestCommunity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr, err := pagerank.Compute(g, pagerank.DefaultConfig())
+	pr, err := pagerank.ComputeContext(context.Background(), g, pagerank.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func BenchmarkSortKVHub(b *testing.B) {
 			r := rng.New(uint64(n))
 			src := make([]accum.KV, n)
 			for i := range src {
-				src[i] = accum.KV{Key: r.Uint32(), Value: 1}
+				src[i] = accum.KV{Key: uint32(r.Uint64() >> 32), Value: 1}
 			}
 			buf := make([]accum.KV, n)
 			b.ResetTimer()
@@ -85,7 +86,7 @@ func TestSortKVAboveThreshold(t *testing.T) {
 	for _, n := range []int{0, 1, sortKVThreshold, sortKVThreshold + 1, 500} {
 		kvs := make([]accum.KV, n)
 		for i := range kvs {
-			kvs[i] = accum.KV{Key: r.Uint32() % 64, Value: float64(i)}
+			kvs[i] = accum.KV{Key: uint32(r.Uint64()>>32) % 64, Value: float64(i)}
 		}
 		sortKV(kvs)
 		for i := 1; i < len(kvs); i++ {

@@ -220,7 +220,7 @@ func (c oracleCase) flows(t testing.TB) (*mapeq.Flow, refFlow) {
 	if c.directed {
 		cfg := pagerank.DefaultConfig()
 		cfg.Damping = opt.Damping
-		pr, err := pagerank.Compute(c.g, cfg)
+		pr, err := pagerank.ComputeContext(context.Background(), c.g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

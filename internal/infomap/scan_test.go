@@ -1,6 +1,7 @@
 package infomap
 
 import (
+	"context"
 	"testing"
 
 	"github.com/asamap/asamap/internal/gen"
@@ -129,7 +130,7 @@ func TestScanMatchesMapOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := pagerank.Compute(rmat, pagerank.DefaultConfig())
+	pr, err := pagerank.ComputeContext(context.Background(), rmat, pagerank.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mapeq
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestContractParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := pagerank.Compute(dg, pagerank.DefaultConfig())
+	pr, err := pagerank.ComputeContext(context.Background(), dg, pagerank.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

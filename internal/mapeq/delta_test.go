@@ -1,6 +1,7 @@
 package mapeq
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -79,7 +80,7 @@ func deltaFlows(t *testing.T) []namedFlow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := pagerank.Compute(dg, pagerank.DefaultConfig())
+	pr, err := pagerank.ComputeContext(context.Background(), dg, pagerank.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestPrepareDeltaBitExact(t *testing.T) {
 					checkCaches(t, st, "apply")
 				}
 			}
-			if st.NumModules() == k {
+			if numModules(st) == k {
 				t.Fatalf("no module emptied in %d steps; the empty-module path went untested", 300)
 			}
 		})

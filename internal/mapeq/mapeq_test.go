@@ -1,6 +1,7 @@
 package mapeq
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -96,7 +97,7 @@ func directedFlow(t *testing.T, g *graph.Graph, damping float64) *Flow {
 	t.Helper()
 	cfg := pagerank.DefaultConfig()
 	cfg.Damping = damping
-	res, err := pagerank.Compute(g, cfg)
+	res, err := pagerank.ComputeContext(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +307,10 @@ func TestStateAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.NumModules() != 2 {
-		t.Fatalf("NumModules = %d", st.NumModules())
+	if numModules(st) != 2 {
+		t.Fatalf("NumModules = %d", numModules(st))
 	}
-	if st.ModuleSize(0) != 3 || st.ModuleSize(1) != 3 {
+	if st.size[0] != 3 || st.size[1] != 3 {
 		t.Fatal("module sizes wrong")
 	}
 	if math.Abs(st.ModuleFlow(0)+st.ModuleFlow(1)-1) > 1e-12 {
@@ -449,7 +450,7 @@ func TestUnrecordedFlowProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pagerank.DefaultConfig()
-	res, err := pagerank.Compute(g, cfg)
+	res, err := pagerank.ComputeContext(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +483,7 @@ func TestDeltaMatchesFreshUnrecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pagerank.DefaultConfig()
-	res, err := pagerank.Compute(g, cfg)
+	res, err := pagerank.ComputeContext(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +501,7 @@ func TestUnrecordedEnterExitDiffer(t *testing.T) {
 	_ = b.AddEdge(1, 2, 1)
 	g := b.Build()
 	cfg := pagerank.DefaultConfig()
-	res, err := pagerank.Compute(g, cfg)
+	res, err := pagerank.ComputeContext(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,4 +521,15 @@ func TestUnrecordedEnterExitDiffer(t *testing.T) {
 		t.Fatalf("sink module: enter %g should exceed exit %g",
 			st.ModuleEnter(2), st.ModuleExit(2))
 	}
+}
+
+// numModules returns the number of non-empty modules of s.
+func numModules(s *State) int {
+	n := 0
+	for _, c := range s.size {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
 }

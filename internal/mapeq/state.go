@@ -201,8 +201,8 @@ func (s *State) recomputeExits() {
 	}
 	for m := range s.exit {
 		if s.size[m] > 0 {
-			s.exit[m] += s.tele[m] * (1 - s.land[m])
-			s.enter[m] += (s.teleTotal - s.tele[m]) * s.land[m]
+			s.exit[m] += float64(s.tele[m] * (1 - s.land[m]))
+			s.enter[m] += float64((s.teleTotal - s.tele[m]) * s.land[m])
 		}
 	}
 	s.sumEnter, s.sumPlogpEnter, s.sumPlogpExit, s.sumPlogpBoth = 0, 0, 0, 0
@@ -259,17 +259,6 @@ func (s *State) Module(u int) uint32 { return s.membership[u] }
 // as read-only; moves go through Apply.
 func (s *State) Membership() []uint32 { return s.membership }
 
-// NumModules returns the number of non-empty modules.
-func (s *State) NumModules() int {
-	n := 0
-	for _, c := range s.size {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // ModuleFlow returns the flow mass of module m.
 func (s *State) ModuleFlow(m uint32) float64 { return s.flow[m] }
 
@@ -280,9 +269,6 @@ func (s *State) ModuleExit(m uint32) float64 { return s.exit[m] }
 // undirected and stationary recorded flows).
 func (s *State) ModuleEnter(m uint32) float64 { return s.enter[m] }
 
-// ModuleSize returns the member count of module m.
-func (s *State) ModuleSize(m uint32) int { return s.size[m] }
-
 // leaveDeltas returns the changes to the exit and enter rates of module old
 // if vertex v left it, given v's accumulated arc flow to (outOld) and from
 // (inOld) the other members of old — exactly the values the paper's hash
@@ -291,10 +277,10 @@ func (s *State) leaveDeltas(v *NodeView, old uint32, outOld, inOld float64) (dEx
 	// Removing v from old: v's boundary out-flow and teleport exits
 	// disappear, while arcs and teleportation from remaining members to v
 	// become exits; symmetrically for enters.
-	dExitOld = -(v.ArcOut - outOld) - v.TeleOut*(1-s.land[old]) +
-		inOld + (s.tele[old]-v.TeleOut)*v.Land
-	dEnterOld = -(v.ArcIn - inOld) - (s.teleTotal-s.tele[old])*v.Land +
-		outOld + v.TeleOut*(s.land[old]-v.Land)
+	dExitOld = -(v.ArcOut - outOld) - float64(v.TeleOut*(1-s.land[old])) +
+		inOld + float64((s.tele[old]-v.TeleOut)*v.Land)
+	dEnterOld = -(v.ArcIn - inOld) - float64((s.teleTotal-s.tele[old])*v.Land) +
+		outOld + float64(v.TeleOut*(s.land[old]-v.Land))
 	return
 }
 
@@ -302,10 +288,10 @@ func (s *State) leaveDeltas(v *NodeView, old uint32, outOld, inOld float64) (dEx
 // vertex v joined it, given v's arc flow to (outNew) and from (inNew) the
 // members of newMod.
 func (s *State) joinDeltas(v *NodeView, newMod uint32, outNew, inNew float64) (dExitNew, dEnterNew float64) {
-	dExitNew = (v.ArcOut - outNew) + v.TeleOut*(1-s.land[newMod]-v.Land) -
-		inNew - s.tele[newMod]*v.Land
-	dEnterNew = (v.ArcIn - inNew) + (s.teleTotal-s.tele[newMod]-v.TeleOut)*v.Land -
-		outNew - v.TeleOut*s.land[newMod]
+	dExitNew = (v.ArcOut - outNew) + float64(v.TeleOut*(1-s.land[newMod]-v.Land)) -
+		inNew - float64(s.tele[newMod]*v.Land)
+	dEnterNew = (v.ArcIn - inNew) + float64((s.teleTotal-s.tele[newMod]-v.TeleOut)*v.Land) -
+		outNew - float64(v.TeleOut*s.land[newMod])
 	return
 }
 

@@ -189,28 +189,6 @@ func Conductance(g *graph.Graph, membership []uint32) ([]float64, error) {
 	return out, nil
 }
 
-// SizeHistogram returns the community-size histogram of a labeling: sizes
-// lists each distinct community size in ascending order and counts[i] is
-// how many communities have sizes[i] members. Emission is deterministic by
-// construction (sorted keys), so the histogram can feed reports and cached
-// service responses directly.
-func SizeHistogram(membership []uint32) (sizes []int, counts []int) {
-	perLabel := make(map[uint32]int)
-	for _, m := range membership {
-		perLabel[m]++
-	}
-	bySize := make(map[int]int) // keyed int increments commute, raw range is fine
-	for _, c := range perLabel {
-		bySize[c]++
-	}
-	sizes = graph.SortedKeys(bySize)
-	counts = make([]int, len(sizes))
-	for i, s := range sizes {
-		counts[i] = bySize[s]
-	}
-	return sizes, counts
-}
-
 // MeanConductance averages Conductance over clusters with nonzero volume.
 func MeanConductance(g *graph.Graph, membership []uint32) (float64, error) {
 	cs, err := Conductance(g, membership)

@@ -223,22 +223,3 @@ func TestMetricsOnPlantedLFR(t *testing.T) {
 		t.Fatalf("random labeling NMI %g suspiciously high", nmiRand)
 	}
 }
-
-func TestSizeHistogram(t *testing.T) {
-	// communities: {0,0,0}, {1,1}, {2,2}, {3} -> one size-1, two size-2, one size-3
-	membership := []uint32{0, 0, 0, 1, 1, 2, 2, 3}
-	sizes, counts := SizeHistogram(membership)
-	wantSizes := []int{1, 2, 3}
-	wantCounts := []int{1, 2, 1}
-	if len(sizes) != len(wantSizes) {
-		t.Fatalf("sizes = %v, want %v", sizes, wantSizes)
-	}
-	for i := range wantSizes {
-		if sizes[i] != wantSizes[i] || counts[i] != wantCounts[i] {
-			t.Fatalf("histogram = %v/%v, want %v/%v", sizes, counts, wantSizes, wantCounts)
-		}
-	}
-	if s, c := func() ([]int, []int) { return SizeHistogram(nil) }(); len(s) != 0 || len(c) != 0 {
-		t.Fatalf("empty membership histogram = %v/%v, want empty", s, c)
-	}
-}

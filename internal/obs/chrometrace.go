@@ -223,24 +223,11 @@ func BuildCanonicalTree(spans []SpanData) []*TreeNode {
 	return roots
 }
 
-// MarshalCanonicalJSON renders spans as the canonical indented-JSON tree.
-// For a fixed seed the bytes are identical across worker counts and steal
-// schedules — the determinism witness the golden tests compare.
-func MarshalCanonicalJSON(spans []SpanData) ([]byte, error) {
-	return json.MarshalIndent(BuildCanonicalTree(spans), "", "  ")
-}
-
-// CanonicalTree assembles the tracer's retained non-volatile spans into
-// root-ordered trees; see BuildCanonicalTree.
-func (t *Tracer) CanonicalTree() []*TreeNode {
-	if t == nil {
-		return nil
-	}
-	return BuildCanonicalTree(t.Snapshot(0))
-}
-
-// CanonicalJSON renders the canonical tree as indented JSON; see
-// MarshalCanonicalJSON.
+// CanonicalJSON renders the tracer's retained non-volatile spans as the
+// canonical indented-JSON tree (see BuildCanonicalTree). For a fixed seed
+// the bytes are identical across worker counts and steal schedules.
+//
+//asalint:unreachable test oracle: the determinism witness the obs, infomap and dist trace tests compare
 func (t *Tracer) CanonicalJSON() ([]byte, error) {
-	return MarshalCanonicalJSON(t.Snapshot(0))
+	return json.MarshalIndent(BuildCanonicalTree(t.Snapshot(0)), "", "  ")
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"testing"
 )
 
@@ -119,8 +120,8 @@ func TestBuildCanonicalTreeDedupsRepeatedIDs(t *testing.T) {
 	// A faulted duplicate delivery replays the same deterministic spans; the
 	// canonical tree must collapse them.
 	twice := BuildCanonicalTree(append(append([]SpanData(nil), spans...), spans...))
-	a, _ := MarshalCanonicalJSON(spans)
-	b, _ := MarshalCanonicalJSON(append(append([]SpanData(nil), spans...), spans...))
+	a, _ := json.MarshalIndent(once, "", "  ")
+	b, _ := json.MarshalIndent(twice, "", "  ")
 	if len(once) != len(twice) {
 		t.Fatalf("duplicate spans changed root count: %d vs %d", len(once), len(twice))
 	}

@@ -232,7 +232,7 @@ func TestNilSafety(t *testing.T) {
 	c.End()
 	k.End()
 	s.End()
-	if tr.Len() != 0 || tr.Snapshot(0) != nil || tr.CanonicalTree() != nil {
+	if tr.Len() != 0 || tr.Snapshot(0) != nil {
 		t.Error("nil tracer retained state")
 	}
 	var buf bytes.Buffer

@@ -24,23 +24,3 @@ func TestComputeContextCanceled(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
-
-func TestComputeContextBackgroundMatchesCompute(t *testing.T) {
-	g := directedRing(100)
-	a, err := Compute(g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ComputeContext(context.Background(), g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Iterations != b.Iterations || len(a.Rank) != len(b.Rank) {
-		t.Fatalf("Compute and ComputeContext diverge: %d/%d iterations", a.Iterations, b.Iterations)
-	}
-	for i := range a.Rank {
-		if a.Rank[i] != b.Rank[i] {
-			t.Fatalf("rank %d differs: %g vs %g", i, a.Rank[i], b.Rank[i])
-		}
-	}
-}

@@ -66,24 +66,18 @@ func Undirected(g *graph.Graph) *Result {
 		eps := 1e-12
 		rest := 1 - eps
 		for u := 0; u < n; u++ {
-			rank[u] = rank[u]*rest + eps/float64(n)
+			rank[u] = float64(rank[u]*rest) + eps/float64(n)
 		}
 	}
 	return &Result{Rank: rank}
 }
 
-// Compute runs parallel power iteration with teleportation on the graph. For
-// undirected graphs it short-circuits to the closed form. The returned ranks
-// always sum to 1 (within floating-point error).
-func Compute(g *graph.Graph, cfg Config) (*Result, error) {
-	// Documented non-cancellable convenience entry point; callers who need
-	// preemption use ComputeContext.
-	return ComputeContext(context.Background(), g, cfg)
-}
-
-// ComputeContext is Compute under a context: cancellation is observed before
-// every power iteration, returning ctx.Err() promptly. The worker goroutines
-// of an iteration always run to completion first, so none leak.
+// ComputeContext runs parallel power iteration with teleportation on the
+// graph. For undirected graphs it short-circuits to the closed form. The
+// returned ranks always sum to 1 (within floating-point error).
+// Cancellation is observed before every power iteration, returning
+// ctx.Err() promptly. The worker goroutines of an iteration always run to
+// completion first, so none leak.
 func ComputeContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -162,7 +156,7 @@ func ComputeContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, e
 				for i, u := range in {
 					sum += rank[u] * ws[i] / outStrength[u]
 				}
-				next[v] = base + cfg.Damping*sum
+				next[v] = base + float64(cfg.Damping*sum)
 			}
 		})
 

@@ -1,6 +1,7 @@
 package pagerank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,17 @@ import (
 	"github.com/asamap/asamap/internal/graph"
 	"github.com/asamap/asamap/internal/rng"
 )
+
+// ring returns an undirected cycle of n vertices.
+func ring(n int) *graph.Graph {
+	b := graph.NewBuilder(n, false)
+	for u := 0; u < n; u++ {
+		if err := b.AddEdge(uint32(u), uint32((u+1)%n), 1); err != nil {
+			panic(err)
+		}
+	}
+	return b.Build()
+}
 
 func sum(xs []float64) float64 {
 	s := 0.0
@@ -33,8 +45,8 @@ func TestUndirectedClosedForm(t *testing.T) {
 }
 
 func TestComputeUsesClosedFormForUndirected(t *testing.T) {
-	g, _ := gen.Ring(10)
-	res, err := Compute(g, DefaultConfig())
+	g := ring(10)
+	res, err := ComputeContext(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +67,7 @@ func TestDirectedCycleUniform(t *testing.T) {
 		_ = b.AddEdge(uint32(u), uint32((u+1)%n), 1)
 	}
 	g := b.Build()
-	res, err := Compute(g, DefaultConfig())
+	res, err := ComputeContext(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +86,7 @@ func TestDanglingVertices(t *testing.T) {
 	b := graph.NewBuilder(2, true)
 	_ = b.AddEdge(0, 1, 1)
 	g := b.Build()
-	res, err := Compute(g, DefaultConfig())
+	res, err := ComputeContext(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +107,7 @@ func TestHubAttractsRank(t *testing.T) {
 		_ = b.AddEdge(0, uint32(u), 1) // return edges so nothing is dangling
 	}
 	g := b.Build()
-	res, err := Compute(g, DefaultConfig())
+	res, err := ComputeContext(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +125,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	serial, err := Compute(g, cfg)
+	serial, err := ComputeContext(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	par, err := Compute(g, cfg)
+	par, err := ComputeContext(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,27 +142,27 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	g, _ := gen.Ring(5)
+	g := ring(5)
 	bad := DefaultConfig()
 	bad.Damping = 1.5
-	if _, err := Compute(g, bad); err == nil {
+	if _, err := ComputeContext(context.Background(), g, bad); err == nil {
 		t.Fatal("damping 1.5 accepted")
 	}
 	bad = DefaultConfig()
 	bad.MaxIter = 0
-	if _, err := Compute(g, bad); err == nil {
+	if _, err := ComputeContext(context.Background(), g, bad); err == nil {
 		t.Fatal("MaxIter 0 accepted")
 	}
 	bad = DefaultConfig()
 	bad.Tolerance = 0
-	if _, err := Compute(g, bad); err == nil {
+	if _, err := ComputeContext(context.Background(), g, bad); err == nil {
 		t.Fatal("Tolerance 0 accepted")
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0, true).Build()
-	res, err := Compute(g, DefaultConfig())
+	res, err := ComputeContext(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +182,7 @@ func TestEmptyGraph(t *testing.T) {
 func TestConvergenceReported(t *testing.T) {
 	r := rng.New(33)
 	g, _ := gen.RMAT(9, 4, r)
-	res, err := Compute(g, DefaultConfig())
+	res, err := ComputeContext(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

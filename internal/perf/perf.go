@@ -75,23 +75,6 @@ func (c *Counters) Add(o Counters) {
 	c.MemStalls += o.MemStalls
 }
 
-// Sub returns c minus o, clamped at zero.
-func (c Counters) Sub(o Counters) Counters {
-	f := func(a, b float64) float64 {
-		if a < b {
-			return 0
-		}
-		return a - b
-	}
-	return Counters{
-		Instructions: f(c.Instructions, o.Instructions),
-		Cycles:       f(c.Cycles, o.Cycles),
-		Branches:     f(c.Branches, o.Branches),
-		Mispredicts:  f(c.Mispredicts, o.Mispredicts),
-		MemStalls:    f(c.MemStalls, o.MemStalls),
-	}
-}
-
 // CPI returns cycles per instruction (0 for an empty span).
 func (c Counters) CPI() float64 {
 	if c.Instructions == 0 {
@@ -103,14 +86,6 @@ func (c Counters) CPI() float64 {
 // Seconds converts cycles to wall time at the machine frequency.
 func (c Counters) Seconds(m Machine) float64 {
 	return c.Cycles / (m.FreqGHz * 1e9)
-}
-
-// MispredictRate returns mispredicted branches per branch.
-func (c Counters) MispredictRate() float64 {
-	if c.Branches == 0 {
-		return 0
-	}
-	return c.Mispredicts / c.Branches
 }
 
 // EventCost is the modeled cost of one occurrence of an event class.

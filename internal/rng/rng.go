@@ -84,9 +84,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 bits.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // Lemire's multiply-shift rejection method avoids modulo bias.
 func (r *RNG) Intn(n int) int {
@@ -119,16 +116,6 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Exp returns an exponentially distributed float64 with rate 1.
-func (r *RNG) Exp() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
 }
 
 // Perm returns a random permutation of [0, n) using Fisher–Yates.

@@ -230,7 +230,7 @@ func TestClusterForwardedByteIdentical(t *testing.T) {
 		t.Fatalf("router stats %+v, want 3 forwarded / 0 degraded", st)
 	}
 	// The router computed nothing itself.
-	if runs := tc.router.Local().Runs(); runs != 0 {
+	if runs := tc.router.local.Runs(); runs != 0 {
 		t.Fatalf("router ran %d local detections, want 0", runs)
 	}
 }
@@ -259,7 +259,7 @@ func TestClusterDegradedWhenOwnersDown(t *testing.T) {
 	if st.Degraded != 1 {
 		t.Fatalf("router stats %+v, want 1 degraded", st)
 	}
-	if tc.router.Peer(0).Stats().BreakerTrips == 0 {
+	if tc.router.peers[0].Stats().BreakerTrips == 0 {
 		t.Fatal("no breaker trip recorded against the downed primary")
 	}
 	m := metricsText(t, tc.baseURL)
@@ -305,7 +305,7 @@ func TestClusterPeerCacheAdoption(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatal("peer-cache bytes differ from the sibling's compute")
 	}
-	if runs := tc.nodes[1].Local().Runs(); runs != 0 {
+	if runs := tc.nodes[1].local.Runs(); runs != 0 {
 		t.Fatalf("replica 1 ran %d detections for an adoptable key, want 0", runs)
 	}
 	if st := tc.nodes[1].Stats(); st.PeerCacheHits != 1 {
@@ -367,12 +367,12 @@ func runChaosScenario(t *testing.T, ref map[string][]byte) []chaosOutcome {
 	if st.Forwarded == 0 {
 		t.Fatal("chaos run forwarded nothing")
 	}
-	if tc.router.Peer(victim).Stats().BreakerTrips == 0 {
+	if tc.router.peers[victim].Stats().BreakerTrips == 0 {
 		t.Fatal("crashed owner never tripped its breaker")
 	}
 	var retries uint64
 	for p := 0; p < 3; p++ {
-		retries += tc.router.Peer(p).Stats().Retries
+		retries += tc.router.peers[p].Stats().Retries
 	}
 	if retries == 0 {
 		t.Fatal("no retries under a 40% fault rate — the retry path is dead")

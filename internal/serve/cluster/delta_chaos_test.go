@@ -162,7 +162,7 @@ func runDeltaChaosScenario(t *testing.T, refV1, refV2 serve.VersionInfo, ref map
 	if st := tc.router.Stats(); st.Forwarded == 0 {
 		t.Fatal("delta chaos run forwarded nothing")
 	}
-	if tc.router.Peer(victim).Stats().BreakerTrips == 0 {
+	if tc.router.peers[victim].Stats().BreakerTrips == 0 {
 		t.Fatal("crashed owner never tripped its breaker")
 	}
 	m := metricsText(t, tc.baseURL)
@@ -231,10 +231,10 @@ func TestClusterDeltaOnDemandLineageFetch(t *testing.T) {
 	// owners — at replication 2 that includes replica 1, which must fetch the
 	// base graph on demand before it can apply the delta.
 	v1 := uploadDelta(t, tc.srvs[0].URL, info.Hash, deltaOne)
-	if _, ok := tc.nodes[1].Local().Registry().Resolve(v1.ID); !ok {
+	if _, ok := tc.nodes[1].local.Registry().Resolve(v1.ID); !ok {
 		t.Fatal("replica 1 did not materialize the replicated version")
 	}
-	got, ok := tc.nodes[1].Local().Registry().Version(v1.ID)
+	got, ok := tc.nodes[1].local.Registry().Version(v1.ID)
 	if !ok || got.Parent != info.Hash || got.Depth != 1 {
 		t.Fatalf("replica 1 version metadata: %+v", got)
 	}

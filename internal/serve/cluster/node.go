@@ -181,20 +181,8 @@ func NewNode(local *serve.Server, cfg Config) *Node {
 // Handler returns the node's HTTP handler.
 func (n *Node) Handler() http.Handler { return n.handler }
 
-// Local exposes the wrapped server.
-func (n *Node) Local() *serve.Server { return n.local }
-
 // Close drains the local server.
 func (n *Node) Close() { n.local.Close() }
-
-// Peer exposes the client for replica i (nil for self/standalone); used by
-// metrics and tests.
-func (n *Node) Peer(i int) *PeerClient {
-	if n.peers == nil || i < 0 || i >= len(n.peers) {
-		return nil
-	}
-	return n.peers[i]
-}
 
 // owners returns graphHash's owner preference order, or nil when standalone.
 func (n *Node) owners(graphHash string) []int {

@@ -69,12 +69,6 @@ func NewRing(replicas, vnodes int, seed uint64) *Ring {
 	return r
 }
 
-// Replicas returns the replica count the ring was built for.
-func (r *Ring) Replicas() int { return r.replicas }
-
-// Owner returns the primary owner of key.
-func (r *Ring) Owner(key string) int { return r.Owners(key, 1)[0] }
-
 // Owners returns the first n distinct replicas encountered walking clockwise
 // from key's ring position — key's owner preference order. The first entry
 // is the primary; the rest are the failover sequence. n is clamped to

@@ -43,8 +43,8 @@ func TestRingOwnersDistinct(t *testing.T) {
 			}
 			seen[p] = true
 		}
-		if r.Owner(fmt.Sprintf("k%d", i)) != owners[0] {
-			t.Fatalf("Owner disagrees with Owners[0]")
+		if r.Owners(fmt.Sprintf("k%d", i), 1)[0] != owners[0] {
+			t.Fatalf("Owners(key, 1) disagrees with Owners(key, 3)[0]")
 		}
 	}
 }
@@ -57,7 +57,7 @@ func TestRingBalance(t *testing.T) {
 	r := NewRing(replicas, 64, 99)
 	counts := make([]int, replicas)
 	for i := 0; i < keys; i++ {
-		counts[r.Owner(fmt.Sprintf("graph-%x", i*2654435761))]++
+		counts[r.Owners(fmt.Sprintf("graph-%x", i*2654435761), 1)[0]]++
 	}
 	for p, c := range counts {
 		if c < keys/replicas/4 || c > keys*3/replicas {
@@ -73,7 +73,7 @@ func TestRingSeedVariesPlacement(t *testing.T) {
 	moved := 0
 	for i := 0; i < 256; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if a.Owner(key) != b.Owner(key) {
+		if a.Owners(key, 1)[0] != b.Owners(key, 1)[0] {
 			moved++
 		}
 	}

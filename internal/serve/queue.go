@@ -165,13 +165,6 @@ func (q *Queue) gate() func(*queueJob) {
 	return q.testGate
 }
 
-// setTestGate installs fn to run at the start of every job (tests only).
-func (q *Queue) setTestGate(fn func(*queueJob)) {
-	q.mu.Lock()
-	q.testGate = fn
-	q.mu.Unlock()
-}
-
 func (q *Queue) account(err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

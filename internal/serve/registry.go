@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -187,10 +186,4 @@ func (r *Registry) Stats() RegistryStats {
 		DeltaApplies:  r.deltaApplies.Load(),
 		VersionHits:   r.versionHits.Load(),
 	}
-}
-
-// String renders the stats as JSON for logs.
-func (s RegistryStats) String() string {
-	b, _ := json.Marshal(s)
-	return string(b)
 }

@@ -242,3 +242,10 @@ func TestCacheEvictionStormManyKeys(t *testing.T) {
 		t.Fatalf("cache holds %d entries, capacity %d", got, capEntries)
 	}
 }
+
+// setTestGate installs fn to run at the start of every job.
+func (q *Queue) setTestGate(fn func(*queueJob)) {
+	q.mu.Lock()
+	q.testGate = fn
+	q.mu.Unlock()
+}

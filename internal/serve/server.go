@@ -231,6 +231,8 @@ func (s *Server) Close() { s.queue.Close() }
 func (s *Server) Registry() *Registry { return s.registry }
 
 // Runs reports how many detection runs actually executed.
+//
+//asalint:unreachable test oracle: the serve and serve/cluster tests count executed runs to prove cache hits and forwarding
 func (s *Server) Runs() uint64 { return s.runs.Load() }
 
 // DetectRequest is the body of POST /v1/detect.

@@ -1,7 +1,9 @@
 package spgemm
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"github.com/asamap/asamap/internal/accum"
@@ -185,4 +187,58 @@ func TestEntriesRoundTrip(t *testing.T) {
 	if b.NNZ() != a.NNZ() {
 		t.Fatal("entries round trip changed nnz")
 	}
+}
+
+// At returns the value at (i, j), zero when not stored.
+func (m *Matrix) At(i, j int) float64 {
+	rows, vals := m.ColEntries(j)
+	k := sort.Search(len(rows), func(k int) bool { return rows[k] >= uint32(i) })
+	if k < len(rows) && rows[k] == uint32(i) {
+		return vals[k]
+	}
+	return 0
+}
+
+// Entries returns all nonzeros in column-major order.
+func (m *Matrix) Entries() []Entry {
+	out := make([]Entry, 0, m.NNZ())
+	for j := 0; j < m.cols; j++ {
+		rows, vals := m.ColEntries(j)
+		for k := range rows {
+			out = append(out, Entry{Row: rows[k], Col: uint32(j), Val: vals[k]})
+		}
+	}
+	return out
+}
+
+// Identity returns the n×n identity matrix.
+func Identity(n int) *Matrix {
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Row: uint32(i), Col: uint32(i), Val: 1}
+	}
+	m, err := New(n, n, entries)
+	if err != nil {
+		panic(err) // cannot happen: entries are in range by construction
+	}
+	return m
+}
+
+// Random returns a rows×cols matrix with approximately nnzPerCol uniformly
+// placed nonzeros per column, values in (0, 1].
+func Random(rows, cols, nnzPerCol int, r *rng.RNG) (*Matrix, error) {
+	if rows <= 0 || cols <= 0 || nnzPerCol <= 0 {
+		return nil, fmt.Errorf("spgemm: invalid Random(%d,%d,%d)", rows, cols, nnzPerCol)
+	}
+	var entries []Entry
+	for j := 0; j < cols; j++ {
+		for k := 0; k < nnzPerCol; k++ {
+			entries = append(entries, Entry{
+				Row: uint32(r.Intn(rows)),
+				Col: uint32(j),
+				Val: r.Float64() + 1e-9,
+			})
+		}
+	}
+	return New(rows, cols, entries)
 }

@@ -184,6 +184,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // bound of the bucket holding the ceil(q*Count)-th smallest observation.
 // Observations in the overflow bucket report the largest finite bound (a
 // lower bound in that case — "at least this slow"). Returns 0 when empty.
+//
+//asalint:unreachable test oracle: the federation tests compare merged and exact-merge quantiles with it
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 || q <= 0 {
 		return 0
@@ -207,15 +209,6 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	}
 	return s.Bounds[len(s.Bounds)-1]
 }
-
-// P50 returns the median's bucket bound.
-func (s HistogramSnapshot) P50() time.Duration { return s.Quantile(0.50) }
-
-// P90 returns the 90th percentile's bucket bound.
-func (s HistogramSnapshot) P90() time.Duration { return s.Quantile(0.90) }
-
-// P99 returns the 99th percentile's bucket bound.
-func (s HistogramSnapshot) P99() time.Duration { return s.Quantile(0.99) }
 
 // WritePrometheus renders the snapshot in Prometheus histogram exposition
 // format under the given fully qualified metric name (e.g.

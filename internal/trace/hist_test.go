@@ -29,13 +29,13 @@ func TestHistogramQuantiles(t *testing.T) {
 	if s.Count != 10 {
 		t.Fatalf("count = %d, want 10", s.Count)
 	}
-	if got := s.P50(); got != 1*time.Millisecond {
+	if got := s.Quantile(0.50); got != 1*time.Millisecond {
 		t.Errorf("p50 = %v, want 1ms", got)
 	}
-	if got := s.P90(); got != 10*time.Millisecond {
+	if got := s.Quantile(0.90); got != 10*time.Millisecond {
 		t.Errorf("p90 = %v, want 10ms", got)
 	}
-	if got := s.P99(); got != 100*time.Millisecond {
+	if got := s.Quantile(0.99); got != 100*time.Millisecond {
 		t.Errorf("p99 = %v, want 100ms", got)
 	}
 	if got := s.Quantile(1.0); got != 100*time.Millisecond {
@@ -53,7 +53,7 @@ func TestHistogramQuantiles(t *testing.T) {
 // finite bound; an empty histogram reports 0.
 func TestHistogramOverflowAndEmpty(t *testing.T) {
 	h := NewHistogram([]time.Duration{time.Millisecond, time.Second})
-	if got := h.Snapshot().P99(); got != 0 {
+	if got := h.Snapshot().Quantile(0.99); got != 0 {
 		t.Errorf("empty p99 = %v, want 0", got)
 	}
 	h.Observe(5 * time.Second) // overflow bucket
@@ -61,7 +61,7 @@ func TestHistogramOverflowAndEmpty(t *testing.T) {
 	if s.Counts[len(s.Counts)-1] != 1 {
 		t.Fatalf("overflow bucket not hit: %v", s.Counts)
 	}
-	if got := s.P50(); got != time.Second {
+	if got := s.Quantile(0.50); got != time.Second {
 		t.Errorf("overflow p50 = %v, want largest finite bound 1s", got)
 	}
 	// Negative durations clamp to zero (first bucket).
